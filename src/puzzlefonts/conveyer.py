@@ -164,7 +164,7 @@ def validate_belt(centers, path: BeltPath) -> ValidationReport:
     """Check the four belt clauses; tangency contacts do not count as entering."""
     disks = check_disk_set(centers)
     try:
-        simple = path_is_simple(list(path.elements), "forbid")
+        simple = path_is_simple(list(path.elements))
     except DisconnectedPath:
         simple = False
     avoids = _avoids_interiors(disks, path.elements)
@@ -184,7 +184,7 @@ def _belt_ok(disks, path: BeltPath, n_disks: int) -> bool:
     if not _avoids_interiors(disks, path.elements):
         return False
     try:
-        return path_is_simple(list(path.elements), "forbid")
+        return path_is_simple(list(path.elements))
     except DisconnectedPath:
         return False
 

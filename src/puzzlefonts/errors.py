@@ -67,3 +67,11 @@ class UnknownCharacter(PuzzleFontError):
 
 class MissingFontFile(PuzzleFontError):
     """Font data file could not be located."""
+
+
+class NoSolution(PuzzleFontError):
+    """A puzzle glyph admits no decoding."""
+
+
+class AmbiguousSolution(PuzzleFontError):
+    """A puzzle glyph matches several letters; the font data is corrupt."""

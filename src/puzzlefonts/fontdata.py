@@ -1,4 +1,4 @@
-"""Font data model and the line-oriented `.pft` format.
+"""Font data model, the line-oriented `.pft` format, and the font-kind table.
 
 One file holds one font.  The grammar is line based: `#` lines are comments,
 `font <id> <version>` must come first, `glyph <char>` opens a record, and
@@ -17,21 +17,30 @@ Payload keywords by font:
               cell x y NE|NW first|second
     cane      subcane rho phi r color
               twist omega length
+
+`KINDS` has one entry per font id and is the one place that knows a font
+kind: its payload keywords, how its glyph records are built, written and
+validated, how its glyphs render in the solved and puzzle variants, and how
+its puzzles decode back to text where a machine solver exists.  A new font
+is one entry here plus its domain module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from . import cane, conveyer, hinged, linkage, maze
 from .cane import CaneCrossSection, Subcane, TwistParams
-from .conveyer import CCW, CW, check_disk_set, check_spec, compute_belt, fingerprint, validate_belt
-from .errors import MissingFontFile
-from .geometry import Point2, dist
-from .hinged import HingedChain, check_cell, validate_polyabolo
-from .linkage import LinkageFont, check_angle_sequence
+from .conveyer import CCW, CW
+from .errors import (
+    AmbiguousMatch, AmbiguousSolution, MissingFontFile, NoMatch, NoSolution, NotAChain,
+)
+from .geometry import Point2, Segment, arc_extent, dist
+from .hinged import HingedChain, check_cell
 from .maze import GridMaze
+from .scene import VectorScene
 
-FONT_IDS = ("linkage", "conveyer", "maze", "hinged", "cane")
 FORMAT_VERSION = 1
 
 
@@ -118,11 +127,15 @@ class _Parser:
 
     def _num(self, tok: _Tok, line: int, integer: bool = False):
         try:
-            return int(tok.text) if integer else float(tok.text)
+            value = int(tok.text) if integer else float(tok.text)
         except ValueError:
             kind = "integer" if integer else "number"
             self.error(line, tok.col, f"expected {kind}, got {tok.text!r}")
             return None
+        if not math.isfinite(float(tok.text)):  # nan, inf, and overflowing values
+            self.error(line, tok.col, f"expected a finite number, got {tok.text!r}")
+            return None
+        return value
 
     def finish_glyph(self) -> None:
         if self.cur_char is None:
@@ -132,47 +145,10 @@ class _Parser:
         self.cur_char, self.cur = None, {}
         if glyph_had_errors:
             return  # don't cascade completeness complaints onto broken payloads
-        fid = self.font_id
         try:
-            if fid == "linkage":
-                angles = payload.get("angles")
-                vertices = payload.get("vertices")
-                if angles is None and vertices is None:
-                    self.error(line, 1, f"glyph {char!r} needs an 'angles' or 'vertex' payload")
-                    return
-                if vertices is not None and len(vertices) != 7:
-                    self.error(line, 1, f"glyph {char!r} has {len(vertices)} vertices, expected 7")
-                    return
-                rec = LinkageRecord(angles=angles, vertices=tuple(vertices) if vertices else None)
-            elif fid == "conveyer":
-                disks = tuple(payload.get("disks", ()))
-                if not disks:
-                    self.error(line, 1, f"glyph {char!r} has no disks")
-                    return
-                rec = ConveyerRecord(disks=disks, belt=payload.get("belt"))
-            elif fid == "maze":
-                if "size" not in payload:
-                    self.error(line, 1, f"glyph {char!r} is missing its 'size' line")
-                    return
-                w, h = payload["size"]
-                rec = GridMaze.from_edges(w, h, payload.get("walls", ()))
-            elif fid == "hinged":
-                rec = tuple(payload.get("cells", ()))
-                if not rec:
-                    self.error(line, 1, f"glyph {char!r} has no cells")
-                    return
-            elif fid == "cane":
-                if "twist" not in payload:
-                    self.error(line, 1, f"glyph {char!r} is missing its 'twist' line")
-                    return
-                rec = CaneRecord(CaneCrossSection(tuple(payload.get("subcanes", ()))),
-                                 payload["twist"])
-            else:  # pragma: no cover - guarded by header handling
-                return
+            self.glyphs[char] = KINDS[self.font_id].record(payload)
         except ValueError as exc:
             self.error(line, 1, f"glyph {char!r}: {exc}")
-            return
-        self.glyphs[char] = rec
 
     def parse(self) -> tuple[FontData | None, list[ParseDiagnostic]]:
         for lineno, raw in enumerate(self.lines, start=1):
@@ -188,8 +164,12 @@ class _Parser:
             if handler is None:
                 self.error(lineno, head.col, f"unknown keyword {head.text!r}")
                 continue
+            if head.text in _KEYWORD_KIND and not self._payload_guard(head, lineno):
+                continue
             handler(toks, lineno)
         self.finish_glyph()
+        if self.font_id is None and not self.diags:
+            self.error(1, 1, "file must start with a 'font <id> <version>' line")
         if any(d.severity == "error" for d in self.diags):
             return None, self.diags
         fd = FontData(self.font_id, self.version, self.glyphs, self.chain)
@@ -204,7 +184,7 @@ class _Parser:
         if len(toks) != 3:
             self.error(lineno, toks[0].col, "'font' needs an id and a version")
             return
-        if toks[1].text not in FONT_IDS:
+        if toks[1].text not in KINDS:
             self.error(lineno, toks[1].col, f"unknown font id {toks[1].text!r}")
             return
         version = self._num(toks[2], lineno, integer=True)
@@ -228,21 +208,17 @@ class _Parser:
         self.cur = {}
         self.cur_diag_mark = len(self.diags)
 
-    def _payload_guard(self, toks, lineno, font_id) -> bool:
-        if self.font_id != font_id:
-            self.error(lineno, toks[0].col,
-                       f"{toks[0].text!r} lines belong to the {font_id} font")
+    def _payload_guard(self, head: _Tok, lineno: int) -> bool:
+        owner = _KEYWORD_KIND[head.text]
+        if owner != self.font_id:
+            self.error(lineno, head.col, f"{head.text!r} lines belong to the {owner} font")
             return False
-        if toks[0].text == "chain":
-            return True
-        if self.cur_char is None:
-            self.error(lineno, toks[0].col, f"{toks[0].text!r} line outside any glyph")
+        if self.cur_char is None and head.text != "chain":
+            self.error(lineno, head.col, f"{head.text!r} line outside any glyph")
             return False
         return True
 
     def _kw_angles(self, toks, lineno):
-        if not self._payload_guard(toks, lineno, "linkage"):
-            return
         if len(toks) != 6:
             self.error(lineno, toks[0].col, f"'angles' needs exactly 5 values, got {len(toks) - 1}")
             return
@@ -256,8 +232,6 @@ class _Parser:
         self.cur["angles"] = tuple(vals)
 
     def _kw_vertex(self, toks, lineno):
-        if not self._payload_guard(toks, lineno, "linkage"):
-            return
         if len(toks) != 3:
             self.error(lineno, toks[0].col, "'vertex' needs x and y")
             return
@@ -268,8 +242,6 @@ class _Parser:
         self.cur.setdefault("vertices", []).append(Point2(x, y))
 
     def _kw_disk(self, toks, lineno):
-        if not self._payload_guard(toks, lineno, "conveyer"):
-            return
         if len(toks) != 3:
             self.error(lineno, toks[0].col, "'disk' needs x and y")
             return
@@ -280,8 +252,6 @@ class _Parser:
         self.cur.setdefault("disks", []).append(Point2(x, y))
 
     def _kw_belt(self, toks, lineno):
-        if not self._payload_guard(toks, lineno, "conveyer"):
-            return
         if len(toks) < 2:
             self.error(lineno, toks[0].col, "'belt' needs at least one winding entry")
             return
@@ -298,8 +268,6 @@ class _Parser:
         self.cur["belt"] = tuple(winding)
 
     def _kw_size(self, toks, lineno):
-        if not self._payload_guard(toks, lineno, "maze"):
-            return
         if len(toks) != 3:
             self.error(lineno, toks[0].col, "'size' needs width and height")
             return
@@ -310,8 +278,6 @@ class _Parser:
         self.cur["size"] = (w, h)
 
     def _kw_wall(self, toks, lineno):
-        if not self._payload_guard(toks, lineno, "maze"):
-            return
         if len(toks) != 5:
             self.error(lineno, toks[0].col, "'wall' needs x1 y1 x2 y2")
             return
@@ -321,8 +287,6 @@ class _Parser:
         self.cur.setdefault("walls", []).append(tuple(vals))
 
     def _kw_chain(self, toks, lineno):
-        if not self._payload_guard(toks, lineno, "hinged"):
-            return
         if self.chain is not None:
             self.error(lineno, toks[0].col, "duplicate 'chain' line")
             return
@@ -347,8 +311,6 @@ class _Parser:
             self.error(lineno, toks[1].col, str(exc))
 
     def _kw_cell(self, toks, lineno):
-        if not self._payload_guard(toks, lineno, "hinged"):
-            return
         if len(toks) != 5:
             self.error(lineno, toks[0].col, "'cell' needs x y NE|NW first|second")
             return
@@ -364,8 +326,6 @@ class _Parser:
         self.cur.setdefault("cells", []).append(cell)
 
     def _kw_subcane(self, toks, lineno):
-        if not self._payload_guard(toks, lineno, "cane"):
-            return
         if len(toks) != 5:
             self.error(lineno, toks[0].col, "'subcane' needs rho phi r color")
             return
@@ -383,8 +343,6 @@ class _Parser:
         self.cur.setdefault("subcanes", []).append(sub)
 
     def _kw_twist(self, toks, lineno):
-        if not self._payload_guard(toks, lineno, "cane"):
-            return
         if len(toks) != 3:
             self.error(lineno, toks[0].col, "'twist' needs omega and length")
             return
@@ -412,8 +370,9 @@ def _num_text(v: float) -> str:
 
 def write(fd: FontData) -> str:
     """Canonical serialization: glyphs sorted by character, deterministic."""
+    kind = kind_of(fd.font_id)
     lines = [f"font {fd.font_id} {fd.version}"]
-    if fd.font_id == "hinged" and fd.chain is not None:
+    if fd.chain is not None:
         hinges = fd.chain.hinges
         period = len(hinges)
         for p in range(1, len(hinges) + 1):
@@ -423,32 +382,8 @@ def write(fd: FontData) -> str:
         toks = " ".join(f"{ex}:{en}" for ex, en in hinges[:period]) if hinges else "Q:P"
         lines.append(f"chain {fd.chain.n_pieces} {toks}")
     for char in sorted(fd.glyphs):
-        rec = fd.glyphs[char]
         lines.append(f"glyph {char}")
-        if fd.font_id == "linkage":
-            if rec.angles is not None:
-                lines.append("angles " + " ".join(_num_text(a) for a in rec.angles))
-            else:
-                for v in rec.vertices:
-                    lines.append(f"vertex {_num_text(v[0])} {_num_text(v[1])}")
-        elif fd.font_id == "conveyer":
-            for d in rec.disks:
-                lines.append(f"disk {_num_text(d[0])} {_num_text(d[1])}")
-            if rec.belt is not None:
-                lines.append("belt " + " ".join(f"{i}{'+' if o == CCW else '-'}"
-                                                for i, o in rec.belt))
-        elif fd.font_id == "maze":
-            lines.append(f"size {rec.width} {rec.height}")
-            for (x1, y1), (x2, y2) in rec.sorted_walls():
-                lines.append(f"wall {x1} {y1} {x2} {y2}")
-        elif fd.font_id == "hinged":
-            for c in rec:
-                lines.append(f"cell {c.sx} {c.sy} {c.diagonal} {c.half}")
-        elif fd.font_id == "cane":
-            for s in rec.cross_section.subcanes:
-                lines.append(f"subcane {_num_text(s.rho)} {_num_text(s.phi)} "
-                             f"{_num_text(s.radius)} {s.color}")
-            lines.append(f"twist {_num_text(rec.twist.omega)} {_num_text(rec.twist.length)}")
+        lines.extend(kind.lines(fd.glyphs[char]))
     return "\n".join(lines) + "\n"
 
 
@@ -469,50 +404,248 @@ class DataReport:
 def validate(fd: FontData) -> DataReport:
     """Per-module payload checks plus the cross-glyph uniqueness conditions."""
     report = DataReport()
-    if fd.font_id == "linkage":
+    if fd.font_id in KINDS:
+        KINDS[fd.font_id].check(fd, report)
+    else:
+        report.add(f"unknown font id {fd.font_id!r}")
+    return report
+
+
+# -- font kinds -----------------------------------------------------------------
+
+class FontKind:
+    """What the library knows about one font kind; `KINDS` holds one of each.
+
+    keywords                    payload keywords that belong to the kind
+    record(payload)             glyph record of one glyph's payload lines;
+                                ValueError when the payload is incomplete
+    lines(rec)                  the payload lines `write` emits for a record
+    check(fd, report)           add the per-glyph and cross-glyph issues
+    render(fd, text, variant, seed)
+                                yield (scene, puzzle record or None) for
+                                each piece `typeset` lays out
+    decode(font_fd, puzzle_fd)  (text, solution scenes or None); None for
+                                the kinds without a machine solver
+
+    Kinds call domain functions through their module (`cane.render_side`), so
+    rebinding a module function, as a tracer does, reaches every call.
+    """
+
+    keywords: tuple = ()
+    decode = None
+
+
+def linkage_font_of(fd: FontData) -> linkage.LinkageFont:
+    return linkage.LinkageFont({c: r.angles for c, r in fd.glyphs.items()
+                                if r.angles is not None})
+
+
+def _linkage_scene(glyph: linkage.LinkageGlyph) -> VectorScene:
+    scene = VectorScene()
+    for a, b in linkage.spread_overlapping_bars(glyph.vertices):
+        scene.add_polyline([a, b], "chain")
+    for v in glyph.vertices:
+        scene.add_circle(v, 0.05, "hinge", filled=True)
+    return scene
+
+
+class _Linkage(FontKind):
+    keywords = ("angles", "vertex")
+
+    def record(self, payload):
+        angles = payload.get("angles")
+        vertices = payload.get("vertices")
+        if angles is None and vertices is None:
+            raise ValueError("needs an 'angles' or 'vertex' payload")
+        if vertices is not None and len(vertices) != 7:
+            raise ValueError(f"has {len(vertices)} vertices, expected 7")
+        return LinkageRecord(angles=angles, vertices=tuple(vertices) if vertices else None)
+
+    def lines(self, rec):
+        if rec.angles is not None:
+            return ["angles " + " ".join(_num_text(a) for a in rec.angles)]
+        return [f"vertex {_num_text(v[0])} {_num_text(v[1])}" for v in rec.vertices]
+
+    def check(self, fd, report):
         seqs = {}
         for char, rec in sorted(fd.glyphs.items()):
             if rec.angles is not None:
                 try:
-                    seqs[char] = check_angle_sequence(rec.angles)
+                    seqs[char] = linkage.check_angle_sequence(rec.angles)
                 except ValueError as exc:
                     report.add(f"glyph {char!r}: {exc}")
             else:
                 for i in range(6):
                     if abs(dist(rec.vertices[i], rec.vertices[i + 1]) - 1.0) > 1e-6:
                         report.add(f"glyph {char!r}: bar {i} is not unit length")
-        font = LinkageFont(seqs)
-        for l1, l2 in font.uniqueness_failures():
+        for l1, l2 in linkage.LinkageFont(seqs).uniqueness_failures():
             report.add(f"letters {l1!r} and {l2!r} share a sequence up to reversal")
-    elif fd.font_id == "conveyer":
+
+    def render(self, fd, text, variant, seed):
+        font = linkage_font_of(fd)
+        for pos, ch in enumerate(text):
+            if variant == "puzzle":
+                glyph = font.random_puzzle_glyph(ch, seed * 1_000 + pos)
+                yield _linkage_scene(glyph), LinkageRecord(vertices=glyph.vertices)
+            else:
+                yield _linkage_scene(font.canonical_glyph(ch)), None
+
+    def decode(self, font_fd, puzzle_fd):
+        """Measure each chain's joint angles and look the sequence up."""
+        font = linkage_font_of(font_fd)
+        out = []
+        for key in sorted(puzzle_fd.glyphs):
+            rec = puzzle_fd.glyphs[key]
+            if rec.vertices is None:
+                raise NoSolution(f"puzzle glyph {key!r} has no vertex chain")
+            try:
+                out.append(font.decode(rec.vertices))
+            except NotAChain as exc:
+                raise NotAChain(f"puzzle glyph {key!r}: {exc}") from exc
+            except NoMatch as exc:
+                raise NoSolution(f"puzzle glyph {key!r}: {exc}") from exc
+            except AmbiguousMatch as exc:
+                raise AmbiguousSolution(f"puzzle glyph {key!r}: {exc}") from exc
+        return "".join(out), None
+
+
+def _conveyer_scene(disks, belt) -> VectorScene:
+    """The disks, and the belt of `belt` around them unless it is None."""
+    scene = VectorScene()
+    for c in disks:
+        scene.add_circle(c, 1.0, "disk", filled=True)
+    if belt is not None:
+        for el in conveyer.compute_belt(disks, belt).elements:
+            if isinstance(el, Segment):
+                scene.add_polyline([el.a, el.b], "belt")
+            elif arc_extent(el) > 0.0:
+                scene.add_arc(el, "belt")
+    return scene
+
+
+class _Conveyer(FontKind):
+    keywords = ("disk", "belt")
+
+    def record(self, payload):
+        disks = tuple(payload.get("disks", ()))
+        if not disks:
+            raise ValueError("has no disks")
+        return ConveyerRecord(disks=disks, belt=payload.get("belt"))
+
+    def lines(self, rec):
+        out = [f"disk {_num_text(d[0])} {_num_text(d[1])}" for d in rec.disks]
+        if rec.belt is not None:
+            out.append("belt " + " ".join(f"{i}{'+' if o == CCW else '-'}" for i, o in rec.belt))
+        return out
+
+    def check(self, fd, report):
         prints = {}
         for char, rec in sorted(fd.glyphs.items()):
             try:
-                disks = check_disk_set(rec.disks)
+                disks = conveyer.check_disk_set(rec.disks)
             except ValueError as exc:
                 report.add(f"glyph {char!r}: {exc}")
                 continue
-            prints.setdefault(fingerprint(disks), []).append(char)
+            prints.setdefault(conveyer.fingerprint(disks), []).append(char)
             if rec.belt is not None:
                 try:
-                    check_spec(rec.belt, len(disks))
-                    path = compute_belt(disks, rec.belt)
+                    conveyer.check_spec(rec.belt, len(disks))
+                    path = conveyer.compute_belt(disks, rec.belt)
                 except Exception as exc:
                     report.add(f"glyph {char!r}: belt does not realize: {exc}")
                     continue
-                vr = validate_belt(disks, path)
+                vr = conveyer.validate_belt(disks, path)
                 if not vr.all_ok:
                     report.add(f"glyph {char!r}: belt fails validation: {vr}")
-        for key, chars in prints.items():
+        for chars in prints.values():
             if len(chars) > 1:
                 report.add(f"glyphs {chars} share a disk configuration fingerprint")
-    elif fd.font_id == "maze":
-        pass  # GridMaze.from_edges already enforced the structural invariants
-    elif fd.font_id == "hinged":
+
+    def render(self, fd, text, variant, seed):
+        for ch in text:
+            rec = fd.glyphs[ch]
+            if variant == "puzzle":
+                yield _conveyer_scene(rec.disks, None), ConveyerRecord(disks=rec.disks)
+            else:
+                yield _conveyer_scene(rec.disks, rec.belt), None
+
+    def decode(self, font_fd, puzzle_fd):
+        """Match each disk configuration's fingerprint to a letter, then search its belt.
+
+        A configuration is searched once per call, however often it repeats,
+        and only after it has matched a letter.
+        """
+        by_print: dict = {}
+        for ch, rec in font_fd.glyphs.items():
+            by_print.setdefault(conveyer.fingerprint(rec.disks), []).append(ch)
+        has_belt: dict = {}
+        out, scenes = [], []
+        for key in sorted(puzzle_fd.glyphs):
+            rec = puzzle_fd.glyphs[key]
+            fp = conveyer.fingerprint(rec.disks)
+            letters = by_print.get(fp, [])
+            if not letters:
+                raise NoSolution(f"puzzle glyph {key!r}: configuration matches no letter")
+            if len(letters) > 1:
+                raise AmbiguousSolution(f"puzzle glyph {key!r} matches letters {letters}")
+            if fp not in has_belt:
+                has_belt[fp] = bool(conveyer.solve_belt(rec.disks))
+            if not has_belt[fp]:
+                raise NoSolution(f"puzzle glyph {key!r}: no valid belt exists")
+            out.append(letters[0])
+            scenes.append(_conveyer_scene(rec.disks, font_fd.glyphs[letters[0]].belt))
+        return "".join(out), scenes
+
+
+class _Maze(FontKind):
+    keywords = ("size", "wall")
+
+    def record(self, payload):
+        if "size" not in payload:
+            raise ValueError("is missing its 'size' line")
+        w, h = payload["size"]
+        return GridMaze.from_edges(w, h, payload.get("walls", ()))
+
+    def lines(self, rec):
+        return [f"size {rec.width} {rec.height}"] + [
+            f"wall {x1} {y1} {x2} {y2}" for (x1, y1), (x2, y2) in rec.sorted_walls()]
+
+    def check(self, fd, report):
+        # GridMaze.from_edges enforced the structural invariants; the puzzle
+        # variant glues crease patterns side by side, which needs one height
+        heights = sorted({rec.height for rec in fd.glyphs.values()})
+        if len(heights) > 1:
+            report.add(f"maze glyphs have different heights {heights}")
+
+    def render(self, fd, text, variant, seed):
+        if variant == "solved":
+            for ch in text:
+                yield maze.render_maze_2d(fd.glyphs[ch]), None
+        elif text:
+            # crease patterns glue into one sheet instead of spacing apart
+            sheet = maze.generate_crease_pattern(fd.glyphs[text[0]], 1)
+            for ch in text[1:]:
+                sheet = maze.compose(sheet, maze.generate_crease_pattern(fd.glyphs[ch], 1), "right")
+            yield maze.render_crease_pattern(sheet), None
+
+
+class _Hinged(FontKind):
+    keywords = ("chain", "cell")
+
+    def record(self, payload):
+        cells = tuple(payload.get("cells", ()))
+        if not cells:
+            raise ValueError("has no cells")
+        return cells
+
+    def lines(self, rec):
+        return [f"cell {c.sx} {c.sy} {c.diagonal} {c.half}" for c in rec]
+
+    def check(self, fd, report):
         if fd.chain is None:
             report.add("hinged font is missing its 'chain' line")
         for char, rec in sorted(fd.glyphs.items()):
-            pr = validate_polyabolo(rec, 32)
+            pr = hinged.validate_polyabolo(rec, 32)
             if pr.cell_count != 32:
                 report.add(f"glyph {char!r}: has {pr.cell_count} cells, expected 32")
             if not pr.connected:
@@ -523,19 +656,63 @@ def validate(fd: FontData) -> DataReport:
                 report.add(f"glyph {char!r}: area {pr.area} != 16")
         if fd.chain is not None and fd.chain.n_pieces != 128:
             report.add(f"chain has {fd.chain.n_pieces} pieces, expected 128")
-    elif fd.font_id == "cane":
+
+    def render(self, fd, text, variant, seed):
+        for ch in text:
+            if variant == "puzzle":
+                yield hinged.render_chain_strip(fd.chain), None
+            else:
+                yield hinged.render_polyabolo(fd.glyphs[ch]), None
+
+
+class _Cane(FontKind):
+    keywords = ("subcane", "twist")
+
+    def record(self, payload):
+        if "twist" not in payload:
+            raise ValueError("is missing its 'twist' line")
+        return CaneRecord(CaneCrossSection(tuple(payload.get("subcanes", ()))), payload["twist"])
+
+    def lines(self, rec):
+        return [f"subcane {_num_text(s.rho)} {_num_text(s.phi)} {_num_text(s.radius)} {s.color}"
+                for s in rec.cross_section.subcanes] + [
+            f"twist {_num_text(rec.twist.omega)} {_num_text(rec.twist.length)}"]
+
+    def check(self, fd, report):
         designs = {}
         for char, rec in sorted(fd.glyphs.items()):
             key = tuple(sorted((round(s.rho, 9), round(s.phi, 9), round(s.radius, 9), s.color)
                                for s in rec.cross_section.subcanes))
             key = key + ((round(rec.twist.omega, 9),))
             designs.setdefault(key, []).append(char)
-        for key, chars in designs.items():
+        for chars in designs.values():
             if len(chars) > 1:
                 report.add(f"cane glyphs {chars} are indistinguishable")
-    else:
-        report.add(f"unknown font id {fd.font_id!r}")
-    return report
+
+    def render(self, fd, text, variant, seed):
+        for ch in text:
+            rec = fd.glyphs[ch]
+            if variant == "puzzle":
+                yield cane.render_side(rec.cross_section, rec.twist), None
+            else:
+                yield cane.render_top(rec.cross_section), None
+
+
+KINDS = {
+    "linkage": _Linkage(),
+    "conveyer": _Conveyer(),
+    "maze": _Maze(),
+    "hinged": _Hinged(),
+    "cane": _Cane(),
+}
+FONT_IDS = tuple(KINDS)
+_KEYWORD_KIND = {kw: font_id for font_id, kind in KINDS.items() for kw in kind.keywords}
+
+
+def kind_of(font_id: str) -> FontKind:
+    if font_id not in KINDS:
+        raise ValueError(f"unknown font id {font_id!r}")
+    return KINDS[font_id]
 
 
 # -- file helpers ---------------------------------------------------------------

@@ -280,26 +280,30 @@ def _seg_arc_class(seg: Segment, arc: Arc) -> int:
     return _CROSS if interior else _TOUCH
 
 
+def _ccw_span(arc: Arc) -> tuple[float, float]:
+    """(start angle, extent) of the arc's points, swept counterclockwise."""
+    return (arc.start_angle if arc.orientation == CCW else arc.end_angle), arc_extent(arc)
+
+
+def _same_circle_class(a1: Arc, a2: Arc) -> int:
+    """Exact intersection of the angular intervals of two arcs on one circle."""
+    slack_deg = 1e-9
+    s1, e1 = _ccw_span(a1)
+    s2, e2 = _ccw_span(a2)
+    off = normalize_angle(s2 - s1)  # a2 spans [off, off + e2] measured from a1's start
+    # the part of that span below 360, plus the part that wraps past 360
+    overlap = max(0.0, min(e1, off + e2) - off) + max(0.0, min(e1, off + e2 - 360.0))
+    if overlap > slack_deg:
+        return _OVERLAP
+    if off <= e1 + slack_deg or off + e2 >= 360.0 - slack_deg:
+        return _TOUCH
+    return _NONE
+
+
 def _arc_arc_class(a1: Arc, a2: Arc) -> int:
     d = dist(a1.center, a2.center)
     if d <= TOL and abs(a1.radius - a2.radius) <= TOL:
-        # same supporting circle: compare angular intervals
-        ext2 = arc_extent(a2)
-        # sample along a2 against a1's span; coarse but robust
-        probes = []
-        steps = 8
-        for k in range(steps + 1):
-            if a2.orientation == CCW:
-                ang = a2.start_angle + ext2 * k / steps
-            else:
-                ang = a2.start_angle - ext2 * k / steps
-            probes.append(arc_contains_angle(a1, ang, slack_deg=1e-9))
-        inside = sum(probes)
-        if inside == 0:
-            return _NONE
-        if inside == len(probes) or inside > 1:
-            return _OVERLAP
-        return _TOUCH
+        return _same_circle_class(a1, a2)
     r1, r2 = a1.radius, a2.radius
     if d > r1 + r2 + TOL or d < abs(r1 - r2) - TOL:
         return _NONE
@@ -336,19 +340,15 @@ def _element_class(e1, e2) -> int:
     return _arc_arc_class(e1, e2)
 
 
-def path_is_simple(path: list, overlap_policy: str = "forbid") -> bool:
-    """True iff no two non-adjacent path elements intersect.
+def path_is_simple(path: list) -> bool:
+    """True iff no two non-adjacent path elements intersect, even at one point.
 
     Elements must chain end-to-end (within CHAIN_TOL); a closed chain makes
     the first and last elements adjacent.  Zero-length elements (a belt
     grazing a disk leaves a zero-extent arc) carry no geometry, so adjacency
     is decided after dropping them: the elements on either side of a graze
-    are consecutive on the actual curve, not a self-intersection.  Under
-    "allow_collinear", exact overlap of collinear pieces and isolated touch
-    points are permitted; transversal crossings never are.
+    are consecutive on the actual curve, not a self-intersection.
     """
-    if overlap_policy not in ("forbid", "allow_collinear"):
-        raise ValueError(f"unknown overlap policy {overlap_policy!r}")
     if not path:
         return True
     for i in range(len(path) - 1):
@@ -358,17 +358,10 @@ def path_is_simple(path: list, overlap_policy: str = "forbid") -> bool:
     real = [el for el in path if element_length(el) > TOL]
     n = len(real)
     for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1:
-                continue
+        for j in range(i + 2, n):
             if closed and i == 0 and j == n - 1:
                 continue
-            cls = _element_class(real[i], real[j])
-            if cls == _NONE:
-                continue
-            if overlap_policy == "forbid":
-                return False
-            if cls == _CROSS:
+            if _element_class(real[i], real[j]) != _NONE:
                 return False
     return True
 

@@ -145,28 +145,6 @@ def refine(cells, expected_cells: int | None = None) -> list[Slot]:
     return sorted(slots)
 
 
-def slot_adjacency(slots) -> tuple[dict, dict]:
-    """(edge_neighbors, vertex_neighbors) maps: slot index -> set of indices."""
-    edge_nb: dict = {i: set() for i in range(len(slots))}
-    vert_nb: dict = {i: set() for i in range(len(slots))}
-    edge_map: dict = {}
-    vert_map: dict = {}
-    for i, s in enumerate(slots):
-        for e in _edges_of(s):
-            edge_map.setdefault(e, []).append(i)
-        for v in s:
-            vert_map.setdefault(v, []).append(i)
-    for owners in edge_map.values():
-        for i, j in itertools.combinations(owners, 2):
-            edge_nb[i].add(j)
-            edge_nb[j].add(i)
-    for owners in vert_map.values():
-        for i, j in itertools.combinations(owners, 2):
-            vert_nb[i].add(j)
-            vert_nb[j].add(i)
-    return edge_nb, vert_nb
-
-
 @dataclass(frozen=True)
 class HingedChain:
     """Open chain of congruent pieces; hinges name a corner on each side."""

@@ -146,10 +146,6 @@ class LinkageFont:
         except KeyError:
             raise UnknownLetter(f"letter {letter!r} not in linkage font") from None
 
-    def angle_text(self, letter: str) -> str:
-        seq = self.encode(letter)
-        return "-".join(str(int(a)) if float(a).is_integer() else str(a) for a in seq)
-
     def decode(self, glyph) -> str:
         """Identify the letter of a realized chain, trying both directions."""
         verts = glyph.vertices if isinstance(glyph, LinkageGlyph) else tuple(Point2(*p) for p in glyph)

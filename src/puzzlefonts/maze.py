@@ -1,4 +1,4 @@
-"""Origami-maze font: grid mazes, extrusion views, crease patterns.
+"""Origami-maze font: grid mazes and their crease patterns.
 
 A maze is a 2D grid graph of unit wall edges.  Its crease pattern lives on a
 paper rectangle scale_factor(h) times the maze bounding box.  The generator
@@ -338,30 +338,6 @@ def compose(cp_a: CreasePattern, cp_b: CreasePattern, side: str = "right") -> Cr
     return CreasePattern(float(w), float(hgt), frozenset(shifted_a) | moved_b)
 
 
-# -- plain-text crease list ---------------------------------------------------
-
-def crease_pattern_to_text(cp: CreasePattern) -> str:
-    """One `x1 y1 x2 y2 M|V` line per crease, plus a header line with sizes."""
-    lines = [f"paper {cp.paper_width:.9g} {cp.paper_height:.9g}"]
-    for (x1, y1, x2, y2, a) in cp.sorted_creases():
-        lines.append(f"{x1:.9g} {y1:.9g} {x2:.9g} {y2:.9g} {a}")
-    return "\n".join(lines) + "\n"
-
-
-def crease_pattern_from_text(text: str) -> CreasePattern:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("paper "):
-        raise ValueError("crease list must start with a 'paper W H' line")
-    _, w, h = lines[0].split()
-    creases = set()
-    for ln in lines[1:]:
-        x1, y1, x2, y2, a = ln.split()
-        if a not in (MOUNTAIN, VALLEY):
-            raise ValueError(f"bad assignment {a!r}")
-        creases.add(_make_crease(float(x1), float(y1), float(x2), float(y2), a))
-    return CreasePattern(float(w), float(h), frozenset(creases))
-
-
 # -- rendering ---------------------------------------------------------------
 
 def render_maze_2d(maze: GridMaze) -> VectorScene:
@@ -371,28 +347,6 @@ def render_maze_2d(maze: GridMaze) -> VectorScene:
                         (0, maze.height), (0, 0)], "guide")
     for (x1, y1), (x2, y2) in maze.sorted_walls():
         scene.add_polyline([(x1, y1), (x2, y2)], "wall")
-    return scene
-
-
-def render_extrusion_3d(maze: GridMaze, extrusion_height: int = 1) -> VectorScene:
-    """Axonometric line art: walls raised from the ground rectangle at 30 degrees."""
-    h = int(extrusion_height)
-    scale_factor(h)  # validates the supported range
-    ox = 0.5 * h * math.cos(math.radians(30.0))
-    oy = 0.5 * h * math.sin(math.radians(30.0))
-    scene = VectorScene()
-    scene.add_polygon([(0, 0), (maze.width, 0), (maze.width, maze.height), (0, maze.height)],
-                      "floor", filled=True)
-    # farther walls first so nearer faces overdraw them
-    walls = sorted(maze.sorted_walls(), key=lambda e: (-(e[0][1] + e[1][1]), e[0][0]))
-    for (x1, y1), (x2, y2) in walls:
-        top1 = (x1 + ox, y1 + oy)
-        top2 = (x2 + ox, y2 + oy)
-        scene.add_polygon([(x1, y1), (x2, y2), top2, top1], "piece", filled=True)
-        scene.add_polyline([(x1, y1), (x2, y2)], "wall")
-        scene.add_polyline([top1, top2], "wall")
-        scene.add_polyline([(x1, y1), top1], "chain")
-        scene.add_polyline([(x2, y2), top2], "chain")
     return scene
 
 

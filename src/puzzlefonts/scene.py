@@ -14,7 +14,7 @@ from .errors import EmptyScene
 from .geometry import CCW, Arc, Point2, arc_extent, point_on_circle
 
 STYLE_CLASSES = frozenset({
-    "boundary", "mountain", "valley", "belt", "disk", "wall", "floor",
+    "boundary", "mountain", "valley", "belt", "disk", "wall",
     "chain", "piece", "hinge", "envelope", "guide",
     "strand_a", "strand_b", "strand_c", "strand_d", "strand_e", "strand_f",
 })
@@ -27,7 +27,6 @@ _STYLE_TABLE = {
     "belt":     ("#111111", 0.050, None, "none"),
     "disk":     ("#444444", 0.030, None, "#d9d9d9"),
     "wall":     ("#000000", 0.120, None, "none"),
-    "floor":    ("#888888", 0.020, None, "#f2f2f2"),
     "chain":    ("#333333", 0.020, None, "none"),
     "piece":    ("#555555", 0.015, None, "#e8d9a0"),
     "hinge":    ("#b3202c", 0.020, None, "#b3202c"),
@@ -48,10 +47,20 @@ def _check_style(style: str) -> str:
     return style
 
 
+def _map_points(points, s: float, dx: float, dy: float) -> tuple:
+    return tuple([Point2(x * s + dx, y * s + dy) for x, y in points])
+
+
+# Each primitive's `mapped(s, dx, dy)` is the one affine map of the library:
+# every point p goes to (p.x * s + dx, p.y * s + dy) and every radius r to r * s.
+
 @dataclass(frozen=True)
 class Polyline:
     points: tuple
     style: str
+
+    def mapped(self, s: float, dx: float, dy: float) -> "Polyline":
+        return Polyline(_map_points(self.points, s, dx, dy), self.style)
 
 
 @dataclass(frozen=True)
@@ -61,11 +70,20 @@ class Circle:
     style: str
     filled: bool = False
 
+    def mapped(self, s: float, dx: float, dy: float) -> "Circle":
+        c = self.center
+        return Circle(Point2(c.x * s + dx, c.y * s + dy), self.radius * s, self.style, self.filled)
+
 
 @dataclass(frozen=True)
 class ArcShape:
     arc: Arc
     style: str
+
+    def mapped(self, s: float, dx: float, dy: float) -> "ArcShape":
+        a = self.arc
+        return ArcShape(Arc(Point2(a.center.x * s + dx, a.center.y * s + dy), a.radius * s,
+                            a.start_angle, a.end_angle, a.orientation), self.style)
 
 
 @dataclass(frozen=True)
@@ -73,6 +91,9 @@ class Polygon:
     points: tuple
     style: str
     filled: bool = True
+
+    def mapped(self, s: float, dx: float, dy: float) -> "Polygon":
+        return Polygon(_map_points(self.points, s, dx, dy), self.style, self.filled)
 
 
 @dataclass
@@ -95,22 +116,7 @@ class VectorScene:
         self.primitives.extend(other.primitives)
 
     def translated(self, dx: float, dy: float) -> "VectorScene":
-        out = VectorScene()
-        for prim in self.primitives:
-            if isinstance(prim, Polyline):
-                out.primitives.append(Polyline(tuple(Point2(p.x + dx, p.y + dy) for p in prim.points), prim.style))
-            elif isinstance(prim, Circle):
-                out.primitives.append(Circle(Point2(prim.center.x + dx, prim.center.y + dy),
-                                             prim.radius, prim.style, prim.filled))
-            elif isinstance(prim, ArcShape):
-                a = prim.arc
-                out.primitives.append(ArcShape(Arc(Point2(a.center.x + dx, a.center.y + dy),
-                                                   a.radius, a.start_angle, a.end_angle, a.orientation),
-                                               prim.style))
-            else:
-                out.primitives.append(Polygon(tuple(Point2(p.x + dx, p.y + dy) for p in prim.points),
-                                              prim.style, prim.filled))
-        return out
+        return VectorScene([prim.mapped(1.0, dx, dy) for prim in self.primitives])
 
     def style_classes(self) -> set:
         return {prim.style for prim in self.primitives}

@@ -3,33 +3,21 @@
 The solved variant renders the readable form of each font (belts drawn, 2D
 maze, polyabolo outline, cane top view, canonical linkage state); the puzzle
 variant renders what a reader must solve (disks only, crease pattern,
-unfolded chain, twisted side view, random flat states).  Glyphs advance
-left to right; the gap after a glyph is `spacing` times that glyph's width.
+unfolded chain, twisted side view, random flat states).  Each font kind in
+`fontdata.KINDS` renders and decodes its own glyphs; this module lays the
+pieces left to right, and the gap after a piece is `spacing` times its width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cane as cane_mod
-from . import conveyer as conveyer_mod
-from . import hinged as hinged_mod
-from . import linkage as linkage_mod
-from . import maze as maze_mod
-from .errors import AmbiguousMatch, NoMatch, NotAChain, PuzzleFontError, UnknownCharacter
-from .fontdata import ConveyerRecord, FontData, LinkageRecord
-from .geometry import arc_extent
+# AmbiguousSolution, NoSolution and linkage_font_of are re-exported for callers of this module
+from .errors import AmbiguousSolution, NoSolution, PuzzleFontError, UnknownCharacter  # noqa: F401
+from .fontdata import FontData, kind_of, linkage_font_of  # noqa: F401
 from .scene import VectorScene
 
 DEFAULT_SPACING = 0.5
-
-
-class NoSolution(PuzzleFontError):
-    """A puzzle glyph admits no decoding."""
-
-
-class AmbiguousSolution(PuzzleFontError):
-    """A puzzle glyph matches several letters; the font data is corrupt."""
 
 
 def _require_letters(fd: FontData, text: str) -> None:
@@ -38,57 +26,15 @@ def _require_letters(fd: FontData, text: str) -> None:
         raise UnknownCharacter(missing)
 
 
-def linkage_font_of(fd: FontData) -> linkage_mod.LinkageFont:
-    return linkage_mod.LinkageFont({c: r.angles for c, r in fd.glyphs.items()
-                                    if r.angles is not None})
-
-
-def _linkage_scene(glyph: linkage_mod.LinkageGlyph) -> VectorScene:
-    scene = VectorScene()
-    for a, b in linkage_mod.spread_overlapping_bars(glyph.vertices):
-        scene.add_polyline([a, b], "chain")
-    for v in glyph.vertices:
-        scene.add_circle(v, 0.05, "hinge", filled=True)
-    return scene
-
-
-def _conveyer_scene(rec: ConveyerRecord, variant: str) -> VectorScene:
-    scene = VectorScene()
-    for c in rec.disks:
-        scene.add_circle(c, 1.0, "disk", filled=True)
-    if variant == "solved" and rec.belt is not None:
-        path = conveyer_mod.compute_belt(rec.disks, rec.belt)
-        for el in path.elements:
-            if isinstance(el, conveyer_mod.Segment):
-                scene.add_polyline([el.a, el.b], "belt")
-            elif arc_extent(el) > 0.0:
-                scene.add_arc(el, "belt")
-    return scene
-
-
-def glyph_scene(fd: FontData, char: str, variant: str, seed: int = 0) -> VectorScene:
-    """Scene for one glyph, in glyph-local coordinates."""
-    rec = fd.glyphs[char]
-    if fd.font_id == "linkage":
-        font = linkage_font_of(fd)
-        if variant == "puzzle":
-            return _linkage_scene(font.random_puzzle_glyph(char, seed))
-        return _linkage_scene(font.canonical_glyph(char))
-    if fd.font_id == "conveyer":
-        return _conveyer_scene(rec, variant)
-    if fd.font_id == "maze":
-        if variant == "puzzle":
-            return maze_mod.render_crease_pattern(maze_mod.generate_crease_pattern(rec, 1))
-        return maze_mod.render_maze_2d(rec)
-    if fd.font_id == "hinged":
-        if variant == "puzzle":
-            return hinged_mod.render_chain_strip(fd.chain)
-        return hinged_mod.render_polyabolo(rec)
-    if fd.font_id == "cane":
-        if variant == "puzzle":
-            return cane_mod.render_side(rec.cross_section, rec.twist)
-        return cane_mod.render_top(rec.cross_section)
-    raise ValueError(f"unknown font id {fd.font_id!r}")
+def _lay_out(scenes, spacing: float) -> VectorScene:
+    """Place glyph scenes left to right, each with its lowest point on y = 0."""
+    out = VectorScene()
+    cursor = 0.0
+    for scene in scenes:
+        min_x, min_y, max_x, _max_y = scene.bounds()
+        out.extend(scene.translated(cursor - min_x, -min_y))
+        cursor += max(max_x - min_x, 0.5) * (1.0 + spacing)
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,35 +53,14 @@ def typeset(fd: FontData, text: str, variant: str = "solved", seed: int = 0,
     if variant not in ("solved", "puzzle"):
         raise ValueError(f"variant must be 'solved' or 'puzzle', got {variant!r}")
     _require_letters(fd, text)
-
-    if fd.font_id == "maze" and variant == "puzzle":
-        # crease patterns glue into one sheet instead of spacing apart
-        composite = None
-        for ch in text:
-            cp = maze_mod.generate_crease_pattern(fd.glyphs[ch], 1)
-            composite = cp if composite is None else maze_mod.compose(composite, cp, "right")
-        scene = maze_mod.render_crease_pattern(composite) if composite is not None else VectorScene()
-        return TypesetResult(_scaled(scene, scale), None)
-
-    scene = VectorScene()
+    scenes = []
     puzzle_glyphs: dict = {}
-    cursor = 0.0
-    for pos, ch in enumerate(text):
-        gscene = glyph_scene(fd, ch, variant, _position_seed(seed, pos))
-        min_x, min_y, max_x, _max_y = gscene.bounds()
-        width = max(max_x - min_x, 0.5)
-        scene.extend(gscene.translated(cursor - min_x, -min_y))
-        if fd.font_id == "linkage" and variant == "puzzle":
-            font = linkage_font_of(fd)
-            glyph = font.random_puzzle_glyph(ch, _position_seed(seed, pos))
-            puzzle_glyphs[_position_key(pos)] = LinkageRecord(vertices=glyph.vertices)
-        elif fd.font_id == "conveyer" and variant == "puzzle":
-            puzzle_glyphs[_position_key(pos)] = ConveyerRecord(disks=fd.glyphs[ch].disks, belt=None)
-        cursor += width * (1.0 + spacing)
-    puzzle_data = None
-    if puzzle_glyphs:
-        puzzle_data = FontData(fd.font_id, fd.version, puzzle_glyphs, None)
-    return TypesetResult(_scaled(scene, scale), puzzle_data)
+    for pos, (scene, record) in enumerate(kind_of(fd.font_id).render(fd, text, variant, seed)):
+        scenes.append(scene)
+        if record is not None:
+            puzzle_glyphs[_position_key(pos)] = record
+    puzzle_data = FontData(fd.font_id, fd.version, puzzle_glyphs, None) if puzzle_glyphs else None
+    return TypesetResult(_scaled(_lay_out(scenes, spacing), scale), puzzle_data)
 
 
 _POSITION_KEYS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -147,32 +72,8 @@ def _position_key(pos: int) -> str:
     return _POSITION_KEYS[pos]
 
 
-def _position_seed(seed: int, pos: int) -> int:
-    return seed * 1_000 + pos
-
-
 def _scaled(scene: VectorScene, scale: float) -> VectorScene:
-    if scale == 1.0:
-        return scene
-    from .geometry import Arc, Point2
-    from .scene import ArcShape, Circle, Polygon, Polyline
-    scaled = VectorScene()
-    for prim in scene.primitives:
-        if isinstance(prim, Polyline):
-            scaled.primitives.append(Polyline(tuple(Point2(p.x * scale, p.y * scale)
-                                                    for p in prim.points), prim.style))
-        elif isinstance(prim, Circle):
-            scaled.primitives.append(Circle(Point2(prim.center.x * scale, prim.center.y * scale),
-                                            prim.radius * scale, prim.style, prim.filled))
-        elif isinstance(prim, ArcShape):
-            a = prim.arc
-            scaled.primitives.append(ArcShape(Arc(Point2(a.center.x * scale, a.center.y * scale),
-                                                  a.radius * scale, a.start_angle, a.end_angle,
-                                                  a.orientation), prim.style))
-        else:
-            scaled.primitives.append(Polygon(tuple(Point2(p.x * scale, p.y * scale)
-                                                   for p in prim.points), prim.style, prim.filled))
-    return scaled
+    return scene if scale == 1.0 else VectorScene([p.mapped(scale, 0.0, 0.0) for p in scene.primitives])
 
 
 # -- machine solving ------------------------------------------------------------
@@ -186,55 +87,14 @@ class SolveOutcome:
 def solve_puzzle(font_fd: FontData, puzzle_fd: FontData) -> SolveOutcome:
     """Decode a machine-readable puzzle against the shipped font data.
 
-    Conveyer puzzles are decoded by searching each glyph's belt and matching
-    the disk configuration fingerprint; linkage puzzles by measuring joint
-    angles.  Other fonts have no machine decoder.
+    Conveyer puzzles are decoded by matching each disk configuration's
+    fingerprint to a letter and searching its belt; linkage puzzles by
+    measuring joint angles.  Other fonts have no machine decoder.
     """
     if puzzle_fd.font_id != font_fd.font_id:
         raise ValueError(f"puzzle is for font {puzzle_fd.font_id!r}, data is {font_fd.font_id!r}")
-    order = sorted(puzzle_fd.glyphs)
-    if font_fd.font_id == "conveyer":
-        by_print: dict = {}
-        for ch, rec in font_fd.glyphs.items():
-            by_print.setdefault(conveyer_mod.fingerprint(rec.disks), []).append(ch)
-        out = []
-        scene = VectorScene()
-        cursor = 0.0
-        solved_cache: dict = {}  # repeated configurations are solved once
-        for key in order:
-            rec = puzzle_fd.glyphs[key]
-            fp = conveyer_mod.fingerprint(rec.disks)
-            if fp not in solved_cache:
-                solved_cache[fp] = conveyer_mod.solve_belt(rec.disks)
-            if not solved_cache[fp]:
-                raise NoSolution(f"puzzle glyph {key!r}: no valid belt exists")
-            letters = by_print.get(fp, [])
-            if not letters:
-                raise NoSolution(f"puzzle glyph {key!r}: configuration matches no letter")
-            if len(letters) > 1:
-                raise AmbiguousSolution(f"puzzle glyph {key!r} matches letters {letters}")
-            ch = letters[0]
-            out.append(ch)
-            solved = _conveyer_scene(ConveyerRecord(rec.disks, font_fd.glyphs[ch].belt), "solved")
-            min_x, min_y, max_x, _ = solved.bounds()
-            scene.extend(solved.translated(cursor - min_x, -min_y))
-            cursor += (max_x - min_x) * (1.0 + DEFAULT_SPACING)
-        return SolveOutcome("".join(out), scene)
-    if font_fd.font_id == "linkage":
-        font = linkage_font_of(font_fd)
-        out = []
-        for key in order:
-            rec = puzzle_fd.glyphs[key]
-            if rec.vertices is None:
-                raise NoSolution(f"puzzle glyph {key!r} has no vertex chain")
-            try:
-                out.append(font.decode(rec.vertices))
-            except NotAChain as exc:
-                raise NotAChain(f"puzzle glyph {key!r}: {exc}") from exc
-            except NoMatch as exc:
-                raise NoSolution(f"puzzle glyph {key!r}: {exc}") from exc
-            except AmbiguousMatch as exc:
-                raise AmbiguousSolution(f"puzzle glyph {key!r}: {exc}") from exc
-        return SolveOutcome("".join(out), None)
-    raise PuzzleFontError(
-        f"the {font_fd.font_id} font has no machine solver (conveyer and linkage do)")
+    kind = kind_of(font_fd.font_id)
+    if kind.decode is None:
+        raise PuzzleFontError(f"the {font_fd.font_id} font has no machine solver")
+    text, scenes = kind.decode(font_fd, puzzle_fd)
+    return SolveOutcome(text, None if scenes is None else _lay_out(scenes, DEFAULT_SPACING))

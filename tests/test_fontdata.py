@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puzzlefonts import fontdata
 from puzzlefonts.conveyer import CCW, CW
+from puzzlefonts.scene import emit_svg
+from puzzlefonts.typeset import typeset
 
 LINKAGE_FUN = """\
 font linkage 1
@@ -87,12 +91,69 @@ class TestParse:
         assert len(diags) == 4
         assert sorted(d.line for d in diags) == [3, 5, 7, 9]
 
+    def test_no_font_line(self):
+        fd, diags = fontdata.parse("# only a comment\n")
+        assert fd is None and "must start with" in diags[0].message
+
     def test_vertex_records(self):
         text = ("font linkage 1\nglyph 0\n" +
                 "".join(f"vertex {i} 0\n" for i in range(7)))
         fd, diags = fontdata.parse(text)
         assert not diags
         assert len(fd.glyphs["0"].vertices) == 7
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("text,line,column", [
+        ("font cane 1\nglyph A\nsubcane 0.55 90 nan a\ntwist 0.5 4\n", 3, 17),
+        ("font cane 1\nglyph A\nsubcane 0.55 90 0.2 a\ntwist inf 4\n", 4, 7),
+        ("font cane 1\nglyph A\nsubcane 0.55 90 0.2 a\ntwist 0.5 nan\n", 4, 11),
+        ("font conveyer 1\nglyph A\ndisk 0 1e400\ndisk 0 4\n", 3, 8),
+        ("font linkage 1\nglyph A\nvertex nan 0\n", 3, 8),
+        ("font maze 1\nglyph A\nsize 2 2\nwall 1 0 1 " + "9" * 400 + "\n", 4, 12),
+    ])
+    def test_reported_at_the_token(self, text, line, column):
+        fd, diags = fontdata.parse(text)
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(line, column)]
+        assert "expected a finite number" in diags[0].message
+
+
+SHIPPED_TEXTS = {fid: fontdata.write(fontdata.load_font_file(fontdata.find_font_file(fid)))
+                 for fid in fontdata.FONT_IDS}
+KEYWORDS = {"font", "glyph"} | {kw for kind in fontdata.KINDS.values() for kw in kind.keywords}
+# no arbitrary floats: a finite but huge cane twist length makes unbounded work
+TOKEN_POOL = sorted({tok for text in SHIPPED_TEXTS.values() for tok in text.split()}
+                    | KEYWORDS | {"nan", "inf", "1e400", "-0", "x"})
+
+
+@st.composite
+def mutated_font(draw):
+    """A shipped font with one or two tokens replaced or inserted."""
+    lines = [ln.split() for ln in SHIPPED_TEXTS[draw(st.sampled_from(fontdata.FONT_IDS))].splitlines()]
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tok = draw(st.sampled_from(TOKEN_POOL))
+        replace = draw(st.booleans())
+        j = draw(st.integers(0, len(lines[i]) - replace))
+        lines[i] = lines[i][:j] + [tok] + lines[i][j + replace:]
+    return "\n".join(" ".join(toks) for toks in lines) + "\n"
+
+
+@given(mutated_font())
+@settings(max_examples=600, deadline=None)
+def test_parse_is_total(text):
+    fd, diags = fontdata.parse(text)
+    if fd is None:
+        assert any(d.severity == "error" for d in diags)
+        return
+    written = fontdata.write(fd)
+    again, again_diags = fontdata.parse(written)
+    assert not again_diags and fontdata.write(again) == written
+    if fontdata.validate(fd).ok:
+        letters = "".join(sorted(fd.glyphs))
+        for variant in ("solved", "puzzle"):
+            emit_svg(typeset(fd, letters, variant).scene)
 
 
 class TestWrite:
@@ -161,6 +222,13 @@ class TestValidate:
         fd, _ = fontdata.parse(text)
         rep = fontdata.validate(fd)
         assert any("indistinguishable" in i for i in rep.issues)
+
+    def test_maze_mixed_heights_flagged(self):
+        # the puzzle variant glues glyph sheets side by side
+        text = "font maze 1\nglyph A\nsize 2 4\nglyph B\nsize 2 5\n"
+        fd, _ = fontdata.parse(text)
+        rep = fontdata.validate(fd)
+        assert any("different heights" in i for i in rep.issues)
 
 
 class TestErrorRecovery:

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from puzzlefonts.errors import DegenerateDisks, DisconnectedPath
 from puzzlefonts.geometry import (
-    CCW, CW, Arc, Point2, Segment, arc_contains_angle, arc_extent,
-    arc_length, arc_start_point, arc_end_point, convex_hull, dist, dot,
-    hull_perimeter, normalize_angle, path_is_simple, point_arc_distance,
-    point_segment_distance, sub, tangent_points,
+    _NONE, _OVERLAP, _TOUCH, CCW, CW, Arc, Point2, Segment, _element_class,
+    arc_contains_angle, arc_extent, arc_length, arc_start_point, arc_end_point,
+    convex_hull, dist, dot, hull_perimeter, normalize_angle, path_is_simple,
+    point_arc_distance, point_segment_distance, sub, tangent_points,
 )
 from oracles import polyline_is_simple_exact
 
@@ -78,14 +78,9 @@ class TestPathIsSimple:
 
     def test_collinear_doubling_policy(self):
         doubled = _poly([(0, 0), (1, 0), (0, 0), (-1, 0)])
-        assert path_is_simple(doubled, "allow_collinear")
-        assert not path_is_simple(doubled, "forbid")
+        assert not path_is_simple(doubled)
         overlap = _poly([(0, 0), (2, 0), (1, 1), (1, 0), (3, 0)])
-        assert not path_is_simple(overlap, "forbid")
-
-    def test_transversal_forbidden_even_with_allow(self):
-        assert not path_is_simple(
-            _poly([(0, 0), (2, 2), (2, 0), (0, 2), (0, 0)]), "allow_collinear")
+        assert not path_is_simple(overlap)
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedPath):
@@ -120,11 +115,53 @@ class TestPathIsSimple:
             return
         path = _poly(cleaned)
         try:
-            got = path_is_simple(path, "forbid")
+            got = path_is_simple(path)
         except DisconnectedPath:
             return
         closed = cleaned[0] == cleaned[-1]
         assert got == polyline_is_simple_exact(cleaned, closed=closed)
+
+
+_STEP = 15.0  # arc angles below are whole steps, so every comparison is exact
+_GRID_POINTS = st.builds(Point2, st.integers(-2, 2).map(float), st.integers(-2, 2).map(float))
+_SEGMENTS = st.builds(Segment, _GRID_POINTS, _GRID_POINTS).filter(lambda s: s.a != s.b)
+_ANGLES = st.integers(0, 24).map(lambda k: k * _STEP)
+
+
+def _arcs(centers=st.sampled_from([Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0)]),
+          radii=st.sampled_from([1.0, 2.0])):
+    return st.builds(Arc, centers, radii, _ANGLES, _ANGLES, st.sampled_from([CCW, CW]))
+
+
+def _step_class(a1, a2):
+    """Same-circle class from the whole steps each arc covers and touches."""
+    def steps(arc):
+        start = round((arc.start_angle if arc.orientation == CCW else arc.end_angle) / _STEP)
+        n = round(arc_extent(arc) / _STEP)
+        return ({(start + k) % 24 for k in range(n)}, {(start + k) % 24 for k in range(n + 1)})
+    (cells1, points1), (cells2, points2) = steps(a1), steps(a2)
+    if cells1 & cells2:
+        return _OVERLAP
+    return _TOUCH if points1 & points2 else _NONE
+
+
+class TestElementClassSymmetry:
+    def test_short_arc_inside_long_arc(self):
+        long_arc = Arc(Point2(0, 0), 1.0, 0.0, 350.0, CCW)
+        short_arc = Arc(Point2(0, 0), 1.0, 100.0, 110.0, CCW)
+        assert _element_class(long_arc, short_arc) == _OVERLAP
+        assert _element_class(short_arc, long_arc) == _OVERLAP
+
+    @given(st.one_of(_SEGMENTS, _arcs()), st.one_of(_SEGMENTS, _arcs()))
+    @settings(max_examples=500)
+    def test_symmetric(self, e1, e2):
+        assert _element_class(e1, e2) == _element_class(e2, e1)
+
+    @given(_arcs(st.just(Point2(0.0, 0.0)), st.just(1.0)),
+           _arcs(st.just(Point2(0.0, 0.0)), st.just(1.0)))
+    @settings(max_examples=300)
+    def test_same_circle_matches_steps(self, a1, a2):
+        assert _element_class(a1, a2) == _step_class(a1, a2)
 
 
 def _seg_arc_crosses(seg, arc):

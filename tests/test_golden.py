@@ -1,0 +1,77 @@
+"""Full sha256 values that pin rendered SVG, solutions and written font data.
+
+Any change to one of these values is a change in output, not a refactor:
+every font in both variants, a scaled and respaced render (the only path
+that scales arcs), a conveyer solution sheet, and the canonical writer on
+the shipped fonts and on both kinds of machine-readable puzzle.
+"""
+
+import hashlib
+
+import pytest
+
+from puzzlefonts import fontdata
+from puzzlefonts.scene import emit_svg
+from puzzlefonts.typeset import solve_puzzle, typeset
+
+TEXT = "FILNOTUZ"
+
+RENDER = {
+    ("linkage", "solved"): "bb84ac18527a019531eb5f4c057db2cb26373ec7c9065085b6c191d41f393b70",
+    ("linkage", "puzzle"): "cf32c9281548a13a1ba0321c4f7b85248e9fab07339dd526317440dcc3c33ccf",
+    ("conveyer", "solved"): "92705fa945c20a32b3f3bbd56188c436f21f10b36af94ca225ef0e4f3e977295",
+    ("conveyer", "puzzle"): "8f34a7154cf1ca47adb058b50527a17771a60e64fe5686d64b6b495a091f609d",
+    ("maze", "solved"): "d49da9eb4114a832af488843d792e5b370444c27825a527acea474487aedb105",
+    ("maze", "puzzle"): "c0e1149ada02a1698ddc9640a18ff17e97010a5c9740bcf4ee5b6baa25c30a15",
+    ("hinged", "solved"): "18b600533503481ff79d6d25006c78709a2fb72a4622646c085051e31af8c0ba",
+    ("hinged", "puzzle"): "6a326a16c3050cff3e55cd17ca1e33c7794a4bf84619c308d1e91d7354f3b75d",
+    ("cane", "solved"): "6d03ee6961a6556772f71cbe644e85c73a7b64e64b91c02ac4e5640670c47e06",
+    ("cane", "puzzle"): "20bf041a66eb4dd36660f2c73472546aace14dd091eb5fc815a495d0699277a4",
+}
+
+WRITE = {
+    "linkage": "d95f7001af04341be3cb903da6889e1a54156f05bedaf32ebc45fd3818b75256",
+    "conveyer": "dfe2696cc71c941f4c5f915b11f7e045ac55933c81e432146c3b9e1b6eb56118",
+    "maze": "db605b81dff4b92e457d90f8f6f4a3daccd234ce541921b0004c10d6f7684d39",
+    "hinged": "79d0d1137cde7de4e8934be1367edeca644c501abb003d3dff12556c1f8ec112",
+    "cane": "03a14790518efa1eec3de5e7adf9358dc32c92b92cfb99a2e44e6649c73f4694",
+}
+
+PUZZLE_DATA = {
+    "linkage": "2453aceebd59fe69c6fb9bcce8124921244722449706e3f74200c969bdf3baa7",
+    "conveyer": "6fb52dc9462442cf01efa890c5edb8acac906dc8326f08c5a1a78ae3f61d6205",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("font,variant", sorted(RENDER))
+def test_render(shipped, font, variant):
+    scene = typeset(shipped[font], TEXT, variant, seed=7).scene
+    assert _sha(emit_svg(scene)) == RENDER[font, variant]
+
+
+def test_scaled_render_with_arcs(shipped):
+    scene = typeset(shipped["conveyer"], TEXT, "solved", seed=7, spacing=0.25, scale=2.0).scene
+    assert _sha(emit_svg(scene)) == \
+        "3899306b0b62466408effc72c97fe726d3d81846ab06f5fbce13d2ed3162c4be"
+
+
+def test_conveyer_solution_sheet(shipped):
+    puzzle = typeset(shipped["conveyer"], "FUN", "puzzle").puzzle_data
+    outcome = solve_puzzle(shipped["conveyer"], puzzle)
+    assert _sha(emit_svg(outcome.solution_scene)) == \
+        "d630c95c2c371a9cd120679a3326f59151cd752ce5a04458ddc2cba2329b8b06"
+
+
+@pytest.mark.parametrize("font", sorted(WRITE))
+def test_write_shipped(shipped, font):
+    assert _sha(fontdata.write(shipped[font])) == WRITE[font]
+
+
+@pytest.mark.parametrize("font", sorted(PUZZLE_DATA))
+def test_write_puzzle_data(shipped, font):
+    puzzle = typeset(shipped[font], TEXT, "puzzle", seed=7).puzzle_data
+    assert _sha(fontdata.write(puzzle)) == PUZZLE_DATA[font]

@@ -5,8 +5,7 @@ import pytest
 from puzzlefonts.errors import BudgetExceeded, InvalidPolyabolo
 from puzzlefonts.hinged import (
     Cell, HingedChain, cell_triangle, fold_chain, refine, render_chain_strip,
-    render_fold, render_polyabolo, slot_adjacency, validate_polyabolo,
-    verify_fold,
+    render_fold, render_polyabolo, validate_polyabolo, verify_fold,
 )
 from oracles import exhaustive_fold_exists
 
@@ -86,16 +85,6 @@ class TestRefine:
         with pytest.raises(InvalidPolyabolo):
             refine(FULL_SQUARE_4[:-1], 32)
 
-    def test_adjacency_symmetric_with_edge_neighbors(self):
-        slots = refine(TWO_CELL)
-        edge_nb, vert_nb = slot_adjacency(slots)
-        for i, nbs in edge_nb.items():
-            for j in nbs:
-                assert i in edge_nb[j]
-        for i, nbs in vert_nb.items():
-            for j in nbs:
-                assert i in vert_nb[j]
-        assert all(len(edge_nb[i]) >= 1 for i in edge_nb)
 
 
 class TestFoldChain:

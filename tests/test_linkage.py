@@ -32,12 +32,6 @@ class TestEncode:
         with pytest.raises(UnknownLetter):
             fun_font.encode("@")
 
-    @pytest.mark.parametrize("letter,text", [
-        ("F", "90-0-90-90-0"), ("U", "0-180-90-90-180"), ("N", "180-30-180-30-180"),
-    ])
-    def test_angle_text(self, fun_font, letter, text):
-        assert fun_font.angle_text(letter) == text
-
 
 class TestRealize:
     def test_straight_chain(self):

@@ -5,9 +5,8 @@ import pytest
 from puzzlefonts.errors import InterfaceMismatch, Unsupported
 from puzzlefonts.maze import (
     MOUNTAIN, VALLEY, CreasePattern, GridMaze, check_flat_foldability_local,
-    compose, crease_pattern_from_text, crease_pattern_to_text,
-    generate_crease_pattern, render_crease_pattern, render_extrusion_3d,
-    render_maze_2d, scale_factor,
+    compose, generate_crease_pattern, render_crease_pattern, render_maze_2d,
+    scale_factor,
 )
 
 C = lambda x1, y1, x2, y2, a: (float(x1), float(y1), float(x2), float(y2), a)
@@ -238,22 +237,7 @@ def test_edge_interface_reports_boundary_endpoints():
     assert edge_interface(cp, "right") == ()
 
 
-class TestTextFormat:
-    def test_roundtrip(self, shipped):
-        cp = generate_crease_pattern(shipped["maze"].glyphs["Z"], 1)
-        again = crease_pattern_from_text(crease_pattern_to_text(cp))
-        assert again == cp
-
-    def test_bad_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            crease_pattern_from_text("paper 3 3\n0 0 1 1 X\n")
-
-
 class TestRendering:
-    def test_empty_maze_3d_is_floor_only(self):
-        scene = render_extrusion_3d(GridMaze.from_edges(2, 2, []), 1)
-        assert scene.style_classes() == {"floor"}
-
     def test_single_wall_2d(self):
         scene = render_maze_2d(GridMaze.from_edges(2, 2, [(0, 0, 0, 1)]))
         assert "wall" in scene.style_classes()

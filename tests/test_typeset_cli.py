@@ -40,6 +40,15 @@ class TestTypeset:
         assert typeset(shipped["cane"], "FUN", "puzzle").puzzle_data is None
         assert typeset(shipped["conveyer"], "FUN", "solved").puzzle_data is None
 
+    def test_linkage_puzzle_glyph_realized_once(self, shipped, monkeypatch):
+        from puzzlefonts import linkage
+        realized = []
+        real = linkage.realize
+        monkeypatch.setattr(linkage, "realize",
+                            lambda *args, **kwargs: realized.append(args) or real(*args, **kwargs))
+        typeset(shipped["linkage"], "FUN", "puzzle", seed=7)
+        assert len(realized) == 3
+
     def test_maze_puzzle_composes_single_sheet(self, shipped):
         scene = typeset(shipped["maze"], "FUN", "puzzle").scene
         # one composed boundary rectangle, not three spaced glyphs
@@ -87,6 +96,28 @@ class TestSolvePuzzle:
             "0": fontdata.ConveyerRecord(disks=((0.0, 0.0), (9.0, 9.0)))})
         with pytest.raises(NoSolution):
             solve_puzzle(shipped["conveyer"], bad)
+
+    def test_no_letter_found_before_any_search(self, shipped, monkeypatch):
+        from puzzlefonts import conveyer
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched a configuration that matches no letter")
+
+        monkeypatch.setattr(conveyer, "solve_belt", no_search)
+        bad = fontdata.FontData("conveyer", 1, {
+            "0": fontdata.ConveyerRecord(disks=((0.0, 0.0), (9.0, 9.0)))})
+        with pytest.raises(NoSolution, match="matches no letter"):
+            solve_puzzle(shipped["conveyer"], bad)
+
+    def test_each_configuration_searched_once(self, shipped, monkeypatch):
+        from puzzlefonts import conveyer
+        searched = []
+        real = conveyer.solve_belt
+        monkeypatch.setattr(conveyer, "solve_belt",
+                            lambda disks: searched.append(disks) or real(disks))
+        puzzle = typeset(shipped["conveyer"], "OTO", "puzzle").puzzle_data
+        assert solve_puzzle(shipped["conveyer"], puzzle).text == "OTO"
+        assert len(searched) == 2
 
     def test_unsupported_font(self, shipped):
         from puzzlefonts.errors import PuzzleFontError
