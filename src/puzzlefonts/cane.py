@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .scene import VectorScene
 
 STRAND_STYLES = ("strand_a", "strand_b", "strand_c", "strand_d", "strand_e", "strand_f")
+MAX_LENGTH = 64.0  # side views take length * samples_per_unit samples per strand
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class TwistParams:
             raise ValueError("twist rate must be >= 0")
         if self.length <= 0.0:
             raise ValueError("cane length must be positive")
+        if self.length > MAX_LENGTH:
+            raise ValueError(f"cane length must be at most {MAX_LENGTH:g}, got {self.length:g}")
 
 
 def strand_x(sub: Subcane, omega: float, t: float) -> float:

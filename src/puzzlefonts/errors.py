@@ -37,10 +37,6 @@ class InvalidSpec(PuzzleFontError):
     """Belt winding specification is malformed for the disk set."""
 
 
-class InternalTangentInfeasible(PuzzleFontError):
-    """Disk centers too close for a crossing tangent."""
-
-
 class BudgetExceeded(PuzzleFontError):
     """Search ran out of its node budget before finishing."""
 

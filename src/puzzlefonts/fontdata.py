@@ -34,7 +34,8 @@ from . import cane, conveyer, hinged, linkage, maze
 from .cane import CaneCrossSection, Subcane, TwistParams
 from .conveyer import CCW, CW
 from .errors import (
-    AmbiguousMatch, AmbiguousSolution, MissingFontFile, NoMatch, NoSolution, NotAChain,
+    AmbiguousMatch, AmbiguousSolution, InvalidSpec, MissingFontFile, NoMatch, NoSolution,
+    NotAChain,
 )
 from .geometry import Point2, Segment, arc_extent, dist
 from .hinged import HingedChain, check_cell
@@ -258,7 +259,7 @@ class _Parser:
         winding = []
         for t in toks[1:]:
             body, sign = t.text[:-1], t.text[-1:]
-            if sign not in "+-" or not body.isdigit():
+            if sign not in "+-" or not body.isdecimal():
                 self.error(lineno, t.col, f"belt entry must look like '3+' or '0-', got {t.text!r}")
                 return
             winding.append((int(body), CCW if sign == "+" else CW))
@@ -549,9 +550,8 @@ class _Conveyer(FontKind):
             prints.setdefault(conveyer.fingerprint(disks), []).append(char)
             if rec.belt is not None:
                 try:
-                    conveyer.check_spec(rec.belt, len(disks))
                     path = conveyer.compute_belt(disks, rec.belt)
-                except Exception as exc:
+                except InvalidSpec as exc:
                     report.add(f"glyph {char!r}: belt does not realize: {exc}")
                     continue
                 vr = conveyer.validate_belt(disks, path)

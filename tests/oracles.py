@@ -11,7 +11,7 @@ from itertools import permutations, product
 from puzzlefonts.conveyer import (
     CCW, CW, canonical_spec, compute_belt, validate_belt,
 )
-from puzzlefonts.errors import InternalTangentInfeasible, InvalidSpec
+from puzzlefonts.errors import InvalidSpec
 
 
 def segments_properly_interact(a, b, c, d) -> bool:
@@ -80,7 +80,7 @@ def naive_belt_solutions(centers) -> list:
             seen.add(canon)
             try:
                 path = compute_belt(centers, winding)
-            except (InternalTangentInfeasible, InvalidSpec):
+            except InvalidSpec:
                 continue
             if validate_belt(centers, path).all_ok:
                 out.add(canon)

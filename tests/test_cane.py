@@ -3,7 +3,7 @@ import math
 import pytest
 
 from puzzlefonts.cane import (
-    CaneCrossSection, Subcane, TwistParams, render_side, render_top,
+    MAX_LENGTH, CaneCrossSection, Subcane, TwistParams, render_side, render_top,
     side_view_samples, strand_x,
 )
 from puzzlefonts.scene import Circle, Polygon
@@ -27,6 +27,9 @@ class TestInvariants:
             TwistParams(-0.1, 4.0)
         with pytest.raises(ValueError):
             TwistParams(0.5, 0.0)
+        TwistParams(0.5, MAX_LENGTH)
+        with pytest.raises(ValueError, match="at most"):
+            TwistParams(0.5, MAX_LENGTH * 1.01)
 
 
 class TestTopView:

@@ -1,14 +1,15 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from puzzlefonts.conveyer import (
-    CCW, CW, belt_length_lower_bound, canonical_spec, check_disk_set,
+    CCW, CW, _junctions_c1, belt_length_lower_bound, canonical_spec, check_disk_set,
     compute_belt, fingerprint, solve_belt, validate_belt,
 )
 from puzzlefonts.errors import BudgetExceeded, InvalidSpec
-from puzzlefonts.geometry import Arc, arc_extent
+from puzzlefonts.geometry import TOL, Arc, arc_extent
 from oracles import naive_belt_solutions
 
 STADIUM = [(0.0, 0.0), (4.0, 0.0)]
@@ -40,7 +41,7 @@ class TestComputeBelt:
         assert kinds == ["Arc", "Segment", "Arc", "Segment"]
 
     def test_minimal_gap_crossing_tangent_computes(self):
-        # disjointness (>= 2 + tol) already implies the crossing tangent's
+        # disjointness (> 2 + tol) already implies the crossing tangent's
         # precondition, so a barely-legal pair must still realize
         disks = [(0.0, 0.0), (2.00001, 0.0)]
         path = compute_belt(disks, [(0, CCW), (1, CW)])
@@ -57,6 +58,27 @@ class TestComputeBelt:
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError):
             check_disk_set([(0, 0), (1.0, 0)])
+        # too close for a crossing tangent, so not disjoint either
+        with pytest.raises(ValueError):
+            check_disk_set([(0, 0), (2.0 + TOL, 0)])
+
+    def test_every_winding_taut_and_arcs_its_disks(self):
+        # solve_belt skips validate_belt's visits_all and taut clauses on
+        # the strength of this invariant
+        rng = random.Random(20261018)
+        for trial in range(16):
+            n = 2 + trial % 4
+            disks = _near_touching_disks(rng, n, span=90.0 if trial % 2 else 9.0)
+            centers = check_disk_set(disks)
+            for perm in itertools.permutations(range(1, n)):
+                for orients in itertools.product((CCW, CW), repeat=n):
+                    winding = list(zip((0,) + perm, orients))
+                    path = compute_belt(disks, winding)
+                    assert path.disk_of_arc == (0,) + perm
+                    arcs = path.elements[::2]
+                    assert [(a.center, a.orientation) for a in arcs] == \
+                        [(centers[i], o) for i, o in winding]
+                    assert _junctions_c1(path.elements), (disks, winding)
 
 
 class TestValidateBelt:
@@ -150,6 +172,26 @@ def _random_disjoint_disks(rng, n, span=9.0):
         cand = (round(rng.uniform(0, span), 3), round(rng.uniform(0, span), 3))
         if all(math.dist(cand, p) >= 2.05 for p in pts):
             pts.append(cand)
+    return pts
+
+
+def _near_touching_disks(rng, n, span):
+    """Disjoint disks about a span-wide square; about half of them are placed
+    within 1e-6 of touching an earlier one."""
+    pts = [(rng.uniform(0, span), rng.uniform(0, span))]
+    while len(pts) < n:
+        if rng.random() < 0.5:
+            x, y = rng.choice(pts)
+            a = rng.uniform(0, 2 * math.pi)
+            d = 2.0 + TOL + rng.uniform(0, 1e-6)
+            cand = (x + d * math.cos(a), y + d * math.sin(a))
+        else:
+            cand = (rng.uniform(0, span), rng.uniform(0, span))
+        try:
+            check_disk_set(pts + [cand])
+        except ValueError:
+            continue
+        pts.append(cand)
     return pts
 
 

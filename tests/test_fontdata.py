@@ -67,6 +67,20 @@ class TestParse:
         assert fd is None
         assert diags[0].line == 5 and diags[0].column == 9
 
+    def test_non_ascii_digit_belt_entry(self):
+        # '²'.isdigit() is true, but int('²') raises
+        text = "font conveyer 1\nglyph I\ndisk 0 0\ndisk 0 4\nbelt 0+ ²-\n"
+        fd, diags = fontdata.parse(text)
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(5, 9)]
+        assert "belt entry" in diags[0].message
+
+    def test_huge_twist_length_reported(self):
+        fd, diags = fontdata.parse("font cane 1\nglyph A\nsubcane 0.5 0 0.2 a\ntwist 0.5 1e6\n")
+        assert fd is None
+        assert [d.line for d in diags] == [4]
+        assert "cane length must be at most" in diags[0].message
+
     def test_wrong_font_keyword(self):
         fd, diags = fontdata.parse("font linkage 1\nglyph F\ndisk 0 0\n")
         assert fd is None and "belong to the conveyer font" in diags[0].message
@@ -122,9 +136,8 @@ class TestNonFinite:
 SHIPPED_TEXTS = {fid: fontdata.write(fontdata.load_font_file(fontdata.find_font_file(fid)))
                  for fid in fontdata.FONT_IDS}
 KEYWORDS = {"font", "glyph"} | {kw for kind in fontdata.KINDS.values() for kw in kind.keywords}
-# no arbitrary floats: a finite but huge cane twist length makes unbounded work
 TOKEN_POOL = sorted({tok for text in SHIPPED_TEXTS.values() for tok in text.split()}
-                    | KEYWORDS | {"nan", "inf", "1e400", "-0", "x"})
+                    | KEYWORDS | {"nan", "inf", "1e400", "1e6", "-0", "x", "²+"})
 
 
 @st.composite
@@ -207,6 +220,13 @@ class TestValidate:
         fd, _ = fontdata.parse(text)
         rep = fontdata.validate(fd)
         assert any("fails validation" in i for i in rep.issues)
+
+    def test_conveyer_unrealizable_belt_flagged(self):
+        text = "font conveyer 1\nglyph A\ndisk 0 0\ndisk 0 4\nbelt 0+ 7+\n"
+        fd, diags = fontdata.parse(text)
+        assert not diags
+        rep = fontdata.validate(fd)
+        assert any("belt does not realize: disk index 7 out of range" in i for i in rep.issues)
 
     def test_linkage_vertex_record_bars_checked(self):
         text = ("font linkage 1\nglyph 0\n" +
