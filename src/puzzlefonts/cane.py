@@ -21,6 +21,14 @@ STRAND_STYLES = ("strand_a", "strand_b", "strand_c", "strand_d", "strand_e", "st
 MAX_LENGTH = 64.0  # side views take length * samples_per_unit samples per strand
 
 
+class FieldError(ValueError):
+    """A parameter out of range; `field` names the dataclass field at fault."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class Subcane:
     rho: float     # radial offset of the strand center, in [0, 1)
@@ -30,13 +38,13 @@ class Subcane:
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must be in [0, 1), got {self.rho}")
+            raise FieldError("rho", f"rho must be in [0, 1), got {self.rho}")
         if self.radius <= 0.0:
-            raise ValueError(f"subcane radius must be positive, got {self.radius}")
+            raise FieldError("radius", f"subcane radius must be positive, got {self.radius}")
         if self.rho + self.radius > 1.0 + 1e-12:
-            raise ValueError(f"subcane at rho={self.rho} r={self.radius} leaves the envelope")
+            raise FieldError("radius", f"subcane at rho={self.rho} r={self.radius} leaves the envelope")
         if self.color not in STRAND_STYLES:
-            raise ValueError(f"color must be one of {STRAND_STYLES}, got {self.color!r}")
+            raise FieldError("color", f"color must be one of {STRAND_STYLES}, got {self.color!r}")
 
 
 @dataclass(frozen=True)
@@ -56,11 +64,11 @@ class TwistParams:
 
     def __post_init__(self):
         if self.omega < 0.0:
-            raise ValueError("twist rate must be >= 0")
+            raise FieldError("omega", "twist rate must be >= 0")
         if self.length <= 0.0:
-            raise ValueError("cane length must be positive")
+            raise FieldError("length", "cane length must be positive")
         if self.length > MAX_LENGTH:
-            raise ValueError(f"cane length must be at most {MAX_LENGTH:g}, got {self.length:g}")
+            raise FieldError("length", f"cane length must be at most {MAX_LENGTH:g}, got {self.length:g}")
 
 
 def strand_x(sub: Subcane, omega: float, t: float) -> float:

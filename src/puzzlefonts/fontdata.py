@@ -28,10 +28,10 @@ is one entry here plus its domain module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import cane, conveyer, hinged, linkage, maze
-from .cane import CaneCrossSection, Subcane, TwistParams
+from .cane import CaneCrossSection, FieldError, Subcane, TwistParams
 from .conveyer import CCW, CW
 from .errors import (
     AmbiguousMatch, AmbiguousSolution, InvalidSpec, MissingFontFile, NoMatch, NoSolution,
@@ -326,6 +326,16 @@ class _Parser:
             return
         self.cur.setdefault("cells", []).append(cell)
 
+    def _build(self, cls, toks, lineno, *args):
+        """cls(*args) from the line's arguments in field order; a range error
+        is reported at the token of the field it names, and gives None."""
+        try:
+            return cls(*args)
+        except FieldError as exc:
+            names = [f.name for f in fields(cls)]
+            self.error(lineno, toks[1 + names.index(exc.field)].col, str(exc))
+            return None
+
     def _kw_subcane(self, toks, lineno):
         if len(toks) != 5:
             self.error(lineno, toks[0].col, "'subcane' needs rho phi r color")
@@ -336,12 +346,10 @@ class _Parser:
         if rho is None or phi is None or r is None:
             return
         color = toks[4].text
-        try:
-            sub = Subcane(rho, phi, r, color if color.startswith("strand_") else f"strand_{color}")
-        except ValueError as exc:
-            self.error(lineno, toks[1].col, str(exc))
-            return
-        self.cur.setdefault("subcanes", []).append(sub)
+        sub = self._build(Subcane, toks, lineno,
+                          rho, phi, r, color if color.startswith("strand_") else f"strand_{color}")
+        if sub is not None:
+            self.cur.setdefault("subcanes", []).append(sub)
 
     def _kw_twist(self, toks, lineno):
         if len(toks) != 3:
@@ -351,10 +359,9 @@ class _Parser:
         length = self._num(toks[2], lineno)
         if omega is None or length is None:
             return
-        try:
-            self.cur["twist"] = TwistParams(omega, length)
-        except ValueError as exc:
-            self.error(lineno, toks[1].col, str(exc))
+        twist = self._build(TwistParams, toks, lineno, omega, length)
+        if twist is not None:
+            self.cur["twist"] = twist
 
 
 def parse(text: str) -> tuple[FontData | None, list[ParseDiagnostic]]:
@@ -593,7 +600,9 @@ class _Conveyer(FontKind):
             if not has_belt[fp]:
                 raise NoSolution(f"puzzle glyph {key!r}: no valid belt exists")
             out.append(letters[0])
-            scenes.append(_conveyer_scene(rec.disks, font_fd.glyphs[letters[0]].belt))
+            # the letter's belt indexes the letter's own disk order
+            letter = font_fd.glyphs[letters[0]]
+            scenes.append(_conveyer_scene(letter.disks, letter.belt))
         return "".join(out), scenes
 
 

@@ -182,10 +182,6 @@ class Placement(NamedTuple):
 class FoldAssignment:
     placements: tuple  # one Placement per chain piece, in chain order
 
-    def slot_indices(self) -> list[int]:
-        """Piece order to slot order, the exportable form of a fold."""
-        return [p.slot_index for p in self.placements]
-
 
 def _poses(slot: Slot) -> tuple:
     """Both congruence maps of a piece onto a slot (R is forced, acutes swap)."""
@@ -205,125 +201,90 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
                expected_cells: int | None = None) -> FoldAssignment | None:
     """Backtracking search for a fold of the chain into the glyph's slots.
 
-    Placements are tried most-constrained-first (fewest onward contacts at
-    the exit corner) with lexicographic slot order breaking ties, so the
-    first assignment found is canonical and runs are reproducible.  The
-    search prunes whenever the unplaced slots fall apart into disconnected
-    contact components, and it rotates through the possible first placements
-    under per-restart node caps before burning the whole budget depth-first.
-    Returns None only when the space is provably exhausted; raises
-    BudgetExceeded when the node budget runs out first.
+    One corner index, ``at[c][point]``, lists the (slot, pose) pairs that
+    put piece corner ``c`` on a point, and a bitmask per point holds the
+    slots with a corner there.  Placements are tried most-constrained-first
+    (fewest free slots touching the exit corner) with slot order breaking
+    ties, so the first assignment found is canonical for its budget (which
+    sets the restart caps) and runs are reproducible.  Every 8th placement
+    the search prunes when the free slots fall apart into disconnected
+    contact components, a flood fill over per-slot neighbour bitmasks.  It
+    rotates through the possible first placements under per-restart node
+    caps before burning the whole budget depth-first.  Returns None only
+    when the space is provably exhausted; raises BudgetExceeded when the
+    node budget runs out first.
     """
     slots = refine(cells, expected_cells)
     n = len(slots)
     if n != chain.n_pieces:
         raise ValueError(f"chain has {chain.n_pieces} pieces but the glyph refines to {n} slots")
 
-    # point -> [(slot index, corner label, pose index), ...]
-    contact: dict = {}
-    slot_poses = []
+    at: tuple = ({}, {}, {})
+    touching: dict = {}
     for i, s in enumerate(slots):
-        poses = _poses(s)
-        slot_poses.append(poses)
-        for pi, corners in enumerate(poses):
-            for label, pos in zip(CORNERS, corners):
-                contact.setdefault(pos, []).append((i, label, pi))
-    # conservative slot adjacency: sharing any corner point at all
-    neighbors = [set() for _ in range(n)]
-    point_slots: dict = {}
-    for i, s in enumerate(slots):
+        for corners in _poses(s):
+            for c, pos in enumerate(corners):
+                at[c].setdefault(pos, []).append((i, corners))
         for v in s:
-            point_slots.setdefault(v, set()).add(i)
-    for owners in point_slots.values():
-        for i in owners:
-            neighbors[i] |= owners
-    for i in range(n):
-        neighbors[i].discard(i)
-    neighbors = [tuple(sorted(nb)) for nb in neighbors]
+            touching[v] = touching.get(v, 0) | 1 << i
+    near = [(touching[s.right] | touching[s.acute1] | touching[s.acute2]) & ~(1 << i)
+            for i, s in enumerate(slots)]
+    # corner indices of piece k's exit and of piece k+1's entry; the last
+    # piece's exit is a placeholder, no free slot is left to touch it
+    exits = [CORNERS.index(ex) for ex, _ in chain.hinges] + [0]
+    entries = [CORNERS.index(en) for _, en in chain.hinges]
 
-    nodes = 0
-    node_cap = 0
+    def connected(free: int) -> bool:
+        """The free slots form one component of the contact graph."""
+        seen = frontier = free & -free
+        while frontier:
+            grow = 0
+            while frontier:
+                bit = frontier & -frontier
+                grow |= near[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = grow & free & ~seen
+            seen |= frontier
+        return seen == free
 
-    def connected(used: int) -> bool:
-        """All unplaced slots form one component of the contact graph."""
-        first = None
-        for i in range(n):
-            if not used & (1 << i):
-                first = i
-                break
-        if first is None:
-            return True
-        seen = 1 << first
-        stack = [first]
-        count = 1
-        while stack:
-            i = stack.pop()
-            for j in neighbors[i]:
-                bit = 1 << j
-                if not used & bit and not seen & bit:
-                    seen |= bit
-                    count += 1
-                    stack.append(j)
-        return count == n - bin(used).count("1")
-
+    nodes = node_cap = 0
     placements: list = []
 
-    def extend(k: int, used: int, entry_point) -> bool:
+    def extend(k: int, free: int, ranked) -> bool:
+        """Try each (slot, corners) of ranked for piece k, then the rest of the chain."""
         nonlocal nodes
-        if k == chain.n_pieces:
-            return True
-        entry_label = chain.hinges[k - 1][1]
-        options = [(i, pi) for (i, label, pi) in contact.get(entry_point, ())
-                   if label == entry_label and not used & (1 << i)]
-        exit_label = chain.hinges[k][0] if k < chain.n_pieces - 1 else None
-        ranked = []
-        for (i, pi) in options:
-            corners = slot_poses[i][pi]
-            if exit_label is None:
-                ranked.append((0, i, pi, corners))
-                continue
-            exit_point = _corner_position(corners, exit_label)
-            cnt = 0
-            for (j, _label, _pi) in contact.get(exit_point, ()):
-                if not used & (1 << j) and j != i:
-                    cnt += 1
-            ranked.append((cnt, i, pi, corners))
-        ranked.sort(key=lambda t: (t[0], t[1], t[2]))
-        for (_w, i, pi, corners) in ranked:
+        for i, corners in ranked:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"fold search exceeded {budget} nodes")
             if nodes > node_cap:
                 raise _Stop
-            now_used = used | (1 << i)
-            if k % 8 == 7 and not connected(now_used):
+            now_free = free & ~(1 << i)
+            if k % 8 == 7 and not connected(now_free):
                 continue
             placements.append(Placement(i, corners))
-            nxt = _corner_position(corners, exit_label) if exit_label is not None else None
-            if extend(k + 1, now_used, nxt):
+            if k + 1 == n:
+                return True
+            options = [o for o in at[entries[k]].get(corners[exits[k]], ()) if now_free >> o[0] & 1]
+            exit_c = exits[k + 1]
+            options.sort(key=lambda o: (
+                (touching[o[1][exit_c]] & now_free & ~(1 << o[0])).bit_count(), o[0]))
+            if extend(k + 1, now_free, options):
                 return True
             placements.pop()
         return False
 
-    starts = [(i, pi) for i in range(n) for pi in (0, 1)]
-    for round_cap in (budget // max(len(starts), 1), budget):
+    starts = [(i, corners) for i, s in enumerate(slots) for corners in _poses(s)]
+    for round_cap in (budget // len(starts), budget):
         exhausted_everywhere = True
-        for (i, pi) in starts:
-            corners = slot_poses[i][pi]
+        for start in starts:
             node_cap = min(budget, nodes + max(round_cap, 1))
             placements.clear()
-            placements.append(Placement(i, corners))
-            first_exit = chain.hinges[0][0] if chain.n_pieces > 1 else None
-            nxt = _corner_position(corners, first_exit) if first_exit is not None else None
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"fold search exceeded {budget} nodes")
             try:
-                if extend(1, 1 << i, nxt):
+                if extend(0, (1 << n) - 1, [start]):
                     return FoldAssignment(tuple(placements))
             except _Stop:
                 exhausted_everywhere = False
-                continue
         if exhausted_everywhere:
             return None  # every start ran to exhaustion within its cap
     raise BudgetExceeded(f"fold search exceeded {budget} nodes")

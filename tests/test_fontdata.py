@@ -78,8 +78,23 @@ class TestParse:
     def test_huge_twist_length_reported(self):
         fd, diags = fontdata.parse("font cane 1\nglyph A\nsubcane 0.5 0 0.2 a\ntwist 0.5 1e6\n")
         assert fd is None
-        assert [d.line for d in diags] == [4]
+        assert [(d.line, d.column) for d in diags] == [(4, 11)]
         assert "cane length must be at most" in diags[0].message
+
+    @pytest.mark.parametrize("line,column,message", [
+        ("subcane 1.5 0 0.1 a", 9, "rho must be in"),
+        ("subcane 0.5 0 -0.1 a", 15, "radius must be positive"),
+        ("subcane 0.5 0 0.6 a", 15, "leaves the envelope"),
+        ("subcane 0.5 0 0.1 zz", 19, "color must be one of"),
+        ("twist -1 4", 7, "twist rate must be >= 0"),
+        ("twist 0.5 -1", 11, "cane length must be positive"),
+    ])
+    def test_cane_range_error_at_its_token(self, line, column, message):
+        text = "font cane 1\nglyph A\nsubcane 0.5 0 0.2 a\ntwist 0.5 4\n" + line + "\n"
+        fd, diags = fontdata.parse(text)
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(5, column)]
+        assert message in diags[0].message
 
     def test_wrong_font_keyword(self):
         fd, diags = fontdata.parse("font linkage 1\nglyph F\ndisk 0 0\n")

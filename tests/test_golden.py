@@ -2,8 +2,9 @@
 
 Any change to one of these values is a change in output, not a refactor:
 every font in both variants, a scaled and respaced render (the only path
-that scales arcs), a conveyer solution sheet, and the canonical writer on
-the shipped fonts and on both kinds of machine-readable puzzle.
+that scales arcs), a conveyer solution sheet, the canonical writer on the
+shipped fonts and on both kinds of machine-readable puzzle, and the hinged
+chain's fold into the 4x4 square and the quick glyphs.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import hashlib
 import pytest
 
 from puzzlefonts import fontdata
+from puzzlefonts.hinged import fold_chain, render_fold
 from puzzlefonts.scene import emit_svg
 from puzzlefonts.typeset import solve_puzzle, typeset
 
@@ -41,6 +43,19 @@ PUZZLE_DATA = {
     "linkage": "2453aceebd59fe69c6fb9bcce8124921244722449706e3f74200c969bdf3baa7",
     "conveyer": "6fb52dc9462442cf01efa890c5edb8acac906dc8326f08c5a1a78ae3f61d6205",
 }
+
+# The fold search's first assignment at budget 1M; these targets take under
+# a second each, the others 3-20 s.
+FOLD = {
+    "square": "e1bc583576a784388f60902b3355da0c0524c1c9024bffebc478ee674c54fdab",
+    "I": "a20a91dc96e43ac76972e4b26792df83b74bae02536f7140f03e6310bb432616",
+    "L": "e197b98022b5b88235d79da2736feff7cd16cb574987b32a6f55c61c13a49371",
+    "N": "a237ac95b39002958962e8f20b7051b0dffa6184b216e50cf72a7447650eeafc",
+    "O": "5213e8edc9eb963e6cb2a0ba1eb411e3aaf88a364ae6fe3f25903bfc5128e72f",
+}
+
+SQUARE_4X4 = [(x, y, "NE", half) for x in range(4) for y in range(4)
+              for half in ("first", "second")]
 
 
 def _sha(text: str) -> str:
@@ -75,3 +90,11 @@ def test_write_shipped(shipped, font):
 def test_write_puzzle_data(shipped, font):
     puzzle = typeset(shipped[font], TEXT, "puzzle", seed=7).puzzle_data
     assert _sha(fontdata.write(puzzle)) == PUZZLE_DATA[font]
+
+
+@pytest.mark.parametrize("target", sorted(FOLD))
+def test_fold(shipped, target):
+    chain = shipped["hinged"].chain
+    cells = SQUARE_4X4 if target == "square" else shipped["hinged"].glyphs[target]
+    fold = fold_chain(chain, cells, budget=1_000_000, expected_cells=32)
+    assert _sha(emit_svg(render_fold(chain, cells, fold))) == FOLD[target]

@@ -119,6 +119,18 @@ class TestSolvePuzzle:
         assert solve_puzzle(shipped["conveyer"], puzzle).text == "OTO"
         assert len(searched) == 2
 
+    @pytest.mark.parametrize("letter", "FILNOTUZ")
+    def test_reordered_disks_same_solution_sheet(self, shipped, letter):
+        font = shipped["conveyer"]
+        puzzle = typeset(font, letter, "puzzle").puzzle_data
+        moved = fontdata.FontData("conveyer", 1, {
+            key: fontdata.ConveyerRecord(disks=tuple((x + 10.0, y + 4.0) for x, y in reversed(rec.disks)))
+            for key, rec in puzzle.glyphs.items()})
+        expected = solve_puzzle(font, puzzle)
+        got = solve_puzzle(font, moved)
+        assert got.text == letter
+        assert emit_svg(got.solution_scene) == emit_svg(expected.solution_scene)
+
     def test_unsupported_font(self, shipped):
         from puzzlefonts.errors import PuzzleFontError
         with pytest.raises(PuzzleFontError):
