@@ -15,18 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import FieldError
 from .scene import VectorScene
 
 STRAND_STYLES = ("strand_a", "strand_b", "strand_c", "strand_d", "strand_e", "strand_f")
 MAX_LENGTH = 64.0  # side views take length * samples_per_unit samples per strand
-
-
-class FieldError(ValueError):
-    """A parameter out of range; `field` names the dataclass field at fault."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)

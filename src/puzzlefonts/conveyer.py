@@ -15,15 +15,18 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, DisconnectedPath, InvalidSpec
+from .errors import BudgetExceeded, InvalidSpec
 from .geometry import (
     CCW, CW, TOL, Arc, Point2, Segment, angle_of, arc_length,
     arc_tangent_dir, cross, dist, dot, element_end, element_start,
-    hull_perimeter, path_is_simple, point_arc_distance,
-    point_segment_distance, sub, tangent_points,
+    hull_perimeter, path_is_simple, point_segment_distance, sub,
+    tangent_points,
 )
 
-DEFAULT_BUDGET = 12_000_000  # lets the full 9-disk desk scale enumerate
+# Most candidate windings one solve_belt call builds.  An n-disk set has
+# (n-1)! * 2^(n-1): 3,840 at 6 disks, 645,120 at 8 and 10.3M at 9, which is
+# tens of minutes of work.
+DEFAULT_BUDGET = 12_000_000
 
 
 def check_disk_set(centers) -> tuple:
@@ -148,31 +151,24 @@ def _junctions_c1(elements) -> bool:
 
 
 def _avoids_interiors(disks, elements) -> bool:
-    for el in elements:
-        for c in disks:
-            if isinstance(el, Arc):
-                if dist(el.center, c) <= TOL:
-                    continue  # the arc rides on this disk's own circle
-                if point_arc_distance(c, el) < 1.0 - 1e-9:
-                    return False
-            else:
-                if point_segment_distance(c, el.a, el.b) < 1.0 - 1e-9:
-                    return False
-    return True
+    """No tangent segment of a built belt enters a disk.
+
+    Its arcs cannot: each rides its own disk's unit circle, and
+    check_disk_set keeps every other center more than 2 + TOL away.
+    """
+    return all(point_segment_distance(c, seg.a, seg.b) >= 1.0 - 1e-9
+               for seg in elements[1::2] for c in disks)
 
 
-def validate_belt(centers, path: BeltPath) -> ValidationReport:
-    """Check the four belt clauses; tangency contacts do not count as entering."""
+def validate_belt(centers, winding) -> ValidationReport:
+    """Build the winding's belt and check the four belt clauses; tangency
+    contacts do not count as entering."""
     disks = check_disk_set(centers)
-    try:
-        simple = path_is_simple(path.elements)
-    except DisconnectedPath:
-        simple = False
-    avoids = _avoids_interiors(disks, path.elements)
-    visited = set(path.disk_of_arc)
-    visits_all = visited == set(range(len(disks)))
-    taut = _junctions_c1(path.elements)
-    return ValidationReport(simple, avoids, visits_all, taut)
+    path = compute_belt(disks, winding)
+    return ValidationReport(path_is_simple(path.elements),
+                            _avoids_interiors(disks, path.elements),
+                            set(path.disk_of_arc) == set(range(len(disks))),
+                            _junctions_c1(path.elements))
 
 
 def canonical_spec(winding) -> tuple:

@@ -5,6 +5,14 @@ class PuzzleFontError(Exception):
     """Base class for all library errors."""
 
 
+class FieldError(ValueError):
+    """A parameter out of range; `field` names the record field at fault."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class DegenerateDisks(PuzzleFontError):
     """Disk centers too close for the requested tangent construction."""
 

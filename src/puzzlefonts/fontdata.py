@@ -31,14 +31,14 @@ import math
 from dataclasses import dataclass, field, fields
 
 from . import cane, conveyer, hinged, linkage, maze
-from .cane import CaneCrossSection, FieldError, Subcane, TwistParams
+from .cane import CaneCrossSection, Subcane, TwistParams
 from .conveyer import CCW, CW
 from .errors import (
-    AmbiguousMatch, AmbiguousSolution, InvalidSpec, MissingFontFile, NoMatch, NoSolution,
-    NotAChain,
+    AmbiguousMatch, AmbiguousSolution, FieldError, InvalidSpec, MissingFontFile, NoMatch,
+    NoSolution, NotAChain,
 )
 from .geometry import Point2, Segment, arc_extent, dist
-from .hinged import HingedChain, check_cell
+from .hinged import Cell, HingedChain, check_cell
 from .maze import GridMaze
 from .scene import VectorScene
 
@@ -217,6 +217,9 @@ class _Parser:
         if self.cur_char is None and head.text != "chain":
             self.error(lineno, head.col, f"{head.text!r} line outside any glyph")
             return False
+        if head.text in self.cur:  # one-per-glyph keywords store under their own name
+            self.error(lineno, head.col, f"glyph already has a {head.text!r} line")
+            return False
         return True
 
     def _kw_angles(self, toks, lineno):
@@ -263,9 +266,6 @@ class _Parser:
                 self.error(lineno, t.col, f"belt entry must look like '3+' or '0-', got {t.text!r}")
                 return
             winding.append((int(body), CCW if sign == "+" else CW))
-        if "belt" in self.cur:
-            self.error(lineno, toks[0].col, "glyph already has a belt")
-            return
         self.cur["belt"] = tuple(winding)
 
     def _kw_size(self, toks, lineno):
@@ -321,8 +321,8 @@ class _Parser:
             return
         try:
             cell = check_cell((x, y, toks[3].text, toks[4].text))
-        except ValueError as exc:
-            self.error(lineno, toks[3].col, str(exc))
+        except FieldError as exc:
+            self.error(lineno, toks[1 + Cell._fields.index(exc.field)].col, str(exc))
             return
         self.cur.setdefault("cells", []).append(cell)
 
@@ -557,11 +557,10 @@ class _Conveyer(FontKind):
             prints.setdefault(conveyer.fingerprint(disks), []).append(char)
             if rec.belt is not None:
                 try:
-                    path = conveyer.compute_belt(disks, rec.belt)
+                    vr = conveyer.validate_belt(disks, rec.belt)
                 except InvalidSpec as exc:
                     report.add(f"glyph {char!r}: belt does not realize: {exc}")
                     continue
-                vr = conveyer.validate_belt(disks, path)
                 if not vr.all_ok:
                     report.add(f"glyph {char!r}: belt fails validation: {vr}")
         for chars in prints.values():

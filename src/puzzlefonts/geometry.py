@@ -184,22 +184,7 @@ def point_segment_distance(p, a, b) -> float:
     return dist(p, Point2(a[0] + t * ab.x, a[1] + t * ab.y))
 
 
-def point_arc_distance(p, arc: Arc) -> float:
-    theta = angle_of(sub(p, arc.center))
-    best = math.inf
-    if arc_contains_angle(arc, theta):
-        best = abs(dist(p, arc.center) - arc.radius)
-    best = min(best, dist(p, arc_start_point(arc)), dist(p, arc_end_point(arc)))
-    return best
-
-
-# -- pairwise intersection classification --------------------------------
-
-_NONE = 0      # disjoint
-_TOUCH = 1     # share isolated points but no transversal crossing
-_OVERLAP = 2   # collinear / cocircular overlap of positive length
-_CROSS = 3     # proper transversal crossing
-
+# -- pairwise intersection -----------------------------------------------
 
 def _sign(x: float) -> int:
     if x > TOL:
@@ -207,37 +192,6 @@ def _sign(x: float) -> int:
     if x < -TOL:
         return -1
     return 0
-
-
-def _seg_seg_class(s1: Segment, s2: Segment) -> int:
-    a, b = s1.a, s1.b
-    c, d = s2.a, s2.b
-    d1 = _sign(cross(sub(d, c), sub(a, c)))
-    d2 = _sign(cross(sub(d, c), sub(b, c)))
-    d3 = _sign(cross(sub(b, a), sub(c, a)))
-    d4 = _sign(cross(sub(b, a), sub(d, a)))
-    if d1 == d2 == d3 == d4 == 0:
-        # collinear: project on the dominant axis
-        ab = sub(b, a)
-        if abs(ab.x) >= abs(ab.y):
-            lo1, hi1 = sorted((a.x, b.x))
-            lo2, hi2 = sorted((c.x, d.x))
-        else:
-            lo1, hi1 = sorted((a.y, b.y))
-            lo2, hi2 = sorted((c.y, d.y))
-        overlap = min(hi1, hi2) - max(lo1, lo2)
-        if overlap > TOL:
-            return _OVERLAP
-        if overlap >= -TOL:
-            return _TOUCH
-        return _NONE
-    if d1 != d2 and d3 != d4 and 0 not in (d1, d2, d3, d4):
-        return _CROSS
-    # at least one endpoint lies on the other segment (T-touch or corner)
-    for p, s in ((a, s2), (b, s2), (c, s1), (d, s1)):
-        if point_segment_distance(p, s.a, s.b) <= TOL * 10:
-            return _TOUCH
-    return _NONE
 
 
 def _line_circle_params(a, b, center, radius: float) -> list[float]:
@@ -258,86 +212,69 @@ def _line_circle_params(a, b, center, radius: float) -> list[float]:
     return [(-qb - r) / (2 * qa), (-qb + r) / (2 * qa)]
 
 
-def _seg_arc_class(seg: Segment, arc: Arc) -> int:
-    ts = _line_circle_params(seg.a, seg.b, arc.center, arc.radius)
-    if not ts:
-        return _NONE
-    seg_len = dist(seg.a, seg.b)
-    t_slack = (TOL * 100) / max(seg_len, TOL)
-    tangential = abs(ts[0] - ts[1]) * seg_len <= 1e-6
-    hits = []
-    for t in ts:
-        if -t_slack <= t <= 1.0 + t_slack:
-            p = Point2(seg.a.x + t * (seg.b.x - seg.a.x), seg.a.y + t * (seg.b.y - seg.a.y))
-            theta = angle_of(sub(p, arc.center))
-            if arc_contains_angle(arc, theta):
-                hits.append(t)
-    if not hits:
-        return _NONE
-    if tangential:
-        return _TOUCH
-    interior = [t for t in hits if t_slack < t < 1.0 - t_slack]
-    return _CROSS if interior else _TOUCH
-
-
 def _ccw_span(arc: Arc) -> tuple[float, float]:
     """(start angle, extent) of the arc's points, swept counterclockwise."""
     return (arc.start_angle if arc.orientation == CCW else arc.end_angle), arc_extent(arc)
 
 
-def _same_circle_class(a1: Arc, a2: Arc) -> int:
-    """Exact intersection of the angular intervals of two arcs on one circle."""
-    slack_deg = 1e-9
-    s1, e1 = _ccw_span(a1)
-    s2, e2 = _ccw_span(a2)
-    off = normalize_angle(s2 - s1)  # a2 spans [off, off + e2] measured from a1's start
-    # the part of that span below 360, plus the part that wraps past 360
-    overlap = max(0.0, min(e1, off + e2) - off) + max(0.0, min(e1, off + e2 - 360.0))
-    if overlap > slack_deg:
-        return _OVERLAP
-    if off <= e1 + slack_deg or off + e2 >= 360.0 - slack_deg:
-        return _TOUCH
-    return _NONE
-
-
-def _arc_arc_class(a1: Arc, a2: Arc) -> int:
-    d = dist(a1.center, a2.center)
-    if d <= TOL and abs(a1.radius - a2.radius) <= TOL:
-        return _same_circle_class(a1, a2)
-    r1, r2 = a1.radius, a2.radius
+def _elements_meet(e1, e2) -> bool:
+    """Whether two path elements share a point; a tangential touch counts."""
+    if isinstance(e1, Segment) and isinstance(e2, Segment):
+        a, b = e1
+        c, d = e2
+        d1 = _sign(cross(sub(d, c), sub(a, c)))
+        d2 = _sign(cross(sub(d, c), sub(b, c)))
+        d3 = _sign(cross(sub(b, a), sub(c, a)))
+        d4 = _sign(cross(sub(b, a), sub(d, a)))
+        if d1 == d2 == d3 == d4 == 0:
+            # collinear: project on the dominant axis
+            ab = sub(b, a)
+            if abs(ab.x) >= abs(ab.y):
+                lo1, hi1 = sorted((a.x, b.x))
+                lo2, hi2 = sorted((c.x, d.x))
+            else:
+                lo1, hi1 = sorted((a.y, b.y))
+                lo2, hi2 = sorted((c.y, d.y))
+            return min(hi1, hi2) - max(lo1, lo2) >= -TOL
+        if d1 != d2 and d3 != d4 and 0 not in (d1, d2, d3, d4):
+            return True  # proper crossing
+        # otherwise they meet only where an endpoint lies on the other segment
+        return any(point_segment_distance(p, s.a, s.b) <= TOL * 10
+                   for p, s in ((a, e2), (b, e2), (c, e1), (d, e1)))
+    if isinstance(e2, Segment):
+        e1, e2 = e2, e1
+    if isinstance(e1, Segment):  # a segment e1 and an arc e2
+        seg_len = dist(e1.a, e1.b)
+        t_slack = (TOL * 100) / max(seg_len, TOL)
+        for t in _line_circle_params(e1.a, e1.b, e2.center, e2.radius):
+            if -t_slack <= t <= 1.0 + t_slack:
+                p = Point2(e1.a.x + t * (e1.b.x - e1.a.x), e1.a.y + t * (e1.b.y - e1.a.y))
+                if arc_contains_angle(e2, angle_of(sub(p, e2.center))):
+                    return True
+        return False
+    d = dist(e1.center, e2.center)
+    if d <= TOL and abs(e1.radius - e2.radius) <= TOL:
+        # one circle: the ccw spans [0, ext1] and [off, off + ext2] (mod 360)
+        # meet iff the second starts inside the first or wraps back to its start
+        s1, ext1 = _ccw_span(e1)
+        s2, ext2 = _ccw_span(e2)
+        off = normalize_angle(s2 - s1)
+        return off <= ext1 + 1e-9 or off + ext2 >= 360.0 - 1e-9
+    r1, r2 = e1.radius, e2.radius
     if d > r1 + r2 + TOL or d < abs(r1 - r2) - TOL:
-        return _NONE
-    tangential = abs(d - (r1 + r2)) <= TOL * 100 or abs(d - abs(r1 - r2)) <= TOL * 100
+        return False
     # circle-circle intersection points
-    ax, ay = a1.center
-    bx, by = a2.center
+    ax, ay = e1.center
+    bx, by = e2.center
     f = (r1 * r1 - r2 * r2 + d * d) / (2 * d * d)
     px = ax + f * (bx - ax)
     py = ay + f * (by - ay)
     h2 = r1 * r1 - f * f * d * d
     h = math.sqrt(max(0.0, h2)) / d
-    pts = {(px + h * (by - ay), py - h * (bx - ax)), (px - h * (by - ay), py + h * (bx - ax))}
-    hits = 0
-    for p in pts:
-        t1 = angle_of(sub(p, a1.center))
-        t2 = angle_of(sub(p, a2.center))
-        if arc_contains_angle(a1, t1) and arc_contains_angle(a2, t2):
-            hits += 1
-    if hits == 0:
-        return _NONE
-    if tangential:
-        return _TOUCH
-    return _CROSS
-
-
-def _element_class(e1, e2) -> int:
-    if isinstance(e1, Segment) and isinstance(e2, Segment):
-        return _seg_seg_class(e1, e2)
-    if isinstance(e1, Segment):
-        return _seg_arc_class(e1, e2)
-    if isinstance(e2, Segment):
-        return _seg_arc_class(e2, e1)
-    return _arc_arc_class(e1, e2)
+    return any(arc_contains_angle(e1, angle_of(sub(p, e1.center)))
+               and arc_contains_angle(e2, angle_of(sub(p, e2.center)))
+               for p in ((px + h * (by - ay), py - h * (bx - ax)),
+                         (px - h * (by - ay), py + h * (bx - ax))))
 
 
 def path_is_simple(path: list) -> bool:
@@ -361,7 +298,7 @@ def path_is_simple(path: list) -> bool:
         for j in range(i + 2, n):
             if closed and i == 0 and j == n - 1:
                 continue
-            if _element_class(real[i], real[j]) != _NONE:
+            if _elements_meet(real[i], real[j]):
                 return False
     return True
 

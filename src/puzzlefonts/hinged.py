@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, InvalidPolyabolo
+from .errors import BudgetExceeded, FieldError, InvalidPolyabolo
 from .scene import VectorScene
 
 DIAGONALS = ("NE", "NW")
@@ -45,9 +45,9 @@ class Slot(NamedTuple):
 def check_cell(cell) -> Cell:
     c = Cell(int(cell[0]), int(cell[1]), cell[2], cell[3])
     if c.diagonal not in DIAGONALS:
-        raise ValueError(f"diagonal must be NE or NW, got {c.diagonal!r}")
+        raise FieldError("diagonal", f"diagonal must be NE or NW, got {c.diagonal!r}")
     if c.half not in HALVES:
-        raise ValueError(f"half must be first or second, got {c.half!r}")
+        raise FieldError("half", f"half must be first or second, got {c.half!r}")
     return c
 
 

@@ -8,10 +8,7 @@ a naive belt-winding enumerator, and an exhaustive fold enumerator.
 from fractions import Fraction
 from itertools import permutations, product
 
-from puzzlefonts.conveyer import (
-    CCW, CW, canonical_spec, compute_belt, validate_belt,
-)
-from puzzlefonts.errors import InvalidSpec
+from puzzlefonts.conveyer import CCW, CW, canonical_spec, validate_belt
 
 
 def segments_properly_interact(a, b, c, d) -> bool:
@@ -78,11 +75,7 @@ def naive_belt_solutions(centers) -> list:
             if canon in seen:
                 continue
             seen.add(canon)
-            try:
-                path = compute_belt(centers, winding)
-            except InvalidSpec:
-                continue
-            if validate_belt(centers, path).all_ok:
+            if validate_belt(centers, winding).all_ok:
                 out.add(canon)
     return sorted(out)
 

@@ -73,10 +73,8 @@ def test_criterion_04_conveyer_geometry(shipped):
     for disks in (stadium, triangle, *(rec.disks for rec in shipped["conveyer"].glyphs.values())):
         bound = belt_length_lower_bound(disks)
         for spec in solve_belt(disks):
-            belt = compute_belt(disks, spec)
-            rep = validate_belt(disks, belt)
-            assert rep.all_ok
-            assert belt.total_length >= bound - 1e-9
+            assert validate_belt(disks, spec).all_ok
+            assert compute_belt(disks, spec).total_length >= bound - 1e-9
             checked += 1
     _report(4, f"stadium and 3-4-5 belt lengths within 1e-9; {checked} solver belts all-valid")
 

@@ -24,14 +24,14 @@ class TestComputeBelt:
     def test_hull_triangle_length(self):
         path = compute_belt(TRIANGLE, [(0, CCW), (1, CCW), (2, CCW)])
         assert abs(path.total_length - (12 + 2 * math.pi)) < 1e-9
-        assert validate_belt(TRIANGLE, path).all_ok
+        assert validate_belt(TRIANGLE, [(0, CCW), (1, CCW), (2, CCW)]).all_ok
 
     def test_opposite_orientations_figure_eight(self):
         disks = [(0.0, 0.0), (3.0, 0.0)]
         path = compute_belt(disks, [(0, CCW), (1, CW)])
         arcs = [el for el in path.elements if isinstance(el, Arc)]
         assert {a.orientation for a in arcs} == {CCW, CW}
-        rep = validate_belt(disks, path)
+        rep = validate_belt(disks, [(0, CCW), (1, CW)])
         assert rep.taut  # C1 residual below 1e-9 at all four junctions
         assert not rep.simple  # the two crossing tangents intersect
 
@@ -44,8 +44,7 @@ class TestComputeBelt:
         # disjointness (> 2 + tol) already implies the crossing tangent's
         # precondition, so a barely-legal pair must still realize
         disks = [(0.0, 0.0), (2.00001, 0.0)]
-        path = compute_belt(disks, [(0, CCW), (1, CW)])
-        assert validate_belt(disks, path).taut
+        assert validate_belt(disks, [(0, CCW), (1, CW)]).taut
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
@@ -63,8 +62,9 @@ class TestComputeBelt:
             check_disk_set([(0, 0), (2.0 + TOL, 0)])
 
     def test_every_winding_taut_and_arcs_its_disks(self):
-        # solve_belt skips validate_belt's visits_all and taut clauses on
-        # the strength of this invariant
+        # solve_belt skips validate_belt's visits_all and taut clauses, and
+        # _avoids_interiors skips the arcs (each rides its own unit circle),
+        # on the strength of this invariant
         rng = random.Random(20261018)
         for trial in range(16):
             n = 2 + trial % 4
@@ -76,34 +76,32 @@ class TestComputeBelt:
                     path = compute_belt(disks, winding)
                     assert path.disk_of_arc == (0,) + perm
                     arcs = path.elements[::2]
-                    assert [(a.center, a.orientation) for a in arcs] == \
-                        [(centers[i], o) for i, o in winding]
+                    assert [(a.center, a.radius, a.orientation) for a in arcs] == \
+                        [(centers[i], 1.0, o) for i, o in winding]
                     assert _junctions_c1(path.elements), (disks, winding)
 
 
 class TestValidateBelt:
     def test_stadium_all_flags(self):
-        rep = validate_belt(STADIUM, compute_belt(STADIUM, [(0, CCW), (1, CCW)]))
+        rep = validate_belt(STADIUM, [(0, CCW), (1, CCW)])
         assert (rep.simple, rep.avoids_interiors, rep.visits_all, rep.taut) == (True,) * 4
 
     def test_unvisited_disk(self):
         disks = [(0.0, 0.0), (4.0, 0.0), (2.0, 5.0)]
-        path = compute_belt(disks, [(0, CCW), (1, CCW)])
-        rep = validate_belt(disks, path)
+        rep = validate_belt(disks, [(0, CCW), (1, CCW)])
         assert not rep.visits_all
         assert rep.simple
 
     def test_clearance_cases(self):
         # stadium belt's lower segment runs along y = -1
         ok = [(0.0, 0.0), (4.0, 0.0), (2.0, -3.0)]
-        rep = validate_belt(ok, compute_belt(ok, [(0, CCW), (1, CCW)]))
+        rep = validate_belt(ok, [(0, CCW), (1, CCW)])
         assert rep.avoids_interiors
         grazed = [(0.0, 0.0), (4.0, 0.0), (2.0, -1.5)]
-        rep = validate_belt(grazed, compute_belt(grazed, [(0, CCW), (1, CCW)]))
+        rep = validate_belt(grazed, [(0, CCW), (1, CCW)])
         assert not rep.avoids_interiors
         with pytest.raises(ValueError):
-            validate_belt([(0.0, 0.0), (4.0, 0.0), (1.0, 0.0)],
-                          compute_belt(STADIUM, [(0, CCW), (1, CCW)]))
+            validate_belt([(0.0, 0.0), (4.0, 0.0), (1.0, 0.0)], [(0, CCW), (1, CCW)])
 
     def test_tangency_points_on_circles(self):
         path = compute_belt(TRIANGLE, [(0, CCW), (1, CCW), (2, CCW)])
@@ -131,7 +129,7 @@ class TestSolver:
 
     def test_solutions_validate(self):
         for spec in solve_belt(TRIANGLE):
-            rep = validate_belt(TRIANGLE, compute_belt(TRIANGLE, spec))
+            rep = validate_belt(TRIANGLE, spec)
             assert rep.all_ok
 
     def test_single_disk_no_solutions(self):
@@ -145,7 +143,7 @@ class TestSolver:
         zero_arcs = [el for el in path.elements
                      if isinstance(el, Arc) and arc_extent(el) == 0.0]
         assert len(zero_arcs) == 1  # the middle disk is visited by a graze
-        rep = validate_belt(disks, path)
+        rep = validate_belt(disks, [(0, CCW), (1, CCW), (2, CCW)])
         assert rep.all_ok, rep
         assert canonical_spec([(0, CCW), (1, CCW), (2, CCW)]) in solve_belt(disks)
 
@@ -227,7 +225,7 @@ class TestFingerprint:
 class TestShippedFont:
     def test_marked_belts_validate(self, shipped):
         for ch, rec in sorted(shipped["conveyer"].glyphs.items()):
-            rep = validate_belt(rec.disks, compute_belt(rec.disks, rec.belt))
+            rep = validate_belt(rec.disks, rec.belt)
             assert rep.all_ok, (ch, rep)
 
     def test_fingerprints_distinct(self, shipped):

@@ -90,11 +90,36 @@ class TestParse:
         ("twist 0.5 -1", 11, "cane length must be positive"),
     ])
     def test_cane_range_error_at_its_token(self, line, column, message):
-        text = "font cane 1\nglyph A\nsubcane 0.5 0 0.2 a\ntwist 0.5 4\n" + line + "\n"
+        # no twist line before the one under test: a second one is a repeat
+        text = "font cane 1\nglyph A\nsubcane 0.5 0 0.2 a\nsubcane 0.5 180 0.2 b\n" + line + "\n"
         fd, diags = fontdata.parse(text)
         assert fd is None
         assert [(d.line, d.column) for d in diags] == [(5, column)]
         assert message in diags[0].message
+
+    @pytest.mark.parametrize("line,column,message", [
+        ("cell 0 0 NE third", 13, "half must be first or second"),
+        ("cell 0 0 SE first", 10, "diagonal must be NE or NW"),
+    ], ids=["half", "diagonal"])
+    def test_cell_error_at_its_token(self, line, column, message):
+        fd, diags = fontdata.parse("font hinged 1\nglyph A\ncell 0 0 NE first\n" + line + "\n")
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(4, column)]
+        assert message in diags[0].message
+
+    @pytest.mark.parametrize("text,line", [
+        ("font linkage 1\nglyph F\nangles 90 0 90 90 0\n", 4),
+        ("font conveyer 1\nglyph I\ndisk 0 0\ndisk 0 4\nbelt 0+ 1+\n", 6),
+        ("font maze 1\nglyph A\nsize 2 2\n", 4),
+        ("font cane 1\nglyph A\nsubcane 0.5 0 0.2 a\ntwist 0.5 4\n", 5),
+    ], ids=["angles", "belt", "size", "twist"])
+    def test_repeated_line_reported_at_its_keyword(self, text, line):
+        # the text's last line again, indented so its keyword is at column 3
+        last = text.splitlines()[-1]
+        fd, diags = fontdata.parse(text + "  " + last + "\n")
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(line, 3)]
+        assert f"glyph already has a {last.split()[0]!r} line" in diags[0].message
 
     def test_wrong_font_keyword(self):
         fd, diags = fontdata.parse("font linkage 1\nglyph F\ndisk 0 0\n")
@@ -140,7 +165,8 @@ class TestNonFinite:
         ("font conveyer 1\nglyph A\ndisk 0 1e400\ndisk 0 4\n", 3, 8),
         ("font linkage 1\nglyph A\nvertex nan 0\n", 3, 8),
         ("font maze 1\nglyph A\nsize 2 2\nwall 1 0 1 " + "9" * 400 + "\n", 4, 12),
-    ])
+    ], ids=["cane-subcane-radius", "cane-twist-omega", "cane-twist-length", "conveyer-disk",
+            "linkage-vertex", "maze-wall"])
     def test_reported_at_the_token(self, text, line, column):
         fd, diags = fontdata.parse(text)
         assert fd is None

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from puzzlefonts.errors import DegenerateDisks, DisconnectedPath
 from puzzlefonts.geometry import (
-    _NONE, _OVERLAP, _TOUCH, CCW, CW, Arc, Point2, Segment, _element_class,
-    arc_contains_angle, arc_extent, arc_length, arc_start_point, arc_end_point,
-    convex_hull, dist, dot, hull_perimeter, normalize_angle, path_is_simple,
-    point_arc_distance, point_segment_distance, sub, tangent_points,
+    CCW, CW, Arc, Point2, Segment, _elements_meet, arc_contains_angle,
+    arc_extent, arc_length, arc_start_point, arc_end_point, convex_hull, dist,
+    dot, hull_perimeter, normalize_angle, path_is_simple,
+    point_segment_distance, sub, tangent_points,
 )
 from oracles import polyline_is_simple_exact
 
@@ -91,16 +91,15 @@ class TestPathIsSimple:
         arc = Arc(Point2(0, 0), 1.0, 90.0, 270.0, CCW)
         # a chord through the left half-circle crosses the arc twice
         crossing = Segment(Point2(-2, 0.5), Point2(2, 0.5))
-        assert _seg_arc_crosses(crossing, arc)
-        # a segment fully right of the circle does not
-        from puzzlefonts.geometry import _seg_arc_class, _NONE
-        assert _seg_arc_class(Segment(Point2(2, -1), Point2(2, 1)), arc) == _NONE
+        assert _elements_meet(crossing, arc)
+        # a tangent touching the arc meets it; one fully right of the circle does not
+        assert _elements_meet(Segment(Point2(-1, -2), Point2(-1, 2)), arc)
+        assert not _elements_meet(Segment(Point2(2, -1), Point2(2, 1)), arc)
 
     def test_arc_arc_same_circle_overlap(self):
         a1 = Arc(Point2(0, 0), 1.0, 0.0, 180.0, CCW)
         a2 = Arc(Point2(0, 0), 1.0, 90.0, 270.0, CCW)
-        from puzzlefonts.geometry import _arc_arc_class, _OVERLAP
-        assert _arc_arc_class(a1, a2) == _OVERLAP
+        assert _elements_meet(a1, a2)
 
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                     min_size=3, max_size=21))
@@ -133,40 +132,31 @@ def _arcs(centers=st.sampled_from([Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.
     return st.builds(Arc, centers, radii, _ANGLES, _ANGLES, st.sampled_from([CCW, CW]))
 
 
-def _step_class(a1, a2):
-    """Same-circle class from the whole steps each arc covers and touches."""
-    def steps(arc):
+def _step_meet(a1, a2):
+    """Whether two arcs on one circle share a whole step point."""
+    def points(arc):
         start = round((arc.start_angle if arc.orientation == CCW else arc.end_angle) / _STEP)
-        n = round(arc_extent(arc) / _STEP)
-        return ({(start + k) % 24 for k in range(n)}, {(start + k) % 24 for k in range(n + 1)})
-    (cells1, points1), (cells2, points2) = steps(a1), steps(a2)
-    if cells1 & cells2:
-        return _OVERLAP
-    return _TOUCH if points1 & points2 else _NONE
+        return {(start + k) % 24 for k in range(round(arc_extent(arc) / _STEP) + 1)}
+    return bool(points(a1) & points(a2))
 
 
 class TestElementClassSymmetry:
     def test_short_arc_inside_long_arc(self):
         long_arc = Arc(Point2(0, 0), 1.0, 0.0, 350.0, CCW)
         short_arc = Arc(Point2(0, 0), 1.0, 100.0, 110.0, CCW)
-        assert _element_class(long_arc, short_arc) == _OVERLAP
-        assert _element_class(short_arc, long_arc) == _OVERLAP
+        assert _elements_meet(long_arc, short_arc)
+        assert _elements_meet(short_arc, long_arc)
 
     @given(st.one_of(_SEGMENTS, _arcs()), st.one_of(_SEGMENTS, _arcs()))
     @settings(max_examples=500)
     def test_symmetric(self, e1, e2):
-        assert _element_class(e1, e2) == _element_class(e2, e1)
+        assert _elements_meet(e1, e2) == _elements_meet(e2, e1)
 
     @given(_arcs(st.just(Point2(0.0, 0.0)), st.just(1.0)),
            _arcs(st.just(Point2(0.0, 0.0)), st.just(1.0)))
     @settings(max_examples=300)
     def test_same_circle_matches_steps(self, a1, a2):
-        assert _element_class(a1, a2) == _step_class(a1, a2)
-
-
-def _seg_arc_crosses(seg, arc):
-    from puzzlefonts.geometry import _seg_arc_class, _CROSS
-    return _seg_arc_class(seg, arc) == _CROSS
+        assert _elements_meet(a1, a2) == _step_meet(a1, a2)
 
 
 class TestArcs:
@@ -189,13 +179,6 @@ class TestArcs:
         a = Arc(Point2(1, 1), 1.0, 0.0, 90.0, CCW)
         assert arc_start_point(a) == pytest.approx((2.0, 1.0))
         assert arc_end_point(a) == pytest.approx((1.0, 2.0))
-
-    def test_point_arc_distance(self):
-        a = Arc(Point2(0, 0), 1.0, 0.0, 90.0, CCW)
-        assert point_arc_distance(Point2(2, 0), a) == pytest.approx(1.0)
-        assert point_arc_distance(Point2(0, 0), a) == pytest.approx(1.0)
-        # a point radially opposite the span measures to the nearest endpoint
-        assert point_arc_distance(Point2(-2, 0), a) == pytest.approx(dist((-2, 0), (0, 1)))
 
 
 class TestHull:
