@@ -5,8 +5,9 @@ A glyph is a set of unit disks plus a winding: a cyclic list of
 alternates tangent segments and circular arcs; a disk wrapped CCW has its
 center on the left of the belt's travel direction, which fixes the tangent
 choice between any two consecutive disks.  Reading the disks alone back into
-a letter means finding the winding again, which the exhaustive solver does
-at desk scale.
+a letter means finding a winding again: `iter_belts` walks every candidate
+winding and yields the valid ones, `solve_belt` collects all of them, and a
+decode stops at the first.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .geometry import (
     tangent_points,
 )
 
-# Most candidate windings one solve_belt call builds.  An n-disk set has
+# Most candidate windings one belt search builds.  An n-disk set has
 # (n-1)! * 2^(n-1): 3,840 at 6 disks, 645,120 at 8 and 10.3M at 9, which is
-# tens of minutes of work.
+# ten minutes or more of work.
 DEFAULT_BUDGET = 12_000_000
 
 
@@ -150,14 +151,18 @@ def _junctions_c1(elements) -> bool:
     return True
 
 
+def _clears(disks, seg) -> bool:
+    """The segment enters no disk; tangency contacts do not count."""
+    return all(point_segment_distance(c, seg.a, seg.b) >= 1.0 - 1e-9 for c in disks)
+
+
 def _avoids_interiors(disks, elements) -> bool:
     """No tangent segment of a built belt enters a disk.
 
     Its arcs cannot: each rides its own disk's unit circle, and
     check_disk_set keeps every other center more than 2 + TOL away.
     """
-    return all(point_segment_distance(c, seg.a, seg.b) >= 1.0 - 1e-9
-               for seg in elements[1::2] for c in disks)
+    return all(_clears(disks, seg) for seg in elements[1::2])
 
 
 def validate_belt(centers, winding) -> ValidationReport:
@@ -190,39 +195,63 @@ def canonical_spec(winding) -> tuple:
     return best
 
 
-def solve_belt(centers, budget: int = DEFAULT_BUDGET) -> list[tuple]:
-    """All valid belts for a disk set, as canonical windings, sorted.
+def iter_belts(centers, budget: int = DEFAULT_BUDGET):
+    """Yield the canonical winding of every valid belt for a disk set.
 
-    Enumerates cyclic visit orders up to rotation and reflection (first entry
+    Walks the cyclic visit orders up to rotation and reflection (first entry
     pinned to disk 0 wrapped CCW) times the orientation assignments of the
-    remaining disks, realizes each candidate, and keeps those that avoid
-    every disk interior and do not cross themselves.
+    remaining disks, builds each candidate's belt, and yields those that
+    avoid every disk interior and do not cross themselves.  Each class is
+    one candidate, so nothing is yielded twice.  The tangent segment between
+    two consecutive entries is the same in every candidate, so whether it
+    clears the disks is checked once per call.  Raises BudgetExceeded when
+    more than `budget` candidates would be built.
     """
     disks = check_disk_set(centers)
     n = len(disks)
     if n < 2:
-        return []
-    solutions = set()
+        return
+    clears: dict = {}
     nodes = 0
-    indices = list(range(1, n))
-    for perm in itertools.permutations(indices):
-        order = (0,) + perm
+    for perm in itertools.permutations(range(1, n)):
         for orient_mask in range(2 ** (n - 1)):
             nodes += 1
             if nodes > budget:
-                err = BudgetExceeded(f"solver exceeded {budget} candidates")
-                err.partial = sorted(solutions)
-                raise err
+                raise BudgetExceeded(f"solver exceeded {budget} candidates")
             winding = [(0, CCW)]
-            for b, idx in enumerate(order[1:]):
+            for b, idx in enumerate(perm):
                 winding.append((idx, CCW if orient_mask & (1 << b) else CW))
             # validate_belt's other two clauses cannot fail here: every order
             # visits all disks, and compute_belt's tangent choice makes every
             # junction C1 (tests/test_conveyer.py pins that invariant).
             elements = compute_belt(disks, winding).elements
-            if _avoids_interiors(disks, elements) and path_is_simple(elements):
-                solutions.add(canonical_spec(winding))
-    return sorted(solutions)
+            for k in range(n):
+                pair = (winding[k], winding[(k + 1) % n])
+                ok = clears.get(pair)
+                if ok is None:
+                    ok = clears[pair] = _clears(disks, elements[2 * k + 1])
+                if not ok:
+                    break
+            else:
+                if path_is_simple(elements):
+                    yield canonical_spec(winding)
+
+
+def solve_belt(centers, budget: int = DEFAULT_BUDGET) -> list[tuple]:
+    """All valid belts for a disk set, as canonical windings, sorted.
+
+    The sorted set of what `iter_belts` yields.  When the budget runs out,
+    the BudgetExceeded carries the windings found so far, sorted, as
+    `partial`.
+    """
+    found: set = set()
+    try:
+        for spec in iter_belts(centers, budget):
+            found.add(spec)
+    except BudgetExceeded as err:
+        err.partial = sorted(found)
+        raise
+    return sorted(found)
 
 
 def fingerprint(centers, quantum: float = 1e-6) -> tuple:

@@ -578,7 +578,8 @@ class _Conveyer(FontKind):
     def decode(self, font_fd, puzzle_fd):
         """Match each disk configuration's fingerprint to a letter, then search its belt.
 
-        A configuration is searched once per call, however often it repeats,
+        The search takes the first belt it finds: a letter needs only one.  A
+        configuration is searched once per call, however often it repeats,
         and only after it has matched a letter.
         """
         by_print: dict = {}
@@ -588,14 +589,17 @@ class _Conveyer(FontKind):
         out, scenes = [], []
         for key in sorted(puzzle_fd.glyphs):
             rec = puzzle_fd.glyphs[key]
-            fp = conveyer.fingerprint(rec.disks)
+            try:
+                fp = conveyer.fingerprint(rec.disks)
+            except ValueError as exc:
+                raise NoSolution(f"puzzle glyph {key!r}: {exc}") from exc
             letters = by_print.get(fp, [])
             if not letters:
                 raise NoSolution(f"puzzle glyph {key!r}: configuration matches no letter")
             if len(letters) > 1:
                 raise AmbiguousSolution(f"puzzle glyph {key!r} matches letters {letters}")
             if fp not in has_belt:
-                has_belt[fp] = bool(conveyer.solve_belt(rec.disks))
+                has_belt[fp] = next(conveyer.iter_belts(rec.disks), None) is not None
             if not has_belt[fp]:
                 raise NoSolution(f"puzzle glyph {key!r}: no valid belt exists")
             out.append(letters[0])

@@ -6,7 +6,7 @@ import pytest
 
 from puzzlefonts.conveyer import (
     CCW, CW, _junctions_c1, belt_length_lower_bound, canonical_spec, check_disk_set,
-    compute_belt, fingerprint, solve_belt, validate_belt,
+    compute_belt, fingerprint, iter_belts, solve_belt, validate_belt,
 )
 from puzzlefonts.errors import BudgetExceeded, InvalidSpec
 from puzzlefonts.geometry import TOL, Arc, arc_extent
@@ -162,6 +162,49 @@ class TestSolver:
         for _ in range(8):
             disks = _random_disjoint_disks(rng, rng.randint(2, 4))
             assert solve_belt(disks) == naive_belt_solutions(disks)
+
+
+class TestIterBelts:
+    def test_matches_naive_oracle(self, shipped):
+        # the shipped letters (Z has 6 disks), then 0 and 1 disks (no belt),
+        # then 200 seeded sets of 2-6 disks, every other one with disks
+        # placed within 1e-6 of touching
+        rng = random.Random(20261019)
+        sets = [rec.disks for _ch, rec in sorted(shipped["conveyer"].glyphs.items())]
+        sets += [[], [(0.0, 0.0)]]
+        sizes = [(2, 3, 4, 5, 4, 3)[(i // 2) % 6] for i in range(199)] + [6]
+        for i, n in enumerate(sizes):
+            sets.append(_near_touching_disks(rng, n, 9.0) if i % 2
+                        else _random_disjoint_disks(rng, n))
+        beltless = 0
+        for disks in sets:
+            expected = naive_belt_solutions(disks)
+            found = list(iter_belts(disks))
+            assert sorted(set(found)) == expected, disks
+            for winding in found:
+                assert validate_belt(disks, winding).all_ok, (disks, winding)
+            first = next(iter_belts(disks), None)
+            assert (first is None) == (not expected), disks
+            beltless += first is None
+            n = len(disks)
+            if n < 2:
+                continue
+            budget = rng.randrange(math.factorial(n - 1) * 2 ** (n - 1))
+            with pytest.raises(BudgetExceeded) as err:
+                solve_belt(disks, budget=budget)
+            partial = err.value.partial
+            assert partial == sorted(partial) and set(partial) <= set(expected)
+        # no set of two or more unit disks here lacks a belt
+        assert beltless == 2
+
+    def test_first_belt_stops_the_search(self, monkeypatch):
+        from puzzlefonts import conveyer
+        built = []
+        real = conveyer.compute_belt
+        monkeypatch.setattr(conveyer, "compute_belt",
+                            lambda *args: built.append(args) or real(*args))
+        assert next(iter_belts(TRIANGLE)) == canonical_spec([(0, CCW), (1, CCW), (2, CCW)])
+        assert len(built) == 4  # the three candidates before the hull belt cross themselves
 
 
 def _random_disjoint_disks(rng, n, span=9.0):

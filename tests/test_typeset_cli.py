@@ -103,17 +103,24 @@ class TestSolvePuzzle:
         def no_search(*args, **kwargs):
             raise AssertionError("searched a configuration that matches no letter")
 
-        monkeypatch.setattr(conveyer, "solve_belt", no_search)
+        monkeypatch.setattr(conveyer, "iter_belts", no_search)
         bad = fontdata.FontData("conveyer", 1, {
             "0": fontdata.ConveyerRecord(disks=((0.0, 0.0), (9.0, 9.0)))})
         with pytest.raises(NoSolution, match="matches no letter"):
             solve_puzzle(shipped["conveyer"], bad)
 
+    def test_overlapping_disks_name_the_glyph(self, shipped):
+        bad = fontdata.FontData("conveyer", 1, {
+            "0": fontdata.ConveyerRecord(disks=((0.0, 0.0), (1.0, 0.0)))})
+        with pytest.raises(NoSolution) as err:
+            solve_puzzle(shipped["conveyer"], bad)
+        assert str(err.value) == "puzzle glyph '0': disks 0 and 1 are not disjoint"
+
     def test_each_configuration_searched_once(self, shipped, monkeypatch):
         from puzzlefonts import conveyer
         searched = []
-        real = conveyer.solve_belt
-        monkeypatch.setattr(conveyer, "solve_belt",
+        real = conveyer.iter_belts
+        monkeypatch.setattr(conveyer, "iter_belts",
                             lambda disks: searched.append(disks) or real(disks))
         puzzle = typeset(shipped["conveyer"], "OTO", "puzzle").puzzle_data
         assert solve_puzzle(shipped["conveyer"], puzzle).text == "OTO"
