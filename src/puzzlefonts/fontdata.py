@@ -6,20 +6,14 @@ payload lines are keyword-led.  Parsing is total: it never throws on bad
 input, it collects diagnostics with exact line/column positions and returns
 no FontData when any error was seen.
 
-Payload keywords by font:
-    linkage   angles a1 a2 a3 a4 a5     stored verbatim (0 and 360 both legal)
-              vertex x y                seven of these for puzzle chains
-    conveyer  disk x y                  unit disk center
-              belt 0+ 2- 1+             winding: disk index and wrap sign
-    maze      size w h                  grid bounding box
-              wall x1 y1 x2 y2          unit lattice wall edge
-    hinged    chain n Q:P R:P ...       font-level: cyclic exit:entry hinge pattern
-              cell x y NE|NW first|second
-    cane      subcane rho phi r color
-              twist omega length
+Every other line is a payload line, and its grammar lives in the `keywords`
+table of the font kind that owns it: one `Line` per keyword gives the token
+reader of each argument, how the arguments build a value, and where the value
+goes.  The parser reads every payload line through that table with one
+generic reader, so it knows only `font` and `glyph` itself.
 
 `KINDS` has one entry per font id and is the one place that knows a font
-kind: its payload keywords, how its glyph records are built, written and
+kind: its payload line grammar, how its glyph records are built, written and
 validated, how its glyphs render in the solved and puzzle variants, and how
 its puzzles decode back to text where a machine solver exists.  A new font
 is one entry here plus its domain module.
@@ -28,7 +22,8 @@ is one entry here plus its domain module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from . import cane, conveyer, hinged, linkage, maze
 from .cane import CaneCrossSection, Subcane, TwistParams
@@ -37,7 +32,7 @@ from .errors import (
     AmbiguousMatch, AmbiguousSolution, FieldError, InvalidSpec, MissingFontFile, NoMatch,
     NoSolution, NotAChain,
 )
-from .geometry import Point2, Segment, arc_extent, dist
+from .geometry import Point2, Segment, arc_extent
 from .hinged import Cell, HingedChain, check_cell
 from .maze import GridMaze
 from .scene import VectorScene
@@ -110,6 +105,78 @@ def _tokenize(line: str) -> list[_Tok]:
     return toks
 
 
+# Token readers: each turns one argument token into a value, or raises a
+# ValueError whose message the parser reports at that token.
+
+def _number(text: str, convert=float):
+    try:
+        value = convert(text)
+    except ValueError:
+        kind = "integer" if convert is int else "number"
+        raise ValueError(f"expected {kind}, got {text!r}") from None
+    if not math.isfinite(float(text)):  # nan, inf, and overflowing values
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _integer(text: str) -> int:
+    return _number(text, int)
+
+
+def _angle(text: str) -> float:
+    value = _number(text)
+    if not 0.0 <= value <= 360.0:
+        raise ValueError(f"angle {value} outside [0, 360]")
+    return value
+
+
+def _belt_entry(text: str) -> tuple:
+    body, sign = text[:-1], text[-1:]
+    if sign not in "+-" or not body.isdecimal():
+        raise ValueError(f"belt entry must look like '3+' or '0-', got {text!r}")
+    return int(body), CCW if sign == "+" else CW
+
+
+def _hinge(text: str) -> tuple:
+    parts = text.split(":")
+    if len(parts) != 2 or any(p not in ("R", "P", "Q") for p in parts):
+        raise ValueError(f"hinge pattern token must look like 'Q:P', got {text!r}")
+    return parts[0], parts[1]
+
+
+def _strand(text: str) -> str:
+    return text if text.startswith("strand_") else f"strand_{text}"
+
+
+def _values(*values) -> tuple:
+    return values
+
+
+@dataclass(frozen=True)
+class Line:
+    """The grammar of one payload keyword's line.
+
+    usage   what the arguments should be, for the arity error; `{got}` is
+            replaced by the number of arguments given
+    args    one token reader per argument
+    key     where the built value goes: under `key` itself when it is the
+            keyword (one such line per glyph), appended to the list under
+            `key` otherwise, and None for the font's chain
+    build   the value from the read arguments; a FieldError is reported at
+            the argument of the field it names, any other ValueError at the
+            first argument
+    rest    token reader for one or more trailing arguments, or None
+    fields  the argument names a FieldError from `build` can name
+    """
+
+    usage: str
+    args: tuple
+    key: str | None
+    build: Callable = _values
+    rest: Callable | None = None
+    fields: tuple = ()
+
+
 class _Parser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
@@ -125,18 +192,6 @@ class _Parser:
 
     def error(self, line: int, col: int, msg: str) -> None:
         self.diags.append(ParseDiagnostic(line, col, msg))
-
-    def _num(self, tok: _Tok, line: int, integer: bool = False):
-        try:
-            value = int(tok.text) if integer else float(tok.text)
-        except ValueError:
-            kind = "integer" if integer else "number"
-            self.error(line, tok.col, f"expected {kind}, got {tok.text!r}")
-            return None
-        if not math.isfinite(float(tok.text)):  # nan, inf, and overflowing values
-            self.error(line, tok.col, f"expected a finite number, got {tok.text!r}")
-            return None
-        return value
 
     def finish_glyph(self) -> None:
         if self.cur_char is None:
@@ -161,13 +216,16 @@ class _Parser:
             if self.font_id is None and head.text != "font":
                 self.error(lineno, head.col, "file must start with a 'font <id> <version>' line")
                 return None, self.diags
-            handler = getattr(self, f"_kw_{head.text}", None)
-            if handler is None:
+            if head.text == "font":
+                self._kw_font(toks, lineno)
+            elif head.text == "glyph":
+                self._kw_glyph(toks, lineno)
+            elif head.text in _KEYWORD_KIND:
+                line = self._payload_guard(head, lineno)
+                if line is not None:
+                    self._payload_line(line, toks, lineno)
+            else:
                 self.error(lineno, head.col, f"unknown keyword {head.text!r}")
-                continue
-            if head.text in _KEYWORD_KIND and not self._payload_guard(head, lineno):
-                continue
-            handler(toks, lineno)
         self.finish_glyph()
         if self.font_id is None and not self.diags:
             self.error(1, 1, "file must start with a 'font <id> <version>' line")
@@ -175,8 +233,6 @@ class _Parser:
             return None, self.diags
         fd = FontData(self.font_id, self.version, self.glyphs, self.chain)
         return fd, self.diags
-
-    # keyword handlers ---------------------------------------------------
 
     def _kw_font(self, toks, lineno):
         if self.font_id is not None:
@@ -188,11 +244,12 @@ class _Parser:
         if toks[1].text not in KINDS:
             self.error(lineno, toks[1].col, f"unknown font id {toks[1].text!r}")
             return
-        version = self._num(toks[2], lineno, integer=True)
-        if version is None:
+        try:
+            self.version = _integer(toks[2].text)
+        except ValueError as exc:
+            self.error(lineno, toks[2].col, str(exc))
             return
         self.font_id = toks[1].text
-        self.version = version
 
     def _kw_glyph(self, toks, lineno):
         self.finish_glyph()
@@ -209,159 +266,53 @@ class _Parser:
         self.cur = {}
         self.cur_diag_mark = len(self.diags)
 
-    def _payload_guard(self, head: _Tok, lineno: int) -> bool:
+    def _payload_guard(self, head: _Tok, lineno: int) -> Line | None:
+        """The keyword's Line, or None after reporting why it may not stand here."""
         owner = _KEYWORD_KIND[head.text]
         if owner != self.font_id:
             self.error(lineno, head.col, f"{head.text!r} lines belong to the {owner} font")
-            return False
-        if self.cur_char is None and head.text != "chain":
-            self.error(lineno, head.col, f"{head.text!r} line outside any glyph")
-            return False
-        if head.text in self.cur:  # one-per-glyph keywords store under their own name
-            self.error(lineno, head.col, f"glyph already has a {head.text!r} line")
-            return False
-        return True
-
-    def _kw_angles(self, toks, lineno):
-        if len(toks) != 6:
-            self.error(lineno, toks[0].col, f"'angles' needs exactly 5 values, got {len(toks) - 1}")
-            return
-        vals = [self._num(t, lineno) for t in toks[1:]]
-        if any(v is None for v in vals):
-            return
-        for t, v in zip(toks[1:], vals):
-            if not 0.0 <= v <= 360.0:
-                self.error(lineno, t.col, f"angle {v} outside [0, 360]")
-                return
-        self.cur["angles"] = tuple(vals)
-
-    def _kw_vertex(self, toks, lineno):
-        if len(toks) != 3:
-            self.error(lineno, toks[0].col, "'vertex' needs x and y")
-            return
-        x = self._num(toks[1], lineno)
-        y = self._num(toks[2], lineno)
-        if x is None or y is None:
-            return
-        self.cur.setdefault("vertices", []).append(Point2(x, y))
-
-    def _kw_disk(self, toks, lineno):
-        if len(toks) != 3:
-            self.error(lineno, toks[0].col, "'disk' needs x and y")
-            return
-        x = self._num(toks[1], lineno)
-        y = self._num(toks[2], lineno)
-        if x is None or y is None:
-            return
-        self.cur.setdefault("disks", []).append(Point2(x, y))
-
-    def _kw_belt(self, toks, lineno):
-        if len(toks) < 2:
-            self.error(lineno, toks[0].col, "'belt' needs at least one winding entry")
-            return
-        winding = []
-        for t in toks[1:]:
-            body, sign = t.text[:-1], t.text[-1:]
-            if sign not in "+-" or not body.isdecimal():
-                self.error(lineno, t.col, f"belt entry must look like '3+' or '0-', got {t.text!r}")
-                return
-            winding.append((int(body), CCW if sign == "+" else CW))
-        self.cur["belt"] = tuple(winding)
-
-    def _kw_size(self, toks, lineno):
-        if len(toks) != 3:
-            self.error(lineno, toks[0].col, "'size' needs width and height")
-            return
-        w = self._num(toks[1], lineno, integer=True)
-        h = self._num(toks[2], lineno, integer=True)
-        if w is None or h is None:
-            return
-        self.cur["size"] = (w, h)
-
-    def _kw_wall(self, toks, lineno):
-        if len(toks) != 5:
-            self.error(lineno, toks[0].col, "'wall' needs x1 y1 x2 y2")
-            return
-        vals = [self._num(t, lineno, integer=True) for t in toks[1:]]
-        if any(v is None for v in vals):
-            return
-        self.cur.setdefault("walls", []).append(tuple(vals))
-
-    def _kw_chain(self, toks, lineno):
-        if self.chain is not None:
-            self.error(lineno, toks[0].col, "duplicate 'chain' line")
-            return
-        if len(toks) < 3:
-            self.error(lineno, toks[0].col,
-                       "'chain' needs a piece count and at least one exit:entry pattern")
-            return
-        n = self._num(toks[1], lineno, integer=True)
-        if n is None:
-            return
-        pattern = []
-        for t in toks[2:]:
-            parts = t.text.split(":")
-            if len(parts) != 2 or any(p not in ("R", "P", "Q") for p in parts):
-                self.error(lineno, t.col,
-                           f"hinge pattern token must look like 'Q:P', got {t.text!r}")
-                return
-            pattern.append((parts[0], parts[1]))
-        try:
-            self.chain = HingedChain.cyclic(n, pattern)
-        except ValueError as exc:
-            self.error(lineno, toks[1].col, str(exc))
-
-    def _kw_cell(self, toks, lineno):
-        if len(toks) != 5:
-            self.error(lineno, toks[0].col, "'cell' needs x y NE|NW first|second")
-            return
-        x = self._num(toks[1], lineno, integer=True)
-        y = self._num(toks[2], lineno, integer=True)
-        if x is None or y is None:
-            return
-        try:
-            cell = check_cell((x, y, toks[3].text, toks[4].text))
-        except FieldError as exc:
-            self.error(lineno, toks[1 + Cell._fields.index(exc.field)].col, str(exc))
-            return
-        self.cur.setdefault("cells", []).append(cell)
-
-    def _build(self, cls, toks, lineno, *args):
-        """cls(*args) from the line's arguments in field order; a range error
-        is reported at the token of the field it names, and gives None."""
-        try:
-            return cls(*args)
-        except FieldError as exc:
-            names = [f.name for f in fields(cls)]
-            self.error(lineno, toks[1 + names.index(exc.field)].col, str(exc))
             return None
+        line = KINDS[owner].keywords[head.text]
+        if line.key is None:
+            if self.chain is not None:
+                self.error(lineno, head.col, f"duplicate {head.text!r} line")
+                return None
+        elif self.cur_char is None:
+            self.error(lineno, head.col, f"{head.text!r} line outside any glyph")
+            return None
+        elif head.text in self.cur:  # one-per-glyph keywords store under their own name
+            self.error(lineno, head.col, f"glyph already has a {head.text!r} line")
+            return None
+        return line
 
-    def _kw_subcane(self, toks, lineno):
-        if len(toks) != 5:
-            self.error(lineno, toks[0].col, "'subcane' needs rho phi r color")
+    def _payload_line(self, line: Line, toks, lineno):
+        """Read, build and store one payload line; report each bad argument at its token."""
+        head, args = toks[0], toks[1:]
+        fixed = len(line.args)
+        if len(args) <= fixed if line.rest else len(args) != fixed:
+            self.error(lineno, head.col, f"{head.text!r} needs " + line.usage.format(got=len(args)))
             return
-        rho = self._num(toks[1], lineno)
-        phi = self._num(toks[2], lineno)
-        r = self._num(toks[3], lineno)
-        if rho is None or phi is None or r is None:
+        readers = line.args + (line.rest,) * (len(args) - fixed)
+        values = []
+        for read, tok in zip(readers, args):
+            try:
+                values.append(read(tok.text))
+            except ValueError as exc:
+                self.error(lineno, tok.col, str(exc))
+        if len(values) < len(args):
             return
-        color = toks[4].text
-        sub = self._build(Subcane, toks, lineno,
-                          rho, phi, r, color if color.startswith("strand_") else f"strand_{color}")
-        if sub is not None:
-            self.cur.setdefault("subcanes", []).append(sub)
-
-    def _kw_twist(self, toks, lineno):
-        if len(toks) != 3:
-            self.error(lineno, toks[0].col, "'twist' needs omega and length")
+        try:
+            value = line.build(*values)
+        except ValueError as exc:
+            at = line.fields.index(exc.field) if isinstance(exc, FieldError) else 0
+            self.error(lineno, args[at].col, str(exc))
             return
-        omega = self._num(toks[1], lineno)
-        length = self._num(toks[2], lineno)
-        if omega is None or length is None:
-            return
-        twist = self._build(TwistParams, toks, lineno, omega, length)
-        if twist is not None:
-            self.cur["twist"] = twist
+        if line.key is None:
+            self.chain = value
+        elif line.key == head.text:
+            self.cur[line.key] = value
+        else:
+            self.cur.setdefault(line.key, []).append(value)
 
 
 def parse(text: str) -> tuple[FontData | None, list[ParseDiagnostic]]:
@@ -424,8 +375,10 @@ def validate(fd: FontData) -> DataReport:
 class FontKind:
     """What the library knows about one font kind; `KINDS` holds one of each.
 
-    keywords                    payload keywords that belong to the kind
-    record(payload)             glyph record of one glyph's payload lines;
+    keywords                    {keyword: Line}, the grammar of each payload
+                                line the kind owns, and the payload key its
+                                value is stored under
+    record(payload)             glyph record of one glyph's payload values;
                                 ValueError when the payload is incomplete
     lines(rec)                  the payload lines `write` emits for a record
     check(fd, report)           add the per-glyph and cross-glyph issues
@@ -439,7 +392,7 @@ class FontKind:
     rebinding a module function, as a tracer does, reaches every call.
     """
 
-    keywords: tuple = ()
+    keywords: dict = {}
     decode = None
 
 
@@ -458,7 +411,10 @@ def _linkage_scene(glyph: linkage.LinkageGlyph) -> VectorScene:
 
 
 class _Linkage(FontKind):
-    keywords = ("angles", "vertex")
+    keywords = {
+        "angles": Line("exactly 5 values, got {got}", (_angle,) * 5, "angles"),
+        "vertex": Line("x and y", (_number, _number), "vertices", Point2),
+    }
 
     def record(self, payload):
         angles = payload.get("angles")
@@ -483,9 +439,10 @@ class _Linkage(FontKind):
                 except ValueError as exc:
                     report.add(f"glyph {char!r}: {exc}")
             else:
-                for i in range(6):
-                    if abs(dist(rec.vertices[i], rec.vertices[i + 1]) - 1.0) > 1e-6:
-                        report.add(f"glyph {char!r}: bar {i} is not unit length")
+                try:
+                    linkage.check_chain(rec.vertices)
+                except NotAChain as exc:
+                    report.add(f"glyph {char!r}: {exc}")
         for l1, l2 in linkage.LinkageFont(seqs).uniqueness_failures():
             report.add(f"letters {l1!r} and {l2!r} share a sequence up to reversal")
 
@@ -532,7 +489,10 @@ def _conveyer_scene(disks, belt) -> VectorScene:
 
 
 class _Conveyer(FontKind):
-    keywords = ("disk", "belt")
+    keywords = {
+        "disk": Line("x and y", (_number, _number), "disks", Point2),
+        "belt": Line("at least one winding entry", (), "belt", rest=_belt_entry),
+    }
 
     def record(self, payload):
         disks = tuple(payload.get("disks", ()))
@@ -610,7 +570,10 @@ class _Conveyer(FontKind):
 
 
 class _Maze(FontKind):
-    keywords = ("size", "wall")
+    keywords = {
+        "size": Line("width and height", (_integer, _integer), "size"),
+        "wall": Line("x1 y1 x2 y2", (_integer,) * 4, "walls"),
+    }
 
     def record(self, payload):
         if "size" not in payload:
@@ -642,7 +605,12 @@ class _Maze(FontKind):
 
 
 class _Hinged(FontKind):
-    keywords = ("chain", "cell")
+    keywords = {
+        "chain": Line("a piece count and at least one exit:entry pattern", (_integer,), None,
+                      lambda n, *pattern: HingedChain.cyclic(n, pattern), rest=_hinge),
+        "cell": Line("x y NE|NW first|second", (_integer, _integer, str, str), "cells",
+                     lambda *cell: check_cell(cell), fields=Cell._fields),
+    }
 
     def record(self, payload):
         cells = tuple(payload.get("cells", ()))
@@ -678,7 +646,12 @@ class _Hinged(FontKind):
 
 
 class _Cane(FontKind):
-    keywords = ("subcane", "twist")
+    keywords = {
+        "subcane": Line("rho phi r color", (_number, _number, _number, _strand), "subcanes",
+                        Subcane, fields=("rho", "phi", "radius", "color")),
+        "twist": Line("omega and length", (_number, _number), "twist",
+                      TwistParams, fields=("omega", "length")),
+    }
 
     def record(self, payload):
         if "twist" not in payload:

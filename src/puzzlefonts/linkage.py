@@ -39,6 +39,17 @@ def check_angle_sequence(angles) -> tuple:
     return seq
 
 
+def check_chain(vertices) -> tuple:
+    """The vertices as points, if they form a chain of 6 unit bars; else NotAChain."""
+    verts = tuple(Point2(*p) for p in vertices)
+    if len(verts) != 7:
+        raise NotAChain(f"expected 7 vertices, got {len(verts)}")
+    for i in range(6):
+        if abs(dist(verts[i], verts[i + 1]) - 1.0) > 1e-6:
+            raise NotAChain(f"bar {i} is not unit length")
+    return verts
+
+
 def check_choices(choices) -> tuple:
     ch = tuple(choices)
     if len(ch) != 5 or any(c not in (LEFT, RIGHT) for c in ch):
@@ -148,12 +159,7 @@ class LinkageFont:
 
     def decode(self, glyph) -> str:
         """Identify the letter of a realized chain, trying both directions."""
-        verts = glyph.vertices if isinstance(glyph, LinkageGlyph) else tuple(Point2(*p) for p in glyph)
-        if len(verts) != 7:
-            raise NotAChain(f"expected 7 vertices, got {len(verts)}")
-        for i in range(6):
-            if abs(dist(verts[i], verts[i + 1]) - 1.0) > 1e-6:
-                raise NotAChain(f"bar {i} is not unit length")
+        verts = check_chain(glyph.vertices if isinstance(glyph, LinkageGlyph) else glyph)
         measured = interior_angles(verts)
         matches = []
         for letter, seq in sorted(self.sequences.items()):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import EmptyScene
-from .geometry import CCW, Arc, Point2, arc_extent, point_on_circle
+from .geometry import CCW, Arc, Point2, arc_contains_angle, arc_extent, point_on_circle
 
 STYLE_CLASSES = frozenset({
     "boundary", "mountain", "valley", "belt", "disk", "wall",
@@ -134,7 +134,6 @@ class VectorScene:
                 ys.extend((prim.center.y - prim.radius, prim.center.y + prim.radius))
             else:
                 a = prim.arc
-                from .geometry import arc_contains_angle
                 probes = [a.start_angle, a.end_angle]
                 probes += [c for c in (0.0, 90.0, 180.0, 270.0) if arc_contains_angle(a, c)]
                 for ang in probes:
@@ -146,12 +145,14 @@ class VectorScene:
         return (min(xs), min(ys), max(xs), max(ys))
 
 
+SCALE = 40.0          # pixels per unit
+MARGIN = 0.6          # units of padding around the drawing
+BACKGROUND = "#ffffff"
+
+
 @dataclass(frozen=True)
 class SvgConfig:
-    scale: float = 40.0          # pixels per unit
-    margin: float = 0.6          # units of padding around the drawing
     allow_empty: bool = False
-    background: str | None = "#ffffff"
 
 
 def _fmt(value: float) -> str:
@@ -169,10 +170,9 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
                 'width="1" height="1" viewBox="0 0 1 1"></svg>\n')
 
     min_x, min_y, max_x, max_y = scene.bounds()
-    m = config.margin
-    width = (max_x - min_x + 2 * m) * config.scale
-    height = (max_y - min_y + 2 * m) * config.scale
-    s = config.scale
+    m, s = MARGIN, SCALE
+    width = (max_x - min_x + 2 * m) * s
+    height = (max_y - min_y + 2 * m) * s
 
     def tx(x: float) -> float:
         return (x - min_x + m) * s
@@ -183,10 +183,9 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
              f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
              f'width="{_fmt(width)}" height="{_fmt(height)}" '
-             f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n']
-    if config.background is not None:
-        parts.append(f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
-                     f'fill="{config.background}" stroke="none"/>\n')
+             f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n',
+             f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
+             f'fill="{BACKGROUND}" stroke="none"/>\n']
 
     for prim in scene.primitives:
         color, w, dash, fill = _STYLE_TABLE[prim.style]

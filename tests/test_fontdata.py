@@ -121,6 +121,26 @@ class TestParse:
         assert [(d.line, d.column) for d in diags] == [(line, 3)]
         assert f"glyph already has a {last.split()[0]!r} line" in diags[0].message
 
+    def test_repeated_chain_reported_at_its_keyword(self):
+        fd, diags = fontdata.parse("font hinged 1\nchain 8 Q:P\n  chain 8 Q:P\n")
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(3, 3)]
+        assert "duplicate 'chain' line" in diags[0].message
+
+    @pytest.mark.parametrize("text,positions,message", [
+        ("font conveyer 1\nglyph I\ndisk 0 0\ndisk 0 4\nbelt 0+ 1x 2y\n",
+         [(5, 9), (5, 12)], "belt entry must look like"),
+        ("font hinged 1\nchain 8 Q:P X:P R:Z\n", [(2, 13), (2, 17)],
+         "hinge pattern token must look like"),
+        ("font linkage 1\nglyph F\nangles 361 0 0 0 400\n", [(3, 8), (3, 18)],
+         "outside [0, 360]"),
+    ], ids=["belt", "chain", "angles"])
+    def test_every_bad_token_reported_at_its_column(self, text, positions, message):
+        fd, diags = fontdata.parse(text)
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == positions
+        assert all(message in d.message for d in diags)
+
     def test_wrong_font_keyword(self):
         fd, diags = fontdata.parse("font linkage 1\nglyph F\ndisk 0 0\n")
         assert fd is None and "belong to the conveyer font" in diags[0].message
