@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from puzzlefonts.errors import EmptyScene
-from puzzlefonts.geometry import CCW, Arc, Point2
+from puzzlefonts.geometry import CCW, CW, Arc, Point2
 from puzzlefonts.scene import SvgConfig, VectorScene, emit_svg
 
 
@@ -70,3 +70,44 @@ def test_translated_scene_preserves_structure():
     t = s.translated(5.0, -1.0)
     assert len(t.primitives) == len(s.primitives)
     assert t.style_classes() == s.style_classes()
+
+
+_STROKE = 'stroke-linecap="round" stroke-linejoin="round"'
+
+
+@pytest.mark.parametrize("build, element", [
+    (lambda s: s.add_polyline([(0, 0), (1, 0.5), (2, 0)], "valley"),
+     '<polyline points="24.000000,44.000000 64.000000,24.000000 104.000000,44.000000" '
+     f'fill="none" stroke="#2060b3" stroke-width="1.200000" {_STROKE} '
+     'stroke-dasharray="4.800000,3.200000"/>'),
+    (lambda s: s.add_circle((0.5, -0.25), 1.25, "envelope"),
+     '<circle cx="74.000000" cy="74.000000" r="50.000000" fill="none" '
+     f'stroke="#666666" stroke-width="1.000000" {_STROKE}/>'),
+    (lambda s: s.add_circle((0.5, -0.25), 1.25, "disk", filled=True),
+     '<circle cx="74.000000" cy="74.000000" r="50.000000" fill="#d9d9d9" '
+     f'stroke="#444444" stroke-width="1.200000" {_STROKE}/>'),
+    (lambda s: s.add_arc(Arc(Point2(0, 0), 1.5, 30.0, 300.0, CCW), "belt"),
+     '<path d="M 135.961524 54.000000 A 60.000000 60.000000 0 1 0 114.000000 135.961524" '
+     f'fill="none" stroke="#111111" stroke-width="2.000000" {_STROKE}/>'),
+    (lambda s: s.add_arc(Arc(Point2(1, 1), 0.75, 45.0, 315.0, CW), "belt"),
+     '<path d="M 24.000000 24.000000 A 30.000000 30.000000 0 0 1 24.000000 66.426407" '
+     f'fill="none" stroke="#111111" stroke-width="2.000000" {_STROKE}/>'),
+    (lambda s: s.add_polygon([(0, 0), (1, 0), (0.5, 1)], "piece"),
+     '<polygon points="24.000000,64.000000 64.000000,64.000000 44.000000,24.000000" '
+     f'fill="#e8d9a0" fill-opacity="0.55" stroke="#555555" stroke-width="0.600000" {_STROKE}/>'),
+], ids=["dashed-polyline", "unfilled-circle", "filled-circle", "ccw-large-arc", "cw-arc",
+        "polygon"])
+def test_primitive_element_bytes(build, element):
+    s = VectorScene()
+    build(s)
+    assert emit_svg(s).splitlines()[3:] == [element, "</svg>"]
+
+
+def test_bounds_cover_cw_arc_across_zero():
+    s = VectorScene()
+    s.add_arc(Arc(Point2(1, 2), 2.0, 30.0, 300.0, CW), "belt")
+    min_x, min_y, max_x, max_y = s.bounds()
+    assert max_x == pytest.approx(3.0)              # the 0 degree point
+    assert min_x == pytest.approx(2.0)              # the 300 degree end
+    assert max_y == pytest.approx(3.0)              # the 30 degree start
+    assert min_y == pytest.approx(2.0 - 3 ** 0.5)   # the 300 degree end
