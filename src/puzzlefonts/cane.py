@@ -124,6 +124,5 @@ def render_side(cs: CaneCrossSection, twist: TwistParams,
     segments.sort(key=lambda s: (s[0], s[1], s[2]))
     for (_depth, _idx, _k, sub, t0, x0, t1, x1) in segments:
         r = sub.radius
-        scene.add_polygon([(x0 - r, t0), (x0 + r, t0), (x1 + r, t1), (x1 - r, t1)],
-                          sub.color, filled=True)
+        scene.add_polygon([(x0 - r, t0), (x0 + r, t0), (x1 + r, t1), (x1 - r, t1)], sub.color)
     return scene

@@ -22,6 +22,7 @@ is one entry here plus its domain module.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -90,19 +91,11 @@ class _Tok:
         self.col = col
 
 
+_TOKEN = re.compile(r"\S+")
+
+
 def _tokenize(line: str) -> list[_Tok]:
-    toks = []
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(line) and not line[j].isspace():
-            j += 1
-        toks.append(_Tok(line[i:j], i + 1))
-        i = j
-    return toks
+    return [_Tok(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
 
 
 # Token readers: each turns one argument token into a value, or raises a
@@ -218,6 +211,8 @@ class _Parser:
                 return None, self.diags
             if head.text == "font":
                 self._kw_font(toks, lineno)
+                if self.font_id is None:  # no font kind to read the later lines by
+                    return None, self.diags
             elif head.text == "glyph":
                 self._kw_glyph(toks, lineno)
             elif head.text in _KEYWORD_KIND:
@@ -244,12 +239,11 @@ class _Parser:
         if toks[1].text not in KINDS:
             self.error(lineno, toks[1].col, f"unknown font id {toks[1].text!r}")
             return
+        self.font_id = toks[1].text
         try:
             self.version = _integer(toks[2].text)
         except ValueError as exc:
             self.error(lineno, toks[2].col, str(exc))
-            return
-        self.font_id = toks[1].text
 
     def _kw_glyph(self, toks, lineno):
         self.finish_glyph()

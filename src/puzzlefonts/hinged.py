@@ -322,7 +322,7 @@ def render_polyabolo(cells) -> VectorScene:
     scene = VectorScene()
     for c in sorted(set(check_cell(x) for x in cells)):
         tri = cell_triangle(c)
-        scene.add_polygon([tuple(map(float, v)) for v in tri], "piece", filled=True)
+        scene.add_polygon([tuple(map(float, v)) for v in tri], "piece")
     return scene
 
 
@@ -335,7 +335,7 @@ def render_chain_strip(chain: HingedChain) -> VectorScene:
         x0, x1 = k * h, (k + 1) * h
         apex_y = h / 2.0 if k % 2 == 0 else -h / 2.0
         tri = [(x0, 0.0), (x1, 0.0), ((x0 + x1) / 2.0, apex_y)]
-        scene.add_polygon(tri, "piece", filled=True)
+        scene.add_polygon(tri, "piece")
     for k in range(chain.n_pieces - 1):
         x = (k + 1) * h
         scene.add_circle((x, 0.0), 0.035, "hinge", filled=True)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InterfaceMismatch, Unsupported
+from .geometry import point_segment_distance
 from .scene import VectorScene
 
 MOUNTAIN = "M"
@@ -192,14 +193,6 @@ class FoldabilityReport:
         return [v for v in self.vertices if not v.ok]
 
 
-def _seg_point_dist(px, py, x1, y1, x2, y2) -> float:
-    vx, vy = x2 - x1, y2 - y1
-    denom = vx * vx + vy * vy
-    t = ((px - x1) * vx + (py - y1) * vy) / denom
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (x1 + t * vx), py - (y1 + t * vy))
-
-
 def _segment_intersections(c1, c2) -> list:
     """Intersection points of two crease segments (proper or touching)."""
     x1, y1, x2, y2, _ = c1
@@ -255,7 +248,7 @@ def check_flat_foldability_local(cp: CreasePattern) -> FoldabilityReport:
                 rays.append((math.degrees(math.atan2(y2 - py, x2 - px)) % 360.0, a))
             elif end2:
                 rays.append((math.degrees(math.atan2(y1 - py, x1 - px)) % 360.0, a))
-            elif _seg_point_dist(px, py, x1, y1, x2, y2) <= _PTOL:
+            elif point_segment_distance((px, py), (x1, y1), (x2, y2)) <= _PTOL:
                 rays.append((math.degrees(math.atan2(y2 - py, x2 - px)) % 360.0, a))
                 rays.append((math.degrees(math.atan2(y1 - py, x1 - px)) % 360.0, a))
         if not rays:

@@ -2,7 +2,8 @@
 
 A scene is an ordered list of primitives; order defines paint order.  Every
 primitive carries one stroke class from STYLE_CLASSES, so renderers stay
-decoupled from per-font styling.  Emission is byte-deterministic: fixed
+decoupled from per-font styling.  Each primitive maps, bounds and writes
+itself; polygons are always filled.  Emission is byte-deterministic: fixed
 6-decimal coordinate formatting, fixed attribute order, no timestamps.
 """
 
@@ -13,11 +14,9 @@ from dataclasses import dataclass, field
 from .errors import EmptyScene
 from .geometry import CCW, Arc, Point2, arc_contains_angle, arc_extent, point_on_circle
 
-STYLE_CLASSES = frozenset({
-    "boundary", "mountain", "valley", "belt", "disk", "wall",
-    "chain", "piece", "hinge", "envelope", "guide",
-    "strand_a", "strand_b", "strand_c", "strand_d", "strand_e", "strand_f",
-})
+SCALE = 40.0          # pixels per unit
+MARGIN = 0.6          # units of padding around the drawing
+BACKGROUND = "#ffffff"
 
 # class -> (stroke color, stroke width in units, dash pattern or None, fill)
 _STYLE_TABLE = {
@@ -39,6 +38,24 @@ _STYLE_TABLE = {
     "strand_e": ("#6a1fb3", 0.030, None, "#6a1fb3"),
     "strand_f": ("#0f8c8c", 0.030, None, "#0f8c8c"),
 }
+STYLE_CLASSES = frozenset(_STYLE_TABLE)
+
+
+def _fmt(value: float) -> str:
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
+def _paint(color: str, width: float, dash: str | None, fill: str) -> tuple[str, str]:
+    """A style's (fill, stroke attributes), formatted once at import."""
+    stroke = (f'stroke="{color}" stroke-width="{_fmt(width * SCALE)}" '
+              f'stroke-linecap="round" stroke-linejoin="round"')
+    if dash is not None:
+        stroke += ' stroke-dasharray="' + ",".join(_fmt(float(d) * SCALE) for d in dash.split(",")) + '"'
+    return fill, stroke
+
+
+_PAINT = {style: _paint(*spec) for style, spec in _STYLE_TABLE.items()}
 
 
 def _check_style(style: str) -> str:
@@ -51,8 +68,11 @@ def _map_points(points, s: float, dx: float, dy: float) -> tuple:
     return tuple([Point2(x * s + dx, y * s + dy) for x, y in points])
 
 
-# Each primitive's `mapped(s, dx, dy)` is the one affine map of the library:
-# every point p goes to (p.x * s + dx, p.y * s + dy) and every radius r to r * s.
+# Each primitive is the one place that knows its shape.  `mapped(s, dx, dy)` is
+# the one affine map of the library: every point p goes to (p.x * s + dx,
+# p.y * s + dy) and every radius r to r * s.  `box_points()` gives the points its
+# bounding box must cover; `svg_element(tx, ty)` writes its element through the
+# emitter's unit-to-pixel maps.
 
 @dataclass(frozen=True)
 class Polyline:
@@ -60,7 +80,25 @@ class Polyline:
     style: str
 
     def mapped(self, s: float, dx: float, dy: float) -> "Polyline":
-        return Polyline(_map_points(self.points, s, dx, dy), self.style)
+        return type(self)(_map_points(self.points, s, dx, dy), self.style)
+
+    def box_points(self) -> tuple:
+        return self.points
+
+    def _svg_points(self, tx, ty) -> str:
+        return " ".join(f"{_fmt(tx(p.x))},{_fmt(ty(p.y))}" for p in self.points)
+
+    def svg_element(self, tx, ty) -> str:
+        return f'<polyline points="{self._svg_points(tx, ty)}" fill="none" {_PAINT[self.style][1]}/>\n'
+
+
+class Polygon(Polyline):
+    """A closed polyline, always filled with its style's fill."""
+
+    def svg_element(self, tx, ty) -> str:
+        fill, stroke = _PAINT[self.style]
+        return (f'<polygon points="{self._svg_points(tx, ty)}" fill="{fill}" '
+                f'fill-opacity="0.55" {stroke}/>\n')
 
 
 @dataclass(frozen=True)
@@ -74,6 +112,15 @@ class Circle:
         c = self.center
         return Circle(Point2(c.x * s + dx, c.y * s + dy), self.radius * s, self.style, self.filled)
 
+    def box_points(self) -> tuple:
+        c, r = self.center, self.radius
+        return (Point2(c.x - r, c.y - r), Point2(c.x + r, c.y + r))
+
+    def svg_element(self, tx, ty) -> str:
+        fill, stroke = _PAINT[self.style]
+        return (f'<circle cx="{_fmt(tx(self.center.x))}" cy="{_fmt(ty(self.center.y))}" '
+                f'r="{_fmt(self.radius * SCALE)}" fill="{fill if self.filled else "none"}" {stroke}/>\n')
+
 
 @dataclass(frozen=True)
 class ArcShape:
@@ -85,15 +132,21 @@ class ArcShape:
         return ArcShape(Arc(Point2(a.center.x * s + dx, a.center.y * s + dy), a.radius * s,
                             a.start_angle, a.end_angle, a.orientation), self.style)
 
+    def box_points(self) -> list:
+        a = self.arc
+        probes = [a.start_angle, a.end_angle]
+        probes += [c for c in (0.0, 90.0, 180.0, 270.0) if arc_contains_angle(a, c)]
+        return [point_on_circle(a.center, a.radius, ang) for ang in probes]
 
-@dataclass(frozen=True)
-class Polygon:
-    points: tuple
-    style: str
-    filled: bool = True
-
-    def mapped(self, s: float, dx: float, dy: float) -> "Polygon":
-        return Polygon(_map_points(self.points, s, dx, dy), self.style, self.filled)
+    def svg_element(self, tx, ty) -> str:
+        a = self.arc
+        p0 = point_on_circle(a.center, a.radius, a.start_angle)
+        p1 = point_on_circle(a.center, a.radius, a.end_angle)
+        large = 1 if arc_extent(a) > 180.0 else 0
+        sweep = 0 if a.orientation == CCW else 1  # y-flip inverts handedness
+        r = _fmt(a.radius * SCALE)
+        return (f'<path d="M {_fmt(tx(p0.x))} {_fmt(ty(p0.y))} A {r} {r} 0 {large} {sweep} '
+                f'{_fmt(tx(p1.x))} {_fmt(ty(p1.y))}" fill="none" {_PAINT[self.style][1]}/>\n')
 
 
 @dataclass
@@ -109,8 +162,8 @@ class VectorScene:
     def add_arc(self, arc: Arc, style: str) -> None:
         self.primitives.append(ArcShape(arc, _check_style(style)))
 
-    def add_polygon(self, points, style: str, filled: bool = True) -> None:
-        self.primitives.append(Polygon(tuple(Point2(*p) for p in points), _check_style(style), filled))
+    def add_polygon(self, points, style: str) -> None:
+        self.primitives.append(Polygon(tuple(Point2(*p) for p in points), _check_style(style)))
 
     def extend(self, other: "VectorScene") -> None:
         self.primitives.extend(other.primitives)
@@ -123,41 +176,16 @@ class VectorScene:
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(min_x, min_y, max_x, max_y) over all primitives."""
-        xs: list[float] = []
-        ys: list[float] = []
-        for prim in self.primitives:
-            if isinstance(prim, (Polyline, Polygon)):
-                xs.extend(p.x for p in prim.points)
-                ys.extend(p.y for p in prim.points)
-            elif isinstance(prim, Circle):
-                xs.extend((prim.center.x - prim.radius, prim.center.x + prim.radius))
-                ys.extend((prim.center.y - prim.radius, prim.center.y + prim.radius))
-            else:
-                a = prim.arc
-                probes = [a.start_angle, a.end_angle]
-                probes += [c for c in (0.0, 90.0, 180.0, 270.0) if arc_contains_angle(a, c)]
-                for ang in probes:
-                    p = point_on_circle(a.center, a.radius, ang)
-                    xs.append(p.x)
-                    ys.append(p.y)
-        if not xs:
+        points = [p for prim in self.primitives for p in prim.box_points()]
+        if not points:
             return (0.0, 0.0, 0.0, 0.0)
+        xs, ys = zip(*points)
         return (min(xs), min(ys), max(xs), max(ys))
-
-
-SCALE = 40.0          # pixels per unit
-MARGIN = 0.6          # units of padding around the drawing
-BACKGROUND = "#ffffff"
 
 
 @dataclass(frozen=True)
 class SvgConfig:
     allow_empty: bool = False
-
-
-def _fmt(value: float) -> str:
-    text = f"{value:.6f}"
-    return "0.000000" if text == "-0.000000" else text
 
 
 def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
@@ -186,35 +214,6 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
              f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n',
              f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
              f'fill="{BACKGROUND}" stroke="none"/>\n']
-
-    for prim in scene.primitives:
-        color, w, dash, fill = _STYLE_TABLE[prim.style]
-        stroke_attrs = (f'stroke="{color}" stroke-width="{_fmt(w * s)}" '
-                        f'stroke-linecap="round" stroke-linejoin="round"')
-        if dash is not None:
-            dashes = ",".join(_fmt(float(d) * s) for d in dash.split(","))
-            stroke_attrs += f' stroke-dasharray="{dashes}"'
-        if isinstance(prim, Polyline):
-            pts = " ".join(f"{_fmt(tx(p.x))},{_fmt(ty(p.y))}" for p in prim.points)
-            parts.append(f'<polyline points="{pts}" fill="none" {stroke_attrs}/>\n')
-        elif isinstance(prim, Circle):
-            use_fill = fill if prim.filled else "none"
-            parts.append(f'<circle cx="{_fmt(tx(prim.center.x))}" cy="{_fmt(ty(prim.center.y))}" '
-                         f'r="{_fmt(prim.radius * s)}" fill="{use_fill}" {stroke_attrs}/>\n')
-        elif isinstance(prim, ArcShape):
-            a = prim.arc
-            ext = arc_extent(a)
-            p0 = point_on_circle(a.center, a.radius, a.start_angle)
-            p1 = point_on_circle(a.center, a.radius, a.end_angle)
-            large = 1 if ext > 180.0 else 0
-            sweep = 0 if a.orientation == CCW else 1  # y-flip inverts handedness
-            parts.append(f'<path d="M {_fmt(tx(p0.x))} {_fmt(ty(p0.y))} '
-                         f'A {_fmt(a.radius * s)} {_fmt(a.radius * s)} 0 {large} {sweep} '
-                         f'{_fmt(tx(p1.x))} {_fmt(ty(p1.y))}" fill="none" {stroke_attrs}/>\n')
-        else:
-            pts = " ".join(f"{_fmt(tx(p.x))},{_fmt(ty(p.y))}" for p in prim.points)
-            use_fill = fill if prim.filled else "none"
-            parts.append(f'<polygon points="{pts}" fill="{use_fill}" fill-opacity="0.55" {stroke_attrs}/>\n')
-
+    parts += [prim.svg_element(tx, ty) for prim in scene.primitives]
     parts.append("</svg>\n")
     return "".join(parts)

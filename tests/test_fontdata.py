@@ -141,6 +141,25 @@ class TestParse:
         assert [(d.line, d.column) for d in diags] == positions
         assert all(message in d.message for d in diags)
 
+    @pytest.mark.parametrize("text,diagnostics", [
+        ("font linkage x\nglyph F\nangles 1 2 3 4 400\n",
+         [(1, 14, "expected integer, got 'x'"), (3, 16, "angle 400.0 outside [0, 360]")]),
+        ("font foo 1\nglyph F\nangles 1 2 3 4 5\n", [(1, 6, "unknown font id 'foo'")]),
+        ("font linkage 1 2\nglyph F\n", [(1, 1, "'font' needs an id and a version")]),
+    ], ids=["bad-version", "unknown-id", "token-count"])
+    def test_rejected_header(self, text, diagnostics):
+        # a known id with a bad version still names the kind the later lines are read by;
+        # without a known id the header's own diagnostic is the only one
+        fd, diags = fontdata.parse(text)
+        assert fd is None
+        assert [(d.line, d.column, d.message) for d in diags] == diagnostics
+
+    @pytest.mark.parametrize("space", [" ", "\t", "\u3000"], ids=["space", "tab", "ideographic"])
+    def test_any_whitespace_separates_tokens(self, space):
+        fd, diags = fontdata.parse(f"font conveyer 1\nglyph{space}I\ndisk{space}0{space}oops\n")
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(3, 8)]
+
     def test_wrong_font_keyword(self):
         fd, diags = fontdata.parse("font linkage 1\nglyph F\ndisk 0 0\n")
         assert fd is None and "belong to the conveyer font" in diags[0].message
