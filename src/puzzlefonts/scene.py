@@ -64,10 +64,6 @@ def _check_style(style: str) -> str:
     return style
 
 
-def _map_points(points, s: float, dx: float, dy: float) -> tuple:
-    return tuple([Point2(x * s + dx, y * s + dy) for x, y in points])
-
-
 # Each primitive is the one place that knows its shape.  `mapped(s, dx, dy)` is
 # the one affine map of the library: every point p goes to (p.x * s + dx,
 # p.y * s + dy) and every radius r to r * s.  `box_points()` gives the points its
@@ -80,7 +76,7 @@ class Polyline:
     style: str
 
     def mapped(self, s: float, dx: float, dy: float) -> "Polyline":
-        return type(self)(_map_points(self.points, s, dx, dy), self.style)
+        return type(self)(tuple([Point2(x * s + dx, y * s + dy) for x, y in self.points]), self.style)
 
     def box_points(self) -> tuple:
         return self.points
