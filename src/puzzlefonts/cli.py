@@ -47,11 +47,10 @@ def cmd_typeset(args) -> int:
 
 def cmd_solve(args) -> int:
     puzzle_fd = fontdata.load_font_file(args.puzzle)
-    font_id = args.font or puzzle_fd.font_id
-    font_fd = _load_font(font_id, args.font_dir)
+    font_fd = _load_font(puzzle_fd.font_id, args.font_dir)
     outcome = solve_puzzle(font_fd, puzzle_fd)
     print(outcome.text)
-    if args.out and outcome.solution_scene is not None:
+    if args.out:
         _write_out(emit_svg(outcome.solution_scene, SvgConfig()), args.out)
     return 0
 
@@ -103,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="decode a puzzle file back to text")
     s.add_argument("puzzle", help="puzzle .pft file produced by typeset --puzzle-out")
-    s.add_argument("--font", default=None, choices=fontdata.FONT_IDS,
-                   help="override the font id named in the puzzle file")
     s.add_argument("--font-dir", default=None)
     s.add_argument("--out", default=None, help="solution SVG path")
     s.set_defaults(func=cmd_solve)

@@ -29,6 +29,8 @@ from .geometry import (
 # ten minutes or more of work.
 DEFAULT_BUDGET = 12_000_000
 
+FINGERPRINT_QUANTUM = 1e-6  # coordinate step of a configuration fingerprint
+
 
 def check_disk_set(centers) -> tuple:
     """The centers as points, if finite and more than 2 + TOL apart.
@@ -254,12 +256,13 @@ def solve_belt(centers, budget: int = DEFAULT_BUDGET) -> list[tuple]:
     return sorted(found)
 
 
-def fingerprint(centers, quantum: float = 1e-6) -> tuple:
+def fingerprint(centers) -> tuple:
     """Translation-normalized, sorted, quantized key of a disk configuration."""
     disks = check_disk_set(centers)
     min_x = min(p.x for p in disks)
     min_y = min(p.y for p in disks)
-    return tuple(sorted((round((p.x - min_x) / quantum), round((p.y - min_y) / quantum))
+    return tuple(sorted((round((p.x - min_x) / FINGERPRINT_QUANTUM),
+                         round((p.y - min_y) / FINGERPRINT_QUANTUM))
                         for p in disks))
 
 

@@ -379,8 +379,8 @@ class FontKind:
     render(fd, text, variant, seed)
                                 yield (scene, puzzle record or None) for
                                 each piece `typeset` lays out
-    decode(font_fd, puzzle_fd)  (text, solution scenes or None); None for
-                                the kinds without a machine solver
+    decode(font_fd, puzzle_fd)  the puzzle's text; None for the kinds
+                                without a machine solver
 
     Kinds call domain functions through their module (`cane.render_side`), so
     rebinding a module function, as a tracer does, reaches every call.
@@ -465,7 +465,7 @@ class _Linkage(FontKind):
                 raise NoSolution(f"puzzle glyph {key!r}: {exc}") from exc
             except AmbiguousMatch as exc:
                 raise AmbiguousSolution(f"puzzle glyph {key!r}: {exc}") from exc
-        return "".join(out), None
+        return "".join(out)
 
 
 def _conveyer_scene(disks, belt) -> VectorScene:
@@ -540,7 +540,7 @@ class _Conveyer(FontKind):
         for ch, rec in font_fd.glyphs.items():
             by_print.setdefault(conveyer.fingerprint(rec.disks), []).append(ch)
         has_belt: dict = {}
-        out, scenes = [], []
+        out = []
         for key in sorted(puzzle_fd.glyphs):
             rec = puzzle_fd.glyphs[key]
             try:
@@ -557,10 +557,7 @@ class _Conveyer(FontKind):
             if not has_belt[fp]:
                 raise NoSolution(f"puzzle glyph {key!r}: no valid belt exists")
             out.append(letters[0])
-            # the letter's belt indexes the letter's own disk order
-            letter = font_fd.glyphs[letters[0]]
-            scenes.append(_conveyer_scene(letter.disks, letter.belt))
-        return "".join(out), scenes
+        return "".join(out)
 
 
 class _Maze(FontKind):

@@ -20,6 +20,9 @@ TOL = 1e-9
 # carry rounded coordinates; constructed belts chain exactly).
 CHAIN_TOL = 1e-6
 
+# An angle this close outside an arc's span, in degrees, still counts as on it.
+ARC_SLACK_DEG = 1e-7
+
 CCW = 1
 CW = -1
 
@@ -140,14 +143,14 @@ def arc_end_point(arc: Arc) -> Point2:
     return point_on_circle(arc.center, arc.radius, arc.end_angle)
 
 
-def arc_contains_angle(arc: Arc, deg: float, slack_deg: float = 1e-7) -> bool:
+def arc_contains_angle(arc: Arc, deg: float) -> bool:
     """Whether a polar angle lies within the arc's swept span."""
     if arc.orientation == CCW:
         off = normalize_angle(deg - arc.start_angle)
     else:
         off = normalize_angle(arc.start_angle - deg)
     ext = arc_extent(arc)
-    return off <= ext + slack_deg or off >= 360.0 - slack_deg
+    return off <= ext + ARC_SLACK_DEG or off >= 360.0 - ARC_SLACK_DEG
 
 
 def arc_tangent_dir(arc: Arc, deg: float) -> Point2:

@@ -255,9 +255,9 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
         nonlocal nodes
         for i, corners in ranked:
             nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"fold search exceeded {budget} nodes")
-            if nodes > node_cap:
+            if nodes > node_cap:  # node_cap <= budget
+                if nodes > budget:
+                    raise BudgetExceeded(f"fold search exceeded {budget} nodes")
                 raise _Stop
             now_free = free & ~(1 << i)
             if k % 8 == 7 and not connected(now_free):
@@ -275,6 +275,8 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
         return False
 
     starts = [(i, corners) for i, s in enumerate(slots) for corners in _poses(s)]
+    # the second round caps each start at the whole budget, so it cannot stop
+    # early: it ends in a fold, in None, or in BudgetExceeded
     for round_cap in (budget // len(starts), budget):
         exhausted_everywhere = True
         for start in starts:
@@ -287,7 +289,6 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
                 exhausted_everywhere = False
         if exhausted_everywhere:
             return None  # every start ran to exhaustion within its cap
-    raise BudgetExceeded(f"fold search exceeded {budget} nodes")
 
 
 def verify_fold(chain: HingedChain, cells, assignment: FoldAssignment,

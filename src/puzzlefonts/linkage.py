@@ -25,8 +25,6 @@ RIGHT = "R"
 @dataclass(frozen=True)
 class LinkageGlyph:
     vertices: tuple
-    source_letter: str | None = None
-    choices: tuple | None = None
 
 
 def check_angle_sequence(angles) -> tuple:
@@ -57,8 +55,7 @@ def check_choices(choices) -> tuple:
     return ch
 
 
-def realize(seq, choices, origin=(0.0, 0.0), heading: float = 0.0,
-            letter: str | None = None) -> LinkageGlyph:
+def realize(seq, choices, origin=(0.0, 0.0), heading: float = 0.0) -> LinkageGlyph:
     """Place the chain: first bar starts at `origin` along `heading`.
 
     At joint i the interior angle equals seq[i]; choice 'L' puts the convex
@@ -75,7 +72,7 @@ def realize(seq, choices, origin=(0.0, 0.0), heading: float = 0.0,
         turn = 180.0 - theta
         h = h + (turn if c == LEFT else -turn)
         verts.append(add(verts[-1], unit_vector(h)))
-    return LinkageGlyph(tuple(verts), letter, ch)
+    return LinkageGlyph(tuple(verts))
 
 
 def interior_angles(vertices) -> list[float]:
@@ -179,11 +176,11 @@ class LinkageFont:
         seq = self.encode(letter)
         rng = random.Random(f"linkage:{letter}:{seed}")
         ch = tuple(LEFT if rng.random() < 0.5 else RIGHT for _ in range(5))
-        return realize(seq, ch, letter=letter)
+        return realize(seq, ch)
 
     def canonical_glyph(self, letter: str) -> LinkageGlyph:
         """The readable reference state (all convex sides left)."""
-        return realize(self.encode(letter), (LEFT,) * 5, letter=letter)
+        return realize(self.encode(letter), (LEFT,) * 5)
 
     def uniqueness_failures(self) -> list[tuple[str, str]]:
         """Letter pairs whose sequences collide up to reversal."""

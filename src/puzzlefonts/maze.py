@@ -240,17 +240,12 @@ def check_flat_foldability_local(cp: CreasePattern) -> FoldabilityReport:
             continue
         rays = []  # (angle degrees, assignment)
         for (x1, y1, x2, y2, a) in creases:
-            end1 = math.hypot(px - x1, py - y1) <= _PTOL
-            end2 = math.hypot(px - x2, py - y2) <= _PTOL
-            if end1 and end2:
+            if point_segment_distance((px, py), (x1, y1), (x2, y2)) > _PTOL:
                 continue
-            if end1:
-                rays.append((math.degrees(math.atan2(y2 - py, x2 - px)) % 360.0, a))
-            elif end2:
-                rays.append((math.degrees(math.atan2(y1 - py, x1 - px)) % 360.0, a))
-            elif point_segment_distance((px, py), (x1, y1), (x2, y2)) <= _PTOL:
-                rays.append((math.degrees(math.atan2(y2 - py, x2 - px)) % 360.0, a))
-                rays.append((math.degrees(math.atan2(y1 - py, x1 - px)) % 360.0, a))
+            # a ray toward each end of the crease that is not the point itself
+            for ex, ey in ((x2, y2), (x1, y1)):
+                if math.hypot(px - ex, py - ey) > _PTOL:
+                    rays.append((math.degrees(math.atan2(ey - py, ex - px)) % 360.0, a))
         if not rays:
             continue
         if len(rays) == 2 and rays[0][1] == rays[1][1] and \
@@ -274,61 +269,57 @@ def check_flat_foldability_local(cp: CreasePattern) -> FoldabilityReport:
 
 # -- composition ------------------------------------------------------------
 
-def edge_interface(cp: CreasePattern, which: str, quantum: float = 1e-6) -> tuple:
+_EDGES = {  # edge: (axis of the coordinate that is fixed on it, whether it is the far side)
+    "left": (0, False), "right": (0, True), "bottom": (1, False), "top": (1, True),
+}
+_INTERFACE_QUANTUM = 1e-6  # paper units per step of a seam coordinate
+
+
+def edge_interface(cp: CreasePattern, which: str) -> tuple:
     """Multiset of (coordinate, assignment) of crease endpoints on one edge.
 
     `which` is "left", "right", "top" or "bottom"; matching seam interfaces
     are the precondition for composing two patterns.
     """
-    hits = []
-    for (x1, y1, x2, y2, a) in cp.creases:
-        for (x, y) in ((x1, y1), (x2, y2)):
-            if which == "left" and abs(x) <= _PTOL:
-                hits.append((round(y / quantum), a))
-            elif which == "right" and abs(x - cp.paper_width) <= _PTOL:
-                hits.append((round(y / quantum), a))
-            elif which == "top" and abs(y - cp.paper_height) <= _PTOL:
-                hits.append((round(x / quantum), a))
-            elif which == "bottom" and abs(y) <= _PTOL:
-                hits.append((round(x / quantum), a))
-    return tuple(sorted(hits))
+    if which not in _EDGES:
+        raise ValueError(f"edge must be 'left', 'right', 'top' or 'bottom', got {which!r}")
+    axis, far = _EDGES[which]
+    at = (cp.paper_width, cp.paper_height)[axis] if far else 0.0
+    return tuple(sorted((round(p[1 - axis] / _INTERFACE_QUANTUM), a)
+                        for (x1, y1, x2, y2, a) in cp.creases for p in ((x1, y1), (x2, y2))
+                        if abs(p[axis] - at) <= _PTOL))
+
+
+_SEAMS = {  # side: (the paper extent both patterns share, cp_a's seam edge, cp_b's)
+    "right": ("height", "right", "left"), "below": ("width", "bottom", "top"),
+}
+
+
+def _shifted(creases, dx: float, dy: float) -> frozenset:
+    return frozenset(_make_crease(x1 + dx, y1 + dy, x2 + dx, y2 + dy, a)
+                     for (x1, y1, x2, y2, a) in creases)
 
 
 def compose(cp_a: CreasePattern, cp_b: CreasePattern, side: str = "right") -> CreasePattern:
     """Glue cp_b onto cp_a's right (or below); boundary interfaces must match."""
-    if side == "right":
-        if abs(cp_a.paper_height - cp_b.paper_height) > _PTOL:
-            raise InterfaceMismatch(
-                f"paper heights differ: {cp_a.paper_height} vs {cp_b.paper_height}")
-        ia = edge_interface(cp_a, "right")
-        ib = edge_interface(cp_b, "left")
-        if ia != ib:
-            delta = sorted(set(ia).symmetric_difference(ib))
-            raise InterfaceMismatch(f"seam interfaces disagree near {delta[0]}")
-        dx, dy = cp_a.paper_width, 0.0
-        w = cp_a.paper_width + cp_b.paper_width
-        hgt = cp_a.paper_height
-        shifted_a = cp_a.creases
-    elif side == "below":
-        if abs(cp_a.paper_width - cp_b.paper_width) > _PTOL:
-            raise InterfaceMismatch(
-                f"paper widths differ: {cp_a.paper_width} vs {cp_b.paper_width}")
-        ia = edge_interface(cp_a, "bottom")
-        ib = edge_interface(cp_b, "top")
-        if ia != ib:
-            delta = sorted(set(ia).symmetric_difference(ib))
-            raise InterfaceMismatch(f"seam interfaces disagree near {delta[0]}")
-        # lift cp_a above cp_b
-        dx, dy = 0.0, 0.0
-        w = cp_a.paper_width
-        hgt = cp_a.paper_height + cp_b.paper_height
-        shifted_a = frozenset(_make_crease(x1, y1 + cp_b.paper_height, x2, y2 + cp_b.paper_height, a)
-                              for (x1, y1, x2, y2, a) in cp_a.creases)
-    else:
+    if side not in _SEAMS:
         raise ValueError(f"side must be 'right' or 'below', got {side!r}")
-    moved_b = frozenset(_make_crease(x1 + dx, y1 + dy, x2 + dx, y2 + dy, a)
-                        for (x1, y1, x2, y2, a) in cp_b.creases)
-    return CreasePattern(float(w), float(hgt), frozenset(shifted_a) | moved_b)
+    extent, edge_a, edge_b = _SEAMS[side]
+    size_a, size_b = getattr(cp_a, "paper_" + extent), getattr(cp_b, "paper_" + extent)
+    if abs(size_a - size_b) > _PTOL:
+        raise InterfaceMismatch(f"paper {extent}s differ: {size_a} vs {size_b}")
+    ia = edge_interface(cp_a, edge_a)
+    ib = edge_interface(cp_b, edge_b)
+    if ia != ib:
+        delta = sorted(set(ia).symmetric_difference(ib))
+        raise InterfaceMismatch(f"seam interfaces disagree near {delta[0]}")
+    if side == "right":
+        w, hgt = cp_a.paper_width + cp_b.paper_width, cp_a.paper_height
+        creases_a, dx = cp_a.creases, cp_a.paper_width
+    else:  # lift cp_a above cp_b
+        w, hgt = cp_a.paper_width, cp_a.paper_height + cp_b.paper_height
+        creases_a, dx = _shifted(cp_a.creases, 0.0, cp_b.paper_height), 0.0
+    return CreasePattern(float(w), float(hgt), frozenset(creases_a) | _shifted(cp_b.creases, dx, 0.0))
 
 
 # -- rendering ---------------------------------------------------------------

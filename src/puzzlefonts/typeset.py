@@ -81,7 +81,7 @@ def _scaled(scene: VectorScene, scale: float) -> VectorScene:
 @dataclass(frozen=True)
 class SolveOutcome:
     text: str
-    solution_scene: VectorScene | None
+    solution_scene: VectorScene  # the text typeset in the font's solved variant
 
 
 def solve_puzzle(font_fd: FontData, puzzle_fd: FontData) -> SolveOutcome:
@@ -89,12 +89,13 @@ def solve_puzzle(font_fd: FontData, puzzle_fd: FontData) -> SolveOutcome:
 
     Conveyer puzzles are decoded by matching each disk configuration's
     fingerprint to a letter and searching its belt; linkage puzzles by
-    measuring joint angles.  Other fonts have no machine decoder.
+    measuring joint angles.  Other fonts have no machine decoder.  The
+    solution sheet is the decoded text typeset in the solved variant.
     """
     if puzzle_fd.font_id != font_fd.font_id:
         raise ValueError(f"puzzle is for font {puzzle_fd.font_id!r}, data is {font_fd.font_id!r}")
     kind = kind_of(font_fd.font_id)
     if kind.decode is None:
         raise PuzzleFontError(f"the {font_fd.font_id} font has no machine solver")
-    text, scenes = kind.decode(font_fd, puzzle_fd)
-    return SolveOutcome(text, None if scenes is None else _lay_out(scenes, DEFAULT_SPACING))
+    text = kind.decode(font_fd, puzzle_fd)
+    return SolveOutcome(text, typeset(font_fd, text).scene)

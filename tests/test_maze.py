@@ -225,6 +225,25 @@ class TestCompose:
         with pytest.raises(InterfaceMismatch):
             compose(a, b, "below")
 
+    def test_right_seam_interface_mismatch(self):
+        a = CreasePattern(2.0, 2.0, frozenset({(0.0, 1.0, 2.0, 1.0, MOUNTAIN)}))
+        b = CreasePattern(2.0, 2.0, frozenset())
+        with pytest.raises(InterfaceMismatch, match=r"seam interfaces disagree near \(1000000, 'M'\)"):
+            compose(a, b, "right")
+
+    def test_below_width_mismatch(self):
+        a = generate_crease_pattern(GridMaze.from_edges(2, 2, []), 1)
+        b = generate_crease_pattern(GridMaze.from_edges(3, 2, []), 1)
+        with pytest.raises(InterfaceMismatch, match="paper widths differ: 6.0 vs 9.0"):
+            compose(a, b, "below")
+
+
+def test_edge_interface_rejects_unknown_edge():
+    from puzzlefonts.maze import edge_interface
+    cp = generate_crease_pattern(GridMaze.from_edges(2, 2, [(1, 0, 1, 1)]), 1)
+    with pytest.raises(ValueError, match="'middle'"):
+        edge_interface(cp, "middle")
+
 
 def test_edge_interface_reports_boundary_endpoints():
     from puzzlefonts.maze import edge_interface

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -78,6 +80,20 @@ class TestSolvePuzzle:
         result = typeset(shipped["linkage"], "FUN", "puzzle", seed=7)
         outcome = solve_puzzle(shipped["linkage"], result.puzzle_data)
         assert outcome.text == "FUN"
+
+    def test_linkage_solution_sheet_is_the_solved_text(self, shipped):
+        font = shipped["linkage"]
+        puzzle = typeset(font, "FUN", "puzzle", seed=7).puzzle_data
+        sheet = solve_puzzle(font, puzzle).solution_scene
+        assert emit_svg(sheet) == emit_svg(typeset(font, "FUN").scene)
+
+    def test_no_belt_is_no_solution(self, shipped, monkeypatch):
+        from puzzlefonts import conveyer
+        monkeypatch.setattr(conveyer, "iter_belts", lambda disks: iter(()))
+        puzzle = typeset(shipped["conveyer"], "FUN", "puzzle").puzzle_data
+        with pytest.raises(NoSolution) as err:
+            solve_puzzle(shipped["conveyer"], puzzle)
+        assert str(err.value) == "puzzle glyph '0': no valid belt exists"
 
     def test_repeated_letters_cached(self, shipped):
         result = typeset(shipped["conveyer"], "OOO", "puzzle")
@@ -182,6 +198,30 @@ class TestCli:
                  "--out", str(tmp_path / "p.svg"), "--puzzle-out", str(puzzle)])
         assert run_cli(["solve", str(puzzle)]) == 0
         assert capsys.readouterr().out.strip() == "NUT"
+
+    def test_solve_out_writes_linkage_sheet(self, shipped, tmp_path, capsys):
+        puzzle, sheet = tmp_path / "p.pft", tmp_path / "s.svg"
+        run_cli(["typeset", "FUN", "--font", "linkage", "--variant", "puzzle", "--seed", "7",
+                 "--out", str(tmp_path / "p.svg"), "--puzzle-out", str(puzzle)])
+        assert run_cli(["solve", str(puzzle), "--out", str(sheet)]) == 0
+        assert capsys.readouterr().out.strip() == "FUN"
+        expected = emit_svg(typeset(shipped["linkage"], "FUN").scene, SvgConfig())
+        assert sheet.read_bytes() == expected.encode("utf-8")
+
+    def test_solve_out_writes_golden_conveyer_sheet(self, tmp_path, capsys):
+        puzzle, sheet = tmp_path / "p.pft", tmp_path / "s.svg"
+        run_cli(["typeset", "FUN", "--font", "conveyer", "--variant", "puzzle",
+                 "--out", str(tmp_path / "p.svg"), "--puzzle-out", str(puzzle)])
+        assert run_cli(["solve", str(puzzle), "--out", str(sheet)]) == 0
+        assert capsys.readouterr().out.strip() == "FUN"
+        # the hash of tests/test_golden.py::test_conveyer_solution_sheet
+        assert hashlib.sha256(sheet.read_bytes()).hexdigest() == \
+            "d630c95c2c371a9cd120679a3326f59151cd752ce5a04458ddc2cba2329b8b06"
+
+    def test_solve_takes_no_font_option(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(["solve", "--help"])
+        assert re.findall(r"--font\b(?!-)", capsys.readouterr().out) == []
 
     def test_validate_exit_codes(self, tmp_path, capsys):
         good = fontdata.find_font_file("linkage")
