@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import FieldError
-from .scene import VectorScene
+from .geometry import Point2
+from .scene import Polygon, VectorScene, check_style
 
 STRAND_STYLES = ("strand_a", "strand_b", "strand_c", "strand_d", "strand_e", "strand_f")
 MAX_LENGTH = 64.0  # side views take length * samples_per_unit samples per strand
@@ -112,17 +113,17 @@ def render_side(cs: CaneCrossSection, twist: TwistParams,
     scene = VectorScene()
     scene.add_polyline([(-1.0, 0.0), (-1.0, twist.length)], "envelope")
     scene.add_polyline([(1.0, 0.0), (1.0, twist.length)], "envelope")
-    # gather per-segment quads across all strands, sort far-to-near
+    # gather per-segment quads across all strands, sort far-to-near; the
+    # (depth, strand, segment) prefix is unique, so the quads are never compared
     segments = []
     for idx, rows in enumerate(sampled):
         sub = cs.subcanes[idx]
+        r, style = sub.radius, check_style(sub.color)
         for k in range(len(rows) - 1):
             t0, x0, d0 = rows[k]
             t1, x1, d1 = rows[k + 1]
-            depth = 0.5 * (d0 + d1)
-            segments.append((depth, idx, k, sub, t0, x0, t1, x1))
-    segments.sort(key=lambda s: (s[0], s[1], s[2]))
-    for (_depth, _idx, _k, sub, t0, x0, t1, x1) in segments:
-        r = sub.radius
-        scene.add_polygon([(x0 - r, t0), (x0 + r, t0), (x1 + r, t1), (x1 - r, t1)], sub.color)
+            quad = (Point2(x0 - r, t0), Point2(x0 + r, t0), Point2(x1 + r, t1), Point2(x1 - r, t1))
+            segments.append((0.5 * (d0 + d1), idx, k, Polygon(quad, style)))
+    segments.sort()
+    scene.primitives += [quad for _depth, _idx, _k, quad in segments]
     return scene

@@ -215,7 +215,7 @@ def check_flat_foldability_local(cp: CreasePattern) -> FoldabilityReport:
     A point where a single merged crease passes straight through is not a
     crease vertex and is skipped.
     """
-    creases = _merge_collinear(cp.creases)
+    creases = _merge_collinear(cp.sorted_creases())
     pts: dict = {}
 
     def key(p) -> tuple:

@@ -3,13 +3,18 @@
 A scene is an ordered list of primitives; order defines paint order.  Every
 primitive carries one stroke class from STYLE_CLASSES, so renderers stay
 decoupled from per-font styling.  Each primitive maps, bounds and writes
-itself; polygons are always filled.  Emission is byte-deterministic: fixed
-6-decimal coordinate formatting, fixed attribute order, no timestamps.
+itself; polygons are always filled.  Placing a scene is an offset, not a
+copy: `translated` keeps the primitives as they are and records the offset,
+which `bounds` and `emit_svg` apply to each stored coordinate, so a laid-out
+scene's primitives hold glyph-local coordinates.  Emission is
+byte-deterministic: fixed 6-decimal coordinate formatting, fixed attribute
+order, no timestamps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import EmptyScene
 from .geometry import CCW, Arc, Point2, arc_contains_angle, arc_extent, point_on_circle
@@ -58,7 +63,7 @@ def _paint(color: str, width: float, dash: str | None, fill: str) -> tuple[str, 
 _PAINT = {style: _paint(*spec) for style, spec in _STYLE_TABLE.items()}
 
 
-def _check_style(style: str) -> str:
+def check_style(style: str) -> str:
     if style not in STYLE_CLASSES:
         raise ValueError(f"unknown style class {style!r}")
     return style
@@ -66,9 +71,26 @@ def _check_style(style: str) -> str:
 
 # Each primitive is the one place that knows its shape.  `mapped(s, dx, dy)` is
 # the one affine map of the library: every point p goes to (p.x * s + dx,
-# p.y * s + dy) and every radius r to r * s.  `box_points()` gives the points its
-# bounding box must cover; `svg_element(tx, ty)` writes its element through the
-# emitter's unit-to-pixel maps.
+# p.y * s + dy) and every radius r to r * s.  For primitives moved by (dx, dy),
+# `svg_element(tx, ty, dx, dy)` writes one through the emitter's unit-to-pixel
+# maps, and each class's `group_box(prims, dx, dy)` gives the bounding box of a
+# run of its own primitives.  Both move coordinates in the order
+# `mapped(1.0, dx, dy)` does (the point or center first, then +- r or r * cos),
+# so what they give is bit for bit what the mapped copies would give.
+
+
+def _box(points) -> tuple:
+    xs, ys = zip(*points)
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+class _BoxPoints:
+    """Bounded by the moved points that `box_points(dx, dy)` gives."""
+
+    @staticmethod
+    def group_box(prims, dx: float, dy: float) -> tuple:
+        return _box([p for prim in prims for p in prim.box_points(dx, dy)])
+
 
 @dataclass(frozen=True)
 class Polyline:
@@ -78,27 +100,32 @@ class Polyline:
     def mapped(self, s: float, dx: float, dy: float) -> "Polyline":
         return type(self)(tuple([Point2(x * s + dx, y * s + dy) for x, y in self.points]), self.style)
 
-    def box_points(self) -> tuple:
-        return self.points
+    @staticmethod
+    def group_box(lines, dx: float, dy: float) -> tuple:
+        # rounding is monotone, so moving the extremes gives the extremes of
+        # the moved points without moving every point
+        min_x, min_y, max_x, max_y = _box([p for line in lines for p in line.points])
+        return (min_x + dx, min_y + dy, max_x + dx, max_y + dy)
 
-    def _svg_points(self, tx, ty) -> str:
-        return " ".join(f"{_fmt(tx(p.x))},{_fmt(ty(p.y))}" for p in self.points)
+    def _svg_points(self, tx, ty, dx: float, dy: float) -> str:
+        return " ".join(f"{_fmt(tx(x + dx))},{_fmt(ty(y + dy))}" for x, y in self.points)
 
-    def svg_element(self, tx, ty) -> str:
-        return f'<polyline points="{self._svg_points(tx, ty)}" fill="none" {_PAINT[self.style][1]}/>\n'
+    def svg_element(self, tx, ty, dx: float, dy: float) -> str:
+        return (f'<polyline points="{self._svg_points(tx, ty, dx, dy)}" fill="none" '
+                f'{_PAINT[self.style][1]}/>\n')
 
 
 class Polygon(Polyline):
     """A closed polyline, always filled with its style's fill."""
 
-    def svg_element(self, tx, ty) -> str:
+    def svg_element(self, tx, ty, dx: float, dy: float) -> str:
         fill, stroke = _PAINT[self.style]
-        return (f'<polygon points="{self._svg_points(tx, ty)}" fill="{fill}" '
+        return (f'<polygon points="{self._svg_points(tx, ty, dx, dy)}" fill="{fill}" '
                 f'fill-opacity="0.55" {stroke}/>\n')
 
 
 @dataclass(frozen=True)
-class Circle:
+class Circle(_BoxPoints):
     center: Point2
     radius: float
     style: str
@@ -108,18 +135,20 @@ class Circle:
         c = self.center
         return Circle(Point2(c.x * s + dx, c.y * s + dy), self.radius * s, self.style, self.filled)
 
-    def box_points(self) -> tuple:
-        c, r = self.center, self.radius
-        return (Point2(c.x - r, c.y - r), Point2(c.x + r, c.y + r))
+    def box_points(self, dx: float, dy: float) -> tuple:
+        cx, cy = self.center
+        cx, cy, r = cx + dx, cy + dy, self.radius
+        return ((cx - r, cy - r), (cx + r, cy + r))
 
-    def svg_element(self, tx, ty) -> str:
+    def svg_element(self, tx, ty, dx: float, dy: float) -> str:
+        cx, cy = self.center
         fill, stroke = _PAINT[self.style]
-        return (f'<circle cx="{_fmt(tx(self.center.x))}" cy="{_fmt(ty(self.center.y))}" '
+        return (f'<circle cx="{_fmt(tx(cx + dx))}" cy="{_fmt(ty(cy + dy))}" '
                 f'r="{_fmt(self.radius * SCALE)}" fill="{fill if self.filled else "none"}" {stroke}/>\n')
 
 
 @dataclass(frozen=True)
-class ArcShape:
+class ArcShape(_BoxPoints):
     arc: Arc
     style: str
 
@@ -128,16 +157,18 @@ class ArcShape:
         return ArcShape(Arc(Point2(a.center.x * s + dx, a.center.y * s + dy), a.radius * s,
                             a.start_angle, a.end_angle, a.orientation), self.style)
 
-    def box_points(self) -> list:
+    def box_points(self, dx: float, dy: float) -> list:
         a = self.arc
+        center = (a.center.x + dx, a.center.y + dy)
         probes = [a.start_angle, a.end_angle]
         probes += [c for c in (0.0, 90.0, 180.0, 270.0) if arc_contains_angle(a, c)]
-        return [point_on_circle(a.center, a.radius, ang) for ang in probes]
+        return [point_on_circle(center, a.radius, ang) for ang in probes]
 
-    def svg_element(self, tx, ty) -> str:
+    def svg_element(self, tx, ty, dx: float, dy: float) -> str:
         a = self.arc
-        p0 = point_on_circle(a.center, a.radius, a.start_angle)
-        p1 = point_on_circle(a.center, a.radius, a.end_angle)
+        center = (a.center.x + dx, a.center.y + dy)
+        p0 = point_on_circle(center, a.radius, a.start_angle)
+        p1 = point_on_circle(center, a.radius, a.end_angle)
         large = 1 if arc_extent(a) > 180.0 else 0
         sweep = 0 if a.orientation == CCW else 1  # y-flip inverts handedness
         r = _fmt(a.radius * SCALE)
@@ -148,35 +179,59 @@ class ArcShape:
 @dataclass
 class VectorScene:
     primitives: list = field(default_factory=list)
+    # one (end, dx, dy) per placed run: primitives[previous end:end] are drawn
+    # moved by (dx, dy); primitives after the last end are drawn where they are
+    offsets: list = field(default_factory=list, init=False)
 
     def add_polyline(self, points, style: str) -> None:
-        self.primitives.append(Polyline(tuple(Point2(*p) for p in points), _check_style(style)))
+        self.primitives.append(Polyline(tuple(Point2(*p) for p in points), check_style(style)))
 
     def add_circle(self, center, radius: float, style: str, filled: bool = False) -> None:
-        self.primitives.append(Circle(Point2(*center), float(radius), _check_style(style), filled))
+        self.primitives.append(Circle(Point2(*center), float(radius), check_style(style), filled))
 
     def add_arc(self, arc: Arc, style: str) -> None:
-        self.primitives.append(ArcShape(arc, _check_style(style)))
+        self.primitives.append(ArcShape(arc, check_style(style)))
 
     def add_polygon(self, points, style: str) -> None:
-        self.primitives.append(Polygon(tuple(Point2(*p) for p in points), _check_style(style)))
+        self.primitives.append(Polygon(tuple(Point2(*p) for p in points), check_style(style)))
 
     def extend(self, other: "VectorScene") -> None:
-        self.primitives.extend(other.primitives)
+        """Append `other`'s primitives, each keeping its offset."""
+        if other.offsets:
+            base = len(self.primitives)
+            if base > (self.offsets[-1][0] if self.offsets else 0):
+                self.offsets.append((base, 0.0, 0.0))  # the unplaced tail stays put
+            self.offsets += [(base + end, dx, dy) for end, dx, dy in other.offsets]
+        self.primitives += other.primitives
 
     def translated(self, dx: float, dy: float) -> "VectorScene":
-        return VectorScene([prim.mapped(1.0, dx, dy) for prim in self.primitives])
+        """The scene moved by (dx, dy): the same primitives, with the offset recorded."""
+        out = VectorScene()
+        for run_dx, run_dy, run in self.runs():
+            out.primitives += run
+            out.offsets.append((len(out.primitives), run_dx + dx, run_dy + dy))
+        return out
+
+    def runs(self):
+        """Each run of primitives in draw order, as (dx, dy, primitives)."""
+        start = 0
+        for end, dx, dy in self.offsets:
+            yield dx, dy, self.primitives[start:end]
+            start = end
+        if start < len(self.primitives):
+            yield 0.0, 0.0, self.primitives[start:]
 
     def style_classes(self) -> set:
         return {prim.style for prim in self.primitives}
 
     def bounds(self) -> tuple[float, float, float, float]:
-        """(min_x, min_y, max_x, max_y) over all primitives."""
-        points = [p for prim in self.primitives for p in prim.box_points()]
-        if not points:
+        """(min_x, min_y, max_x, max_y) over all primitives, as drawn."""
+        boxes = [kind.group_box(group, dx, dy)
+                 for dx, dy, run in self.runs() for kind, group in groupby(run, type)]
+        if not boxes:
             return (0.0, 0.0, 0.0, 0.0)
-        xs, ys = zip(*points)
-        return (min(xs), min(ys), max(xs), max(ys))
+        min_xs, min_ys, max_xs, max_ys = zip(*boxes)
+        return (min(min_xs), min(min_ys), max(max_xs), max(max_ys))
 
 
 @dataclass(frozen=True)
@@ -210,6 +265,6 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
              f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n',
              f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
              f'fill="{BACKGROUND}" stroke="none"/>\n']
-    parts += [prim.svg_element(tx, ty) for prim in scene.primitives]
+    parts += [prim.svg_element(tx, ty, dx, dy) for dx, dy, run in scene.runs() for prim in run]
     parts.append("</svg>\n")
     return "".join(parts)

@@ -6,6 +6,9 @@ variant renders what a reader must solve (disks only, crease pattern,
 unfolded chain, twisted side view, random flat states).  Each font kind in
 `fontdata.KINDS` renders and decodes its own glyphs; this module lays the
 pieces left to right, and the gap after a piece is `spacing` times its width.
+Placing a piece records its offset instead of copying its primitives, so a
+laid-out scene's primitives keep glyph-local coordinates (see `scene`); only
+a scale other than 1 maps them to new ones.
 """
 
 from __future__ import annotations
@@ -73,7 +76,10 @@ def _position_key(pos: int) -> str:
 
 
 def _scaled(scene: VectorScene, scale: float) -> VectorScene:
-    return scene if scale == 1.0 else VectorScene([p.mapped(scale, 0.0, 0.0) for p in scene.primitives])
+    if scale == 1.0:
+        return scene
+    return VectorScene([p.mapped(1.0, dx, dy).mapped(scale, 0.0, 0.0)
+                        for dx, dy, run in scene.runs() for p in run])
 
 
 # -- machine solving ------------------------------------------------------------

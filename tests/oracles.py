@@ -2,13 +2,15 @@
 
 Everything here is deliberately written from scratch against the definitions,
 not by calling the code under test: exact rational segment intersection,
-a naive belt-winding enumerator, and an exhaustive fold enumerator.
+a naive belt-winding enumerator, an exhaustive fold enumerator, and a layout
+that copies every primitive to its place.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
 from puzzlefonts.conveyer import CCW, CW, canonical_spec, validate_belt
+from puzzlefonts.scene import VectorScene
 
 
 def segments_properly_interact(a, b, c, d) -> bool:
@@ -121,3 +123,22 @@ def exhaustive_fold_exists(chain, slots_points) -> bool:
         return False
 
     return rec(0, set(), None)
+
+
+def copied_layout(scenes, spacing: float, scale: float = 1.0) -> VectorScene:
+    """Glyph scenes laid left to right by mapping a copy of every primitive.
+
+    The reference for placing by offset: the same rule as `typeset` (each
+    glyph's lowest point on y = 0, the next one after `spacing` times its
+    width, at least 0.5, then every point times `scale`), but every placed
+    primitive is a `mapped` copy, so the scene holds no offsets.
+    """
+    placed = []
+    cursor = 0.0
+    for scene in scenes:
+        min_x, min_y, max_x, _max_y = scene.bounds()
+        placed += [prim.mapped(1.0, cursor - min_x, -min_y) for prim in scene.primitives]
+        cursor += max(max_x - min_x, 0.5) * (1.0 + spacing)
+    if scale != 1.0:
+        placed = [prim.mapped(scale, 0.0, 0.0) for prim in placed]
+    return VectorScene(placed)

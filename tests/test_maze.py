@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import puzzlefonts
 from puzzlefonts.errors import InterfaceMismatch, Unsupported
 from puzzlefonts.maze import (
     MOUNTAIN, VALLEY, CreasePattern, GridMaze, check_flat_foldability_local,
@@ -178,6 +183,30 @@ class TestChecker:
         rep = check_flat_foldability_local(cp)
         assert len(rep.vertices) == 1  # only the true cross at (1, 1)
         assert rep.vertices[0].ok
+
+    def test_report_does_not_depend_on_the_hash_seed(self):
+        # crossing creases on thirds, whose intersection points come out a few
+        # ulps apart depending on which crease the checker meets first
+        program = (
+            "import random\n"
+            "from puzzlefonts.maze import CreasePattern, MOUNTAIN, VALLEY, check_flat_foldability_local\n"
+            "rng = random.Random(1)\n"
+            "for _ in range(40):\n"
+            "    creases = set()\n"
+            "    for _ in range(rng.randint(2, 6)):\n"
+            "        x1, y1, x2, y2 = (rng.randint(0, 3) / rng.choice((1, 3)) for _ in range(4))\n"
+            "        if (x1, y1) != (x2, y2):\n"
+            "            a, b = sorted([(x1, y1), (x2, y2)])\n"
+            "            creases.add((*a, *b, rng.choice((MOUNTAIN, VALLEY))))\n"
+            "    print(repr(check_flat_foldability_local(CreasePattern(3.0, 3.0, frozenset(creases)))))\n"
+        )
+        src = str(Path(puzzlefonts.__file__).resolve().parents[1])
+        reports = [subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                                  check=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                                   "PYTHONPATH": src}).stdout
+                   for seed in ("0", "1")]
+        assert "VertexCheck" in reports[0]
+        assert reports[0] == reports[1]
 
 
 class TestCompose:

@@ -2,6 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from puzzlefonts import scene
 from puzzlefonts.errors import EmptyScene
 from puzzlefonts.geometry import CCW, CW, Arc, Point2
 from puzzlefonts.scene import SvgConfig, VectorScene, emit_svg
@@ -70,6 +71,26 @@ def test_translated_scene_preserves_structure():
     t = s.translated(5.0, -1.0)
     assert len(t.primitives) == len(s.primitives)
     assert t.style_classes() == s.style_classes()
+
+
+@pytest.mark.parametrize("dx, dy", [(0.1, 1e-7), (1e-7, 0.1), (-3.3, 0.7)])
+def test_placed_scene_writes_its_mapped_copy(dx, dy, monkeypatch):
+    monkeypatch.setattr(scene, "_fmt", repr)  # every bit of every coordinate
+    glyph = scene_with_bits()
+    glyph.add_arc(Arc(Point2(1, 2), 2.0, 30.0, 300.0, CW), "belt")  # CW across 0 degrees
+    glyph.add_circle((0.3, 0.1), 0.4, "envelope")
+
+    def around(middle):
+        s = VectorScene()
+        s.add_circle((0, 0), 0.5, "guide")
+        s.extend(middle)
+        s.add_polyline([(0, 0), (0.7, -0.2)], "chain")
+        return s
+
+    placed = around(glyph.translated(dx, dy))
+    copied = around(VectorScene([prim.mapped(1.0, dx, dy) for prim in glyph.primitives]))
+    assert placed.bounds() == copied.bounds()
+    assert emit_svg(placed) == emit_svg(copied)
 
 
 _STROKE = 'stroke-linecap="round" stroke-linejoin="round"'

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from puzzlefonts import fontdata
+from oracles import copied_layout
+from puzzlefonts import fontdata, scene
 from puzzlefonts.cli import main
 from puzzlefonts.errors import UnknownCharacter
 from puzzlefonts.scene import SvgConfig, emit_svg
@@ -66,6 +68,27 @@ class TestTypeset:
         base = typeset(shipped["cane"], "I", "solved", scale=1.0).scene
         doubled = typeset(shipped["cane"], "I", "solved", scale=2.0).scene
         assert doubled.bounds()[2] == pytest.approx(2 * base.bounds()[2])
+
+    @pytest.mark.parametrize("font", fontdata.FONT_IDS)
+    @pytest.mark.parametrize("variant", ["solved", "puzzle"])
+    def test_layout_matches_copied_primitives(self, shipped, font, variant, monkeypatch):
+        monkeypatch.setattr(scene, "_fmt", repr)  # every bit of every coordinate
+        rng = random.Random(f"{font}:{variant}")
+        for spacing in (0.1, 0.5, 2.0):
+            for scale in (0.5, 1.0, 2.0):
+                text = "".join(rng.choice("FILNOTUZ") for _ in range(rng.randint(1, 4)))
+                seed = rng.randrange(2 ** 31)
+                got = typeset(shipped[font], text, variant, seed, spacing, scale).scene
+                glyphs = [s for s, _ in fontdata.kind_of(font).render(shipped[font], text, variant, seed)]
+                want = copied_layout(glyphs, spacing, scale)
+                assert got.bounds() == want.bounds(), (text, spacing, scale)
+                assert emit_svg(got) == emit_svg(want), (text, spacing, scale)
+
+    def test_placed_glyphs_are_not_copied(self, shipped, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a placed primitive was copied")
+        monkeypatch.setattr(scene.Polyline, "mapped", refuse)
+        typeset(shipped["cane"], "FILNOTUZFILNOTUZ", "puzzle", scale=1.0)
 
 
 class TestSolvePuzzle:
