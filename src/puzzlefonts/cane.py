@@ -6,8 +6,11 @@ Twisting at omega turns per unit length turns each off-axis strand into a
 helix; the side view projects strand centerlines to x(t) = rho*cos(2*pi*
 omega*t + phi) and draws each silhouette as the band x(t) +- r, depth-sorted
 per sample so nearer strands occlude farther ones.  The silhouette width is
-kept constant at r (the foreshortening of a tilted tube is not modeled); the
-decodable features are phase, amplitude, period and width.
+kept constant at r (the foreshortening of a tilted tube is not modeled).
+There is no decoder; the font validator tells glyphs apart by what they draw:
+each strand's offset, phase (an angle, so taken mod 360, and absent for a
+strand on the axis), radius and color, and the twist rate.  An untwisted
+strand draws only its offset rho*cos(phi).
 """
 
 from __future__ import annotations
@@ -91,13 +94,17 @@ def side_view_samples(cs: CaneCrossSection, twist: TwistParams,
     """Sampled strand data: per strand, a list of (t, x, depth)."""
     if samples_per_unit < 8:
         raise ValueError("samples_per_unit must be at least 8")
-    n = max(1, int(round(twist.length * samples_per_unit)))
+    length = twist.length
+    n = max(1, int(round(length * samples_per_unit)))
+    turn = 2.0 * math.pi * twist.omega
     out = []
     for sub in cs.subcanes:
+        rho, phase = sub.rho, math.radians(sub.phi)
         rows = []
         for k in range(n + 1):
-            t = twist.length * k / n
-            rows.append((t, strand_x(sub, twist.omega, t), strand_depth(sub, twist.omega, t)))
+            t = length * k / n
+            angle = turn * t + phase  # the angle of strand_x and strand_depth
+            rows.append((t, rho * math.cos(angle), rho * math.sin(angle)))
         out.append(rows)
     return out
 
@@ -114,16 +121,18 @@ def render_side(cs: CaneCrossSection, twist: TwistParams,
     scene.add_polyline([(-1.0, 0.0), (-1.0, twist.length)], "envelope")
     scene.add_polyline([(1.0, 0.0), (1.0, twist.length)], "envelope")
     # gather per-segment quads across all strands, sort far-to-near; the
-    # (depth, strand, segment) prefix is unique, so the quads are never compared
+    # (depth, strand, segment) prefix is unique, so the quads are never compared.
+    # The two quads that meet at a sample share its left and right corners.
     segments = []
     for idx, rows in enumerate(sampled):
         sub = cs.subcanes[idx]
         r, style = sub.radius, check_style(sub.color)
-        for k in range(len(rows) - 1):
-            t0, x0, d0 = rows[k]
-            t1, x1, d1 = rows[k + 1]
-            quad = (Point2(x0 - r, t0), Point2(x0 + r, t0), Point2(x1 + r, t1), Point2(x1 - r, t1))
-            segments.append((0.5 * (d0 + d1), idx, k, Polygon(quad, style)))
+        lefts = [Point2(x - r, t) for t, x, _d in rows]
+        rights = [Point2(x + r, t) for t, x, _d in rows]
+        depths = [d for _t, _x, d in rows]
+        segments += [(0.5 * (d0 + d1), idx, k, Polygon((l0, r0, r1, l1), style))
+                     for k, (l0, r0, r1, l1, d0, d1)
+                     in enumerate(zip(lefts, rights, rights[1:], lefts[1:], depths, depths[1:]))]
     segments.sort()
     scene.primitives += [quad for _depth, _idx, _k, quad in segments]
     return scene

@@ -655,11 +655,21 @@ class _Cane(FontKind):
             f"twist {_num_text(rec.twist.omega)} {_num_text(rec.twist.length)}"]
 
     def check(self, fd, report):
+        # glyphs are keyed by what they draw: a phase is an angle, a strand on
+        # the axis has none, and an untwisted strand shows only rho * cos(phi)
+        def drawn(sub, omega):
+            if omega == 0.0:
+                place = (round(sub.rho * math.cos(math.radians(sub.phi)), 9),)
+            elif round(sub.rho, 9) == 0.0:
+                place = (0.0,)
+            else:
+                place = (round(sub.rho, 9), round(sub.phi % 360.0, 9) % 360.0)
+            return place + (round(sub.radius, 9), sub.color)
+
         designs = {}
         for char, rec in sorted(fd.glyphs.items()):
-            key = tuple(sorted((round(s.rho, 9), round(s.phi, 9), round(s.radius, 9), s.color)
-                               for s in rec.cross_section.subcanes))
-            key = key + ((round(rec.twist.omega, 9),))
+            omega = round(rec.twist.omega, 9)
+            key = tuple(sorted(drawn(s, omega) for s in rec.cross_section.subcanes)) + (omega,)
             designs.setdefault(key, []).append(char)
         for chars in designs.values():
             if len(chars) > 1:

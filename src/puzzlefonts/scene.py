@@ -6,9 +6,11 @@ decoupled from per-font styling.  Each primitive maps, bounds and writes
 itself; polygons are always filled.  Placing a scene is an offset, not a
 copy: `translated` keeps the primitives as they are and records the offset,
 which `bounds` and `emit_svg` apply to each stored coordinate, so a laid-out
-scene's primitives hold glyph-local coordinates.  Emission is
-byte-deterministic: fixed 6-decimal coordinate formatting, fixed attribute
-order, no timestamps.
+scene's primitives hold glyph-local coordinates.  `emit_svg` passes one
+pixel frame to every primitive's `svg_element(frame, dx, dy)`.  Emission is
+byte-deterministic: every number is written in the one format `_COORD`
+(6 decimals, with -0 written 0.000000), fixed attribute order, no
+timestamps.
 """
 
 from __future__ import annotations
@@ -46,8 +48,11 @@ _STYLE_TABLE = {
 STYLE_CLASSES = frozenset(_STYLE_TABLE)
 
 
+_COORD = "%.6f"  # the one number format; a value that rounds to -0 is written 0.000000
+
+
 def _fmt(value: float) -> str:
-    text = f"{value:.6f}"
+    text = _COORD % value
     return "0.000000" if text == "-0.000000" else text
 
 
@@ -72,9 +77,11 @@ def check_style(style: str) -> str:
 # Each primitive is the one place that knows its shape.  `mapped(s, dx, dy)` is
 # the one affine map of the library: every point p goes to (p.x * s + dx,
 # p.y * s + dy) and every radius r to r * s.  For primitives moved by (dx, dy),
-# `svg_element(tx, ty, dx, dy)` writes one through the emitter's unit-to-pixel
-# maps, and each class's `group_box(prims, dx, dy)` gives the bounding box of a
-# run of its own primitives.  Both move coordinates in the order
+# `svg_element(frame, dx, dy)` writes one in the emitter's pixel frame
+# (min_x, max_y, margin, scale), where x goes to ((x + dx) - min_x + margin) *
+# scale and y to (max_y - (y + dy) + margin) * scale, each number in the one
+# format `_COORD`; each class's `group_box(prims, dx, dy)` gives the bounding
+# box of a run of its own primitives.  Both move coordinates in the order
 # `mapped(1.0, dx, dy)` does (the point or center first, then +- r or r * cos),
 # so what they give is bit for bit what the mapped copies would give.
 
@@ -107,20 +114,27 @@ class Polyline:
         min_x, min_y, max_x, max_y = _box([p for line in lines for p in line.points])
         return (min_x + dx, min_y + dy, max_x + dx, max_y + dy)
 
-    def _svg_points(self, tx, ty, dx: float, dy: float) -> str:
-        return " ".join(f"{_fmt(tx(x + dx))},{_fmt(ty(y + dy))}" for x, y in self.points)
+    def _svg_points(self, frame: tuple, dx: float, dy: float) -> str:
+        min_x, max_y, m, s = frame
+        coords = []
+        for x, y in self.points:
+            coords += (((x + dx) - min_x + m) * s, (max_y - (y + dy) + m) * s)
+        text = " ".join([_COORD + "," + _COORD] * len(self.points)) % tuple(coords)
+        # a "-" only ever starts a number, so this rewrites just the numbers
+        # that round to -0
+        return text.replace("-0.000000", "0.000000")
 
-    def svg_element(self, tx, ty, dx: float, dy: float) -> str:
-        return (f'<polyline points="{self._svg_points(tx, ty, dx, dy)}" fill="none" '
+    def svg_element(self, frame: tuple, dx: float, dy: float) -> str:
+        return (f'<polyline points="{self._svg_points(frame, dx, dy)}" fill="none" '
                 f'{_PAINT[self.style][1]}/>\n')
 
 
 class Polygon(Polyline):
     """A closed polyline, always filled with its style's fill."""
 
-    def svg_element(self, tx, ty, dx: float, dy: float) -> str:
+    def svg_element(self, frame: tuple, dx: float, dy: float) -> str:
         fill, stroke = _PAINT[self.style]
-        return (f'<polygon points="{self._svg_points(tx, ty, dx, dy)}" fill="{fill}" '
+        return (f'<polygon points="{self._svg_points(frame, dx, dy)}" fill="{fill}" '
                 f'fill-opacity="0.55" {stroke}/>\n')
 
 
@@ -140,11 +154,13 @@ class Circle(_BoxPoints):
         cx, cy, r = cx + dx, cy + dy, self.radius
         return ((cx - r, cy - r), (cx + r, cy + r))
 
-    def svg_element(self, tx, ty, dx: float, dy: float) -> str:
+    def svg_element(self, frame: tuple, dx: float, dy: float) -> str:
+        min_x, max_y, m, s = frame
         cx, cy = self.center
+        x, y = ((cx + dx) - min_x + m) * s, (max_y - (cy + dy) + m) * s
         fill, stroke = _PAINT[self.style]
-        return (f'<circle cx="{_fmt(tx(cx + dx))}" cy="{_fmt(ty(cy + dy))}" '
-                f'r="{_fmt(self.radius * SCALE)}" fill="{fill if self.filled else "none"}" {stroke}/>\n')
+        return (f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(self.radius * s)}" '
+                f'fill="{fill if self.filled else "none"}" {stroke}/>\n')
 
 
 @dataclass(frozen=True)
@@ -164,16 +180,19 @@ class ArcShape(_BoxPoints):
         probes += [c for c in (0.0, 90.0, 180.0, 270.0) if arc_contains_angle(a, c)]
         return [point_on_circle(center, a.radius, ang) for ang in probes]
 
-    def svg_element(self, tx, ty, dx: float, dy: float) -> str:
+    def svg_element(self, frame: tuple, dx: float, dy: float) -> str:
+        min_x, max_y, m, s = frame
         a = self.arc
         center = (a.center.x + dx, a.center.y + dy)
         p0 = point_on_circle(center, a.radius, a.start_angle)
         p1 = point_on_circle(center, a.radius, a.end_angle)
         large = 1 if arc_extent(a) > 180.0 else 0
         sweep = 0 if a.orientation == CCW else 1  # y-flip inverts handedness
-        r = _fmt(a.radius * SCALE)
-        return (f'<path d="M {_fmt(tx(p0.x))} {_fmt(ty(p0.y))} A {r} {r} 0 {large} {sweep} '
-                f'{_fmt(tx(p1.x))} {_fmt(ty(p1.y))}" fill="none" {_PAINT[self.style][1]}/>\n')
+        r = _fmt(a.radius * s)
+        return (f'<path d="M {_fmt((p0.x - min_x + m) * s)} {_fmt((max_y - p0.y + m) * s)} '
+                f'A {r} {r} 0 {large} {sweep} '
+                f'{_fmt((p1.x - min_x + m) * s)} {_fmt((max_y - p1.y + m) * s)}" '
+                f'fill="none" {_PAINT[self.style][1]}/>\n')
 
 
 @dataclass
@@ -252,12 +271,7 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
     m, s = MARGIN, SCALE
     width = (max_x - min_x + 2 * m) * s
     height = (max_y - min_y + 2 * m) * s
-
-    def tx(x: float) -> float:
-        return (x - min_x + m) * s
-
-    def ty(y: float) -> float:
-        return (max_y - y + m) * s  # flip: SVG y axis points down
+    frame = (min_x, max_y, m, s)  # y is flipped: the SVG y axis points down
 
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
              f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -265,6 +279,6 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
              f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n',
              f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
              f'fill="{BACKGROUND}" stroke="none"/>\n']
-    parts += [prim.svg_element(tx, ty, dx, dy) for dx, dy, run in scene.runs() for prim in run]
+    parts += [prim.svg_element(frame, dx, dy) for dx, dy, run in scene.runs() for prim in run]
     parts.append("</svg>\n")
     return "".join(parts)

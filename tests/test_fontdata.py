@@ -323,6 +323,20 @@ class TestValidate:
         rep = fontdata.validate(fd)
         assert any("indistinguishable" in i for i in rep.issues)
 
+    @pytest.mark.parametrize("first, second, twist, same", [
+        ("subcane 0 0 0.2 a", "subcane 0 90 0.2 a", "twist 0.5 4", True),
+        ("subcane 0.5 30 0.2 a", "subcane 0.5 390 0.2 a", "twist 0.5 4", True),
+        ("subcane 0.5 30 0.2 a", "subcane 0.5 330 0.2 a", "twist 0 4", True),
+        ("subcane 0.5 30 0.2 a", "subcane 0.5 330 0.2 a", "twist 0.5 4", False),
+        ("subcane 0.5 0 0.2 a", "subcane 0.5 180 0.2 a", "twist 0 4", False),
+    ], ids=["axis-phase", "phase-turn", "untwisted-mirror", "twisted-mirror",
+            "untwisted-opposite"])
+    def test_cane_glyphs_compared_by_what_they_draw(self, first, second, twist, same):
+        text = f"font cane 1\nglyph A\n{first}\n{twist}\nglyph B\n{second}\n{twist}\n"
+        fd, _ = fontdata.parse(text)
+        issues = fontdata.validate(fd).issues
+        assert issues == (["cane glyphs ['A', 'B'] are indistinguishable"] if same else [])
+
     def test_maze_mixed_heights_flagged(self):
         # the puzzle variant glues glyph sheets side by side
         text = "font maze 1\nglyph A\nsize 2 4\nglyph B\nsize 2 5\n"

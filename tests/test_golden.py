@@ -2,9 +2,10 @@
 
 Any change to one of these values is a change in output, not a refactor:
 every font in both variants, a scaled and respaced render (the only path
-that scales arcs), a conveyer solution sheet, the canonical writer on the
-shipped fonts and on both kinds of machine-readable puzzle, and the hinged
-chain's fold into the 4x4 square and the quick glyphs.
+that scales arcs), the 16-letter cane puzzle (the heaviest render), a
+conveyer solution sheet, the canonical writer on the shipped fonts and on
+both kinds of machine-readable puzzle, and the hinged chain's fold into the
+4x4 square and the quick glyphs.
 """
 
 import hashlib
@@ -72,6 +73,12 @@ def test_scaled_render_with_arcs(shipped):
     scene = typeset(shipped["conveyer"], TEXT, "solved", seed=7, spacing=0.25, scale=2.0).scene
     assert _sha(emit_svg(scene)) == \
         "3899306b0b62466408effc72c97fe726d3d81846ab06f5fbce13d2ed3162c4be"
+
+
+def test_sixteen_letter_cane_puzzle(shipped):
+    scene = typeset(shipped["cane"], "FILNOTUZZUTONLIF", "puzzle", seed=7).scene
+    assert _sha(emit_svg(scene)) == \
+        "0cf57e7e4aeec5ad41f9e14273e73680bb4795989781c0ac3b7f844648867f8f"
 
 
 def test_conveyer_solution_sheet(shipped):

@@ -74,11 +74,11 @@ def test_translated_scene_preserves_structure():
 
 
 @pytest.mark.parametrize("dx, dy", [(0.1, 1e-7), (1e-7, 0.1), (-3.3, 0.7)])
-def test_placed_scene_writes_its_mapped_copy(dx, dy, monkeypatch):
-    monkeypatch.setattr(scene, "_fmt", repr)  # every bit of every coordinate
+def test_placed_scene_writes_its_mapped_copy(dx, dy, full_precision):
     glyph = scene_with_bits()
     glyph.add_arc(Arc(Point2(1, 2), 2.0, 30.0, 300.0, CW), "belt")  # CW across 0 degrees
     glyph.add_circle((0.3, 0.1), 0.4, "envelope")
+    glyph.add_polyline([(1 / 3, 0.1), (0.7, 2 / 3)], "guide")  # more than 6 decimals
 
     def around(middle):
         s = VectorScene()
@@ -90,7 +90,9 @@ def test_placed_scene_writes_its_mapped_copy(dx, dy, monkeypatch):
     placed = around(glyph.translated(dx, dy))
     copied = around(VectorScene([prim.mapped(1.0, dx, dy) for prim in glyph.primitives]))
     assert placed.bounds() == copied.bounds()
-    assert emit_svg(placed) == emit_svg(copied)
+    svg = emit_svg(placed)
+    assert svg == emit_svg(copied)
+    assert any(len(decimals) > 6 for decimals in full_precision(svg))
 
 
 _STROKE = 'stroke-linecap="round" stroke-linejoin="round"'
@@ -122,6 +124,47 @@ def test_primitive_element_bytes(build, element):
     s = VectorScene()
     build(s)
     assert emit_svg(s).splitlines()[3:] == [element, "</svg>"]
+
+
+# With a margin of -20 and a scale of 1, a point (x, y) of a scene spanning
+# [0, 30] x [0, 30] is written at (x - 20, 10 - y); with the shipped positive
+# margin no coordinate is ever negative.  19.9999996 and 10.0000004 land at
+# about -4e-7, which rounds to -0.000000 and must be written 0.000000, while
+# -0.000001 and -10.000000 keep their sign.
+_SIGNED = [(0, 30), (19.9999996, 10.0000004), (19.999999, 10.000001), (10, 20), (30, 0)]
+_SIGNED_POINTS = ('points="-20.000000,-20.000000 0.000000,0.000000 -0.000001,-0.000001 '
+                  '-10.000000,-10.000000 10.000000,10.000000"')
+_FRAME = [(0, 30), (30, 0)]
+
+
+@pytest.mark.parametrize("build, element", [
+    (lambda s: s.add_polyline(_SIGNED, "chain"),
+     f'<polyline {_SIGNED_POINTS} fill="none" stroke="#333333" stroke-width="0.800000" {_STROKE}/>'),
+    (lambda s: s.add_polygon(_SIGNED, "chain"),
+     f'<polygon {_SIGNED_POINTS} fill="none" fill-opacity="0.55" stroke="#333333" '
+     f'stroke-width="0.800000" {_STROKE}/>'),
+    (lambda s: s.add_circle((19.9999996, 10.0000004), 1.0, "disk"),
+     '<circle cx="0.000000" cy="0.000000" r="1.000000" fill="none" '
+     f'stroke="#444444" stroke-width="1.200000" {_STROKE}/>'),
+    (lambda s: s.add_circle((19.999999, 20), 1.0, "disk"),
+     '<circle cx="-0.000001" cy="-10.000000" r="1.000000" fill="none" '
+     f'stroke="#444444" stroke-width="1.200000" {_STROKE}/>'),
+    (lambda s: s.add_arc(Arc(Point2(10, 10.0000004), 9.9999996, 0.0, 90.0, CCW), "belt"),
+     '<path d="M 0.000000 0.000000 A 10.000000 10.000000 0 0 0 -10.000000 -10.000000" '
+     f'fill="none" stroke="#111111" stroke-width="2.000000" {_STROKE}/>'),
+    (lambda s: s.add_arc(Arc(Point2(10, 10.000001), 9.999999, 0.0, 90.0, CCW), "belt"),
+     '<path d="M -0.000001 -0.000001 A 9.999999 9.999999 0 0 0 -10.000000 -10.000000" '
+     f'fill="none" stroke="#111111" stroke-width="2.000000" {_STROKE}/>'),
+], ids=["polyline", "polygon", "circle-zero", "circle-signed", "arc-zero", "arc-signed"])
+def test_negative_zero_written_unsigned(build, element, monkeypatch):
+    assert "%.6f" % (19.9999996 - 20.0) == "-0.000000"
+    assert "%.6f" % (30.0 - 10.0000004 - 20.0) == "-0.000000"
+    monkeypatch.setattr(scene, "MARGIN", -20.0)
+    monkeypatch.setattr(scene, "SCALE", 1.0)
+    s = VectorScene()
+    s.add_polyline(_FRAME, "guide")
+    build(s)
+    assert emit_svg(s).splitlines()[4:] == [element, "</svg>"]
 
 
 def test_bounds_cover_cw_arc_across_zero():
