@@ -33,14 +33,6 @@ class NotAChain(PuzzleFontError):
     """Polyline is not a valid unit-bar chain."""
 
 
-class NoMatch(PuzzleFontError):
-    """Measured angles match no letter in the font data."""
-
-
-class AmbiguousMatch(PuzzleFontError):
-    """Measured angles match several letters; the font data is corrupt."""
-
-
 class InvalidSpec(PuzzleFontError):
     """Belt winding specification is malformed for the disk set."""
 

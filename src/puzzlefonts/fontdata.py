@@ -15,8 +15,8 @@ generic reader, so it knows only `font` and `glyph` itself.
 `KINDS` has one entry per font id and is the one place that knows a font
 kind: its payload line grammar, how its glyph records are built, written and
 validated, how its glyphs render in the solved and puzzle variants, and how
-its puzzles decode back to text where a machine solver exists.  A new font
-is one entry here plus its domain module.
+one puzzle glyph reads back as a letter where a machine solver exists.  A new
+font is one entry here plus its domain module.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from . import cane, conveyer, hinged, linkage, maze
 from .cane import CaneCrossSection, Subcane, TwistParams
 from .conveyer import CCW, CW
 from .errors import (
-    AmbiguousMatch, AmbiguousSolution, FieldError, InvalidSpec, MissingFontFile, NoMatch,
-    NoSolution, NotAChain,
+    AmbiguousSolution, FieldError, InvalidSpec, MissingFontFile, NoSolution, NotAChain,
 )
 from .geometry import Point2, Segment, arc_extent
 from .hinged import Cell, HingedChain, check_cell
@@ -379,15 +378,16 @@ class FontKind:
     render(fd, text, variant, seed)
                                 yield (scene, puzzle record or None) for
                                 each piece `typeset` lays out
-    decode(font_fd, puzzle_fd)  the puzzle's text; None for the kinds
-                                without a machine solver
+    reader(font_fd)             read(record) -> letter of one puzzle glyph,
+                                or NoSolution, AmbiguousSolution, NotAChain;
+                                None for the kinds without a machine solver
 
     Kinds call domain functions through their module (`cane.render_side`), so
     rebinding a module function, as a tracer does, reaches every call.
     """
 
     keywords: dict = {}
-    decode = None
+    reader = None
 
 
 def linkage_font_of(fd: FontData) -> linkage.LinkageFont:
@@ -438,7 +438,7 @@ class _Linkage(FontKind):
                 except NotAChain as exc:
                     report.add(f"glyph {char!r}: {exc}")
         for l1, l2 in linkage.LinkageFont(seqs).uniqueness_failures():
-            report.add(f"letters {l1!r} and {l2!r} share a sequence up to reversal")
+            report.add(f"letters {l1!r} and {l2!r} read as the same chain up to reversal")
 
     def render(self, fd, text, variant, seed):
         font = linkage_font_of(fd)
@@ -449,23 +449,15 @@ class _Linkage(FontKind):
             else:
                 yield _linkage_scene(font.canonical_glyph(ch)), None
 
-    def decode(self, font_fd, puzzle_fd):
-        """Measure each chain's joint angles and look the sequence up."""
+    def reader(self, font_fd):
+        """Measure a chain's joint angles and look the sequence up."""
         font = linkage_font_of(font_fd)
-        out = []
-        for key in sorted(puzzle_fd.glyphs):
-            rec = puzzle_fd.glyphs[key]
+
+        def read(rec):
             if rec.vertices is None:
-                raise NoSolution(f"puzzle glyph {key!r} has no vertex chain")
-            try:
-                out.append(font.decode(rec.vertices))
-            except NotAChain as exc:
-                raise NotAChain(f"puzzle glyph {key!r}: {exc}") from exc
-            except NoMatch as exc:
-                raise NoSolution(f"puzzle glyph {key!r}: {exc}") from exc
-            except AmbiguousMatch as exc:
-                raise AmbiguousSolution(f"puzzle glyph {key!r}: {exc}") from exc
-        return "".join(out)
+                raise NoSolution("has no vertex chain")
+            return font.decode(rec.vertices)
+        return read
 
 
 def _conveyer_scene(disks, belt) -> VectorScene:
@@ -529,35 +521,34 @@ class _Conveyer(FontKind):
             else:
                 yield _conveyer_scene(rec.disks, rec.belt), None
 
-    def decode(self, font_fd, puzzle_fd):
-        """Match each disk configuration's fingerprint to a letter, then search its belt.
+    def reader(self, font_fd):
+        """Match a disk configuration's fingerprint to a letter, then search its belt.
 
         The search takes the first belt it finds: a letter needs only one.  A
-        configuration is searched once per call, however often it repeats,
+        configuration is searched once per reader, however often it repeats,
         and only after it has matched a letter.
         """
         by_print: dict = {}
         for ch, rec in font_fd.glyphs.items():
             by_print.setdefault(conveyer.fingerprint(rec.disks), []).append(ch)
         has_belt: dict = {}
-        out = []
-        for key in sorted(puzzle_fd.glyphs):
-            rec = puzzle_fd.glyphs[key]
+
+        def read(rec):
             try:
                 fp = conveyer.fingerprint(rec.disks)
             except ValueError as exc:
-                raise NoSolution(f"puzzle glyph {key!r}: {exc}") from exc
+                raise NoSolution(str(exc)) from exc
             letters = by_print.get(fp, [])
             if not letters:
-                raise NoSolution(f"puzzle glyph {key!r}: configuration matches no letter")
+                raise NoSolution("configuration matches no letter")
             if len(letters) > 1:
-                raise AmbiguousSolution(f"puzzle glyph {key!r} matches letters {letters}")
+                raise AmbiguousSolution(f"matches letters {letters}")
             if fp not in has_belt:
                 has_belt[fp] = next(conveyer.iter_belts(rec.disks), None) is not None
             if not has_belt[fp]:
-                raise NoSolution(f"puzzle glyph {key!r}: no valid belt exists")
-            out.append(letters[0])
-        return "".join(out)
+                raise NoSolution("no valid belt exists")
+            return letters[0]
+        return read
 
 
 class _Maze(FontKind):

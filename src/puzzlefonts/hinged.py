@@ -27,6 +27,9 @@ HALVES = ("first", "second")
 CORNERS = ("R", "P", "Q")  # right angle, then the two acute (hypotenuse) corners
 
 DEFAULT_BUDGET = 10_000_000
+# Nodes per start in the fold search's first round, fixed so the fold found
+# does not depend on the budget: 1M // 256 starts; winning starts need <= 2,738.
+FIRST_ROUND_CAP = 3_906
 
 
 class Cell(NamedTuple):
@@ -205,14 +208,14 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
     put piece corner ``c`` on a point, and a bitmask per point holds the
     slots with a corner there.  Placements are tried most-constrained-first
     (fewest free slots touching the exit corner) with slot order breaking
-    ties, so the first assignment found is canonical for its budget (which
-    sets the restart caps) and runs are reproducible.  Every 8th placement
-    the search prunes when the free slots fall apart into disconnected
-    contact components, a flood fill over per-slot neighbour bitmasks.  It
-    rotates through the possible first placements under per-restart node
-    caps before burning the whole budget depth-first.  Returns None only
-    when the space is provably exhausted; raises BudgetExceeded when the
-    node budget runs out first.
+    ties, so runs are reproducible.  Every 8th placement the search prunes
+    when the free slots fall apart into disconnected contact components, a
+    flood fill over per-slot neighbour bitmasks.  It rotates through the
+    possible first placements, each capped at FIRST_ROUND_CAP nodes, before
+    burning the whole budget depth-first.  The budget only bounds the
+    search: every budget that reaches a fold returns the same one.  Returns
+    None only when the space is provably exhausted; raises BudgetExceeded
+    when the node budget runs out first.
     """
     slots = refine(cells, expected_cells)
     n = len(slots)
@@ -277,10 +280,10 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
     starts = [(i, corners) for i, s in enumerate(slots) for corners in _poses(s)]
     # the second round caps each start at the whole budget, so it cannot stop
     # early: it ends in a fold, in None, or in BudgetExceeded
-    for round_cap in (budget // len(starts), budget):
+    for round_cap in (FIRST_ROUND_CAP, budget):
         exhausted_everywhere = True
         for start in starts:
-            node_cap = min(budget, nodes + max(round_cap, 1))
+            node_cap = min(budget, nodes + round_cap)
             placements.clear()
             try:
                 if extend(0, (1 << n) - 1, [start]):

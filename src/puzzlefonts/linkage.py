@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import AmbiguousMatch, NoMatch, NotAChain, UnknownLetter
+from .errors import AmbiguousSolution, NoSolution, NotAChain, UnknownLetter
 from .geometry import Point2, add, angle_of, dist, dot, sub, unit_vector
 
 ANGLE_ATOL = 1e-6  # degrees; realization round-trips are far tighter
@@ -96,6 +96,14 @@ def _fold(angle: float) -> float:
     return min(angle, 360.0 - angle)
 
 
+def _reads_as(measured, seq) -> bool:
+    """Measured angles read as the letter `seq`: its folded angles within
+    ANGLE_ATOL, forward or reversed.  Decoding and the validator share it."""
+    folded = [_fold(a) for a in seq]
+    return any(all(abs(m - a) <= ANGLE_ATOL for m, a in zip(measured, cand))
+               for cand in (folded, folded[::-1]))
+
+
 def _canonical_vertices(vertices) -> tuple:
     """Translate the first vertex to the origin, rotate bar 1 onto +x."""
     v0 = vertices[0]
@@ -158,17 +166,12 @@ class LinkageFont:
         """Identify the letter of a realized chain, trying both directions."""
         verts = check_chain(glyph.vertices if isinstance(glyph, LinkageGlyph) else glyph)
         measured = interior_angles(verts)
-        matches = []
-        for letter, seq in sorted(self.sequences.items()):
-            folded = [_fold(a) for a in seq]
-            for cand in (folded, folded[::-1]):
-                if all(abs(m - a) <= ANGLE_ATOL for m, a in zip(measured, cand)):
-                    matches.append(letter)
-                    break
+        matches = [letter for letter, seq in sorted(self.sequences.items())
+                   if _reads_as(measured, seq)]
         if not matches:
-            raise NoMatch(f"measured angles {measured} match no letter")
+            raise NoSolution(f"measured angles {measured} match no letter")
         if len(matches) > 1:
-            raise AmbiguousMatch(f"angles match several letters: {matches}")
+            raise AmbiguousSolution(f"angles match several letters: {matches}")
         return matches[0]
 
     def random_puzzle_glyph(self, letter: str, seed: int) -> LinkageGlyph:
@@ -183,14 +186,13 @@ class LinkageFont:
         return realize(self.encode(letter), (LEFT,) * 5)
 
     def uniqueness_failures(self) -> list[tuple[str, str]]:
-        """Letter pairs whose sequences collide up to reversal."""
+        """Letter pairs that `decode` cannot tell apart (`_reads_as`)."""
         bad = []
         letters = self.letters()
         for i, l1 in enumerate(letters):
-            s1 = self.sequences[l1]
+            measured = [_fold(a) for a in self.sequences[l1]]
             for l2 in letters[i + 1:]:
-                s2 = self.sequences[l2]
-                if s1 == s2 or s1 == s2[::-1]:
+                if _reads_as(measured, self.sequences[l2]):
                     bad.append((l1, l2))
         return bad
 

@@ -4,29 +4,27 @@ The solved variant renders the readable form of each font (belts drawn, 2D
 maze, polyabolo outline, cane top view, canonical linkage state); the puzzle
 variant renders what a reader must solve (disks only, crease pattern,
 unfolded chain, twisted side view, random flat states).  Each font kind in
-`fontdata.KINDS` renders and decodes its own glyphs; this module lays the
-pieces left to right, and the gap after a piece is `spacing` times its width.
-Placing a piece records its offset instead of copying its primitives, so a
-laid-out scene's primitives keep glyph-local coordinates (see `scene`); only
-a scale other than 1 maps them to new ones.
+`fontdata.KINDS` renders its own glyphs and reads one puzzle glyph back as a
+letter; this module lays the pieces left to right, and the gap after a piece
+is `spacing` times its width.  Placing a piece records its offset instead of
+copying its primitives, so a laid-out scene's primitives keep glyph-local
+coordinates (see `scene`); only a scale other than 1 maps them to new ones.
+
+This module alone knows the puzzle file's glyph keys: `0`-`9`, `a`-`z`, then
+CJK ideographs from U+4E00, so the sorted keys give the text's order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-# AmbiguousSolution, NoSolution and linkage_font_of are re-exported for callers of this module
-from .errors import AmbiguousSolution, NoSolution, PuzzleFontError, UnknownCharacter  # noqa: F401
+from .errors import AmbiguousSolution, NoSolution, NotAChain, PuzzleFontError, UnknownCharacter
+# linkage_font_of is re-exported for callers of this module
 from .fontdata import FontData, kind_of, linkage_font_of  # noqa: F401
 from .scene import VectorScene
 
 DEFAULT_SPACING = 0.5
-
-
-def _require_letters(fd: FontData, text: str) -> None:
-    missing = [c for c in text if c not in fd.glyphs]
-    if missing:
-        raise UnknownCharacter(missing)
 
 
 def _lay_out(scenes, spacing: float) -> VectorScene:
@@ -55,7 +53,13 @@ def typeset(fd: FontData, text: str, variant: str = "solved", seed: int = 0,
     """
     if variant not in ("solved", "puzzle"):
         raise ValueError(f"variant must be 'solved' or 'puzzle', got {variant!r}")
-    _require_letters(fd, text)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale!r}")
+    if not math.isfinite(spacing):
+        raise ValueError(f"spacing must be finite, got {spacing!r}")
+    missing = [c for c in text if c not in fd.glyphs]
+    if missing:
+        raise UnknownCharacter(missing)
     scenes = []
     puzzle_glyphs: dict = {}
     for pos, (scene, record) in enumerate(kind_of(fd.font_id).render(fd, text, variant, seed)):
@@ -67,12 +71,13 @@ def typeset(fd: FontData, text: str, variant: str = "solved", seed: int = 0,
 
 
 _POSITION_KEYS = "0123456789abcdefghijklmnopqrstuvwxyz"
+MAX_PUZZLE_GLYPHS = 36 + 20_992  # then U+4E00-U+9FFF, which sort after "z"
 
 
 def _position_key(pos: int) -> str:
-    if pos >= len(_POSITION_KEYS):
-        raise ValueError(f"puzzle files support at most {len(_POSITION_KEYS)} glyphs")
-    return _POSITION_KEYS[pos]
+    if pos >= MAX_PUZZLE_GLYPHS:
+        raise ValueError(f"puzzle files support at most {MAX_PUZZLE_GLYPHS} glyphs")
+    return _POSITION_KEYS[pos] if pos < 36 else chr(0x4E00 + pos - 36)
 
 
 def _scaled(scene: VectorScene, scale: float) -> VectorScene:
@@ -93,15 +98,21 @@ class SolveOutcome:
 def solve_puzzle(font_fd: FontData, puzzle_fd: FontData) -> SolveOutcome:
     """Decode a machine-readable puzzle against the shipped font data.
 
-    Conveyer puzzles are decoded by matching each disk configuration's
-    fingerprint to a letter and searching its belt; linkage puzzles by
-    measuring joint angles.  Other fonts have no machine decoder.  The
-    solution sheet is the decoded text typeset in the solved variant.
+    Each glyph, in key order, is read by its font kind's reader; one that
+    reads as no single letter raises the reader's error, prefixed with the
+    glyph's key.  The solution sheet is the text typeset in the solved variant.
     """
     if puzzle_fd.font_id != font_fd.font_id:
         raise ValueError(f"puzzle is for font {puzzle_fd.font_id!r}, data is {font_fd.font_id!r}")
     kind = kind_of(font_fd.font_id)
-    if kind.decode is None:
+    if kind.reader is None:
         raise PuzzleFontError(f"the {font_fd.font_id} font has no machine solver")
-    text = kind.decode(font_fd, puzzle_fd)
+    read = kind.reader(font_fd)
+    letters = []
+    for key in sorted(puzzle_fd.glyphs):
+        try:
+            letters.append(read(puzzle_fd.glyphs[key]))
+        except (NoSolution, AmbiguousSolution, NotAChain) as exc:
+            raise type(exc)(f"puzzle glyph {key!r}: {exc}") from exc
+    text = "".join(letters)
     return SolveOutcome(text, typeset(font_fd, text).scene)

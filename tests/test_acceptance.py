@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v` (add -s to see the PASS lines
 inline).  Tolerances are pinned here, not configurable.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -13,7 +14,7 @@ from puzzlefonts import fontdata
 from puzzlefonts.conveyer import (
     canonical_spec, compute_belt, fingerprint, solve_belt, validate_belt,
 )
-from puzzlefonts.hinged import fold_chain, refine, validate_polyabolo, verify_fold
+from puzzlefonts.hinged import fold_chain, refine, render_fold, validate_polyabolo, verify_fold
 from puzzlefonts.linkage import all_choices, enumerate_glyphs, realize
 from puzzlefonts.maze import (
     check_flat_foldability_local, compose, generate_crease_pattern, scale_factor,
@@ -22,6 +23,7 @@ from puzzlefonts.cane import CaneCrossSection, TwistParams, side_view_samples, s
 from puzzlefonts.scene import Polygon, SvgConfig, emit_svg
 from puzzlefonts.typeset import linkage_font_of, solve_puzzle, typeset
 from oracles import naive_belt_solutions
+from test_golden import FOLD, SLOW_FOLD
 
 
 def _report(n, text):
@@ -151,7 +153,8 @@ def test_criterion_09_hinged_font(shipped):
     assert chain.n_pieces == 128
     square = [(x, y, "NE", half) for x in range(4) for y in range(4)
               for half in ("first", "second")]
-    targets = [("4x4 square", square)] + sorted(fd.glyphs.items())
+    targets = [("square", square)] + sorted(fd.glyphs.items())
+    golden = {**FOLD, **SLOW_FOLD}  # the folds at budget 1M
     times = {}
     for name, cells in targets:
         rep = validate_polyabolo(cells, 32)
@@ -162,10 +165,13 @@ def test_criterion_09_hinged_font(shipped):
         dt = time.perf_counter() - t0
         assert fold is not None, f"{name}: no fold within budget"
         assert verify_fold(chain, cells, fold, expected_cells=32), name
+        svg = emit_svg(render_fold(chain, cells, fold))
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == golden[name], \
+            f"{name}: the fold at budget 10M differs from the fold at 1M"
         assert dt < 120.0, f"{name}: {dt:.1f}s"
         times[name] = dt
     worst = max(times, key=times.get)
-    _report(9, f"chain folds the square and {len(fd.glyphs)} glyphs; "
+    _report(9, f"chain folds the square and {len(fd.glyphs)} glyphs as at budget 1M; "
                f"slowest {worst} at {times[worst]:.1f}s (< 120s each)")
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puzzlefonts.errors import AmbiguousMatch, NoMatch, NotAChain, UnknownLetter
+from puzzlefonts.errors import AmbiguousSolution, NoSolution, NotAChain, UnknownLetter
 from puzzlefonts.geometry import Point2, dist
 from puzzlefonts.linkage import (
     LEFT, RIGHT, LinkageFont, all_choices, enumerate_glyphs,
@@ -133,7 +133,7 @@ class TestDecode:
 
     def test_straight_chain_no_match(self, fun_font):
         g = realize([180] * 5, "LLLLL")
-        with pytest.raises(NoMatch):
+        with pytest.raises(NoSolution):
             fun_font.decode(g)
 
     def test_not_a_chain(self, fun_font):
@@ -146,7 +146,7 @@ class TestDecode:
         font = LinkageFont({"A": [90, 90, 90, 90, 90]})
         font.sequences["B"] = font.sequences["A"]  # corrupt on purpose
         g = realize([90, 90, 90, 90, 90], "LLLLL")
-        with pytest.raises(AmbiguousMatch):
+        with pytest.raises(AmbiguousSolution):
             font.decode(g)
 
 
@@ -175,6 +175,15 @@ class TestUniqueness:
     def test_detects_reversal_collision(self):
         font = LinkageFont({"A": [10, 20, 30, 40, 50], "B": [50, 40, 30, 20, 10]})
         assert font.uniqueness_failures() == [("A", "B")]
+
+    def test_flags_what_decode_cannot_tell_apart(self):
+        # B folds to A (270 measures as 90), C is A reversed within ANGLE_ATOL
+        font = LinkageFont({"A": [90, 120, 90, 150, 60], "B": [270, 120, 90, 150, 60],
+                            "C": [60, 150, 90, 120, 90.0000001]})
+        assert font.uniqueness_failures() == [("A", "B"), ("A", "C"), ("B", "C")]
+        for letter in "ABC":
+            with pytest.raises(AmbiguousSolution):
+                font.decode(font.random_puzzle_glyph(letter, 0))
 
 
 def test_spread_overlapping_bars_offsets_duplicates():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 import subprocess
@@ -10,9 +11,11 @@ import pytest
 from oracles import copied_layout
 from puzzlefonts import fontdata, scene
 from puzzlefonts.cli import main
-from puzzlefonts.errors import UnknownCharacter
+from puzzlefonts.errors import NotAChain, UnknownCharacter
 from puzzlefonts.scene import SvgConfig, emit_svg
-from puzzlefonts.typeset import NoSolution, solve_puzzle, typeset
+from puzzlefonts.typeset import (
+    MAX_PUZZLE_GLYPHS, AmbiguousSolution, NoSolution, _position_key, solve_puzzle, typeset,
+)
 
 
 class TestTypeset:
@@ -87,11 +90,85 @@ class TestTypeset:
                 has_points = any(isinstance(p, scene.Polyline) for p in got.primitives)
                 assert any(len(d) != 6 for d in full_precision(svg)) == has_points
 
+    @pytest.mark.parametrize("scale,spacing", [
+        (-1.0, 0.5), (0.0, 0.5), (math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_bad_scale_or_spacing_is_refused(self, shipped, scale, spacing):
+        with pytest.raises(ValueError, match="scale must be finite and > 0|spacing must be finite"):
+            typeset(shipped["conveyer"], "FUN", "solved", spacing=spacing, scale=scale)
+
+    def test_negative_spacing_is_allowed(self, shipped):
+        scene = typeset(shipped["conveyer"], "FUN", "solved", spacing=-0.5).scene
+        assert "nan" not in emit_svg(scene)
+
+    def test_position_keys_sort_in_text_order(self):
+        keys = [_position_key(pos) for pos in range(MAX_PUZZLE_GLYPHS)]
+        assert keys[:36] == list("0123456789abcdefghijklmnopqrstuvwxyz")
+        assert sorted(keys) == keys and len(set(keys)) == len(keys)
+        assert all(len(k) == 1 and not k.isspace() for k in keys)
+        with pytest.raises(ValueError, match=f"at most {MAX_PUZZLE_GLYPHS} glyphs"):
+            _position_key(MAX_PUZZLE_GLYPHS)
+
     def test_placed_glyphs_are_not_copied(self, shipped, monkeypatch):
         def refuse(*args):
             raise AssertionError("a placed primitive was copied")
         monkeypatch.setattr(scene.Polyline, "mapped", refuse)
         typeset(shipped["cane"], "FILNOTUZFILNOTUZ", "puzzle", scale=1.0)
+
+
+def _chain(vertices=None):
+    return fontdata.LinkageRecord(angles=None if vertices else (90.0,) * 5, vertices=vertices)
+
+
+def _disks(*disks):
+    return fontdata.ConveyerRecord(disks=disks)
+
+
+def _shifted_twin(shipped):
+    """A conveyer font whose J is its I moved: one configuration, two letters."""
+    rec = shipped["conveyer"].glyphs["I"]
+    twin = fontdata.ConveyerRecord(disks=tuple((x + 2.0, y + 1.0) for x, y in rec.disks))
+    return fontdata.FontData("conveyer", 1, {"I": rec, "J": twin}), {"0": _disks(*rec.disks)}
+
+
+def _near_reversal(shipped):
+    """A linkage font whose B folds to A and whose C reverses A within ANGLE_ATOL."""
+    font = fontdata.FontData("linkage", 1, {
+        letter: fontdata.LinkageRecord(angles=angles) for letter, angles in (
+            ("A", (90, 120, 90, 150, 60)), ("B", (270, 120, 90, 150, 60)),
+            ("C", (60, 150, 90, 120, 90.0000001)))})
+    return font, typeset(font, "A", "puzzle", seed=3).puzzle_data.glyphs
+
+
+def _first_good(font, record):
+    """A puzzle whose glyph '0' reads as F and whose glyph '1' is `record`."""
+    return lambda shipped: (shipped[font], {
+        "0": typeset(shipped[font], "F", "puzzle").puzzle_data.glyphs["0"], "1": record})
+
+
+# case: (shipped -> (font, puzzle glyphs), error type, message)
+SOLVER_ERRORS = {
+    "no vertex chain": (lambda shipped: (shipped["linkage"], {"0": _chain()}),
+                        NoSolution, "puzzle glyph '0': has no vertex chain"),
+    "garbage chain": (_first_good("linkage", _chain(tuple((i * 2.0, 0.0) for i in range(7)))),
+                      NotAChain, "puzzle glyph '1': bar 0 is not unit length"),
+    "straight chain": (
+        lambda shipped: (shipped["linkage"], {"0": _chain(tuple((float(i), 0.0) for i in range(7)))}),
+        NoSolution, "puzzle glyph '0': measured angles [180.0, 180.0, 180.0, 180.0, 180.0] "
+                    "match no letter"),
+    "near reversal": (_near_reversal, AmbiguousSolution,
+                      "puzzle glyph '0': angles match several letters: ['A', 'B', 'C']"),
+    "overlapping disks": (_first_good("conveyer", _disks((0.0, 0.0), (1.0, 0.0))),
+                          NoSolution, "puzzle glyph '1': disks 0 and 1 are not disjoint"),
+    "unknown configuration": (
+        lambda shipped: (shipped["conveyer"], {"0": _disks((0.0, 0.0), (9.0, 9.0))}),
+        NoSolution, "puzzle glyph '0': configuration matches no letter"),
+    "ambiguous font": (_shifted_twin, AmbiguousSolution,
+                       "puzzle glyph '0': matches letters ['I', 'J']"),
+    "no belt": (lambda shipped: (shipped["conveyer"],
+                                 typeset(shipped["conveyer"], "F", "puzzle").puzzle_data.glyphs),
+                NoSolution, "puzzle glyph '0': no valid belt exists"),
+}
 
 
 class TestSolvePuzzle:
@@ -180,6 +257,29 @@ class TestSolvePuzzle:
         assert got.text == letter
         assert emit_svg(got.solution_scene) == emit_svg(expected.solution_scene)
 
+    @pytest.mark.parametrize("font,seed", [("conveyer", 0), ("linkage", 5)])
+    def test_forty_letter_puzzle_round_trips(self, shipped, font, seed):
+        text = "".join(random.Random(seed).choice("FILNOTUZ") for _ in range(40))
+        puzzle = typeset(shipped[font], text, "puzzle", seed=seed).puzzle_data
+        written = fontdata.write(puzzle)
+        assert "glyph z\n" in written and f"glyph {chr(0x4E00 + 3)}\n" in written
+        parsed, diags = fontdata.parse(written)
+        assert diags == []
+        assert solve_puzzle(shipped[font], parsed).text == text
+
+    @pytest.mark.parametrize("case", sorted(SOLVER_ERRORS))
+    def test_error_messages(self, shipped, monkeypatch, case):
+        from puzzlefonts import conveyer
+        make, error, message = SOLVER_ERRORS[case]
+        font, glyphs = make(shipped)
+        if case == "no belt":
+            monkeypatch.setattr(conveyer, "iter_belts", lambda disks: iter(()))
+        puzzle = fontdata.FontData(font.font_id, 1, glyphs)
+        with pytest.raises(error) as err:
+            solve_puzzle(font, puzzle)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
     def test_unsupported_font(self, shipped):
         from puzzlefonts.errors import PuzzleFontError
         with pytest.raises(PuzzleFontError):
@@ -265,6 +365,10 @@ class TestCli:
         run_cli(["validate", "--format", "json-lines", str(bad)])
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["ok"] is False and rec["issues"]
+
+    def test_zero_scale_exit_1(self, capsys):
+        assert run_cli(["typeset", "FUN", "--font", "conveyer", "--scale", "0"]) == 1
+        assert "scale must be finite and > 0" in capsys.readouterr().err
 
     def test_unknown_character_exit_1(self, capsys):
         assert run_cli(["typeset", "F@N", "--font", "conveyer"]) == 1
