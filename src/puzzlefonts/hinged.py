@@ -196,6 +196,49 @@ def _corner_position(corners, label: str):
     return corners[CORNERS.index(label)]
 
 
+def _corner_masks(slots) -> dict:
+    """Each corner point -> the bitmask of the slots with a corner there."""
+    touching: dict = {}
+    for i, s in enumerate(slots):
+        for v in s:
+            touching[v] = touching.get(v, 0) | 1 << i
+    return touching
+
+
+def contact_masks(slots) -> list:
+    """Per slot, the bitmask of the other slots that share a corner point with it."""
+    touching = _corner_masks(slots)
+    return [(touching[s.right] | touching[s.acute1] | touching[s.acute2]) & ~(1 << i)
+            for i, s in enumerate(slots)]
+
+
+def stays_connected(near, free: int, removed: int) -> bool:
+    """Whether the free slots form one component of the contact graph.
+
+    `near` is `contact_masks` of the slots, and `free | removed` must be
+    connected.  Then every component of `free` touches a removed slot, so
+    `free` is connected iff the free neighbours of the removed slots lie in
+    one component: the flood starts at one of them and stops once it has
+    reached them all.
+    """
+    reach = 0
+    while removed:
+        bit = removed & -removed
+        reach |= near[bit.bit_length() - 1]
+        removed ^= bit
+    reach &= free
+    seen = frontier = reach & -reach
+    while frontier and reach & ~seen:
+        grow = 0
+        while frontier:
+            bit = frontier & -frontier
+            grow |= near[bit.bit_length() - 1]
+            frontier ^= bit
+        frontier = grow & free & ~seen
+        seen |= frontier
+    return not reach & ~seen
+
+
 class _Stop(Exception):
     """Internal: abandon the current restart branch."""
 
@@ -204,94 +247,101 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
                expected_cells: int | None = None) -> FoldAssignment | None:
     """Backtracking search for a fold of the chain into the glyph's slots.
 
-    One corner index, ``at[c][point]``, lists the (slot, pose) pairs that
-    put piece corner ``c`` on a point, and a bitmask per point holds the
-    slots with a corner there.  Placements are tried most-constrained-first
-    (fewest free slots touching the exit corner) with slot order breaking
-    ties, so runs are reproducible.  Every 8th placement the search prunes
-    when the free slots fall apart into disconnected contact components, a
-    flood fill over per-slot neighbour bitmasks.  It rotates through the
-    possible first placements, each capped at FIRST_ROUND_CAP nodes, before
-    burning the whole budget depth-first.  The budget only bounds the
-    search: every budget that reaches a fold returns the same one.  Returns
-    None only when the space is provably exhausted; raises BudgetExceeded
-    when the node budget runs out first.
+    A placement is a (slot, pose) pair, numbered ``2 * slot + pose``.  One
+    successor table per hinge shape (piece k's exit corner, piece k+1's
+    entry corner, piece k+1's exit corner) maps each placement of piece k to
+    the placements of piece k+1 whose entry corner meets its exit corner,
+    each with its slot bit and the mask of the other slots that touch its
+    exit corner.  Placements are tried most-constrained-first (fewest free
+    slots touching the exit corner) with slot order breaking ties, so runs
+    are reproducible.  Every 8th placement the search prunes when the free
+    slots fall apart into disconnected contact components.  The free set at
+    the previous check was connected (at the first check it is the whole
+    glyph), so `stays_connected` only floods from the free neighbours of the
+    8 slots placed since then.  The search rotates through the possible
+    first placements, each capped at FIRST_ROUND_CAP nodes, before burning
+    the whole budget depth-first.  The budget only bounds the search: every
+    budget that reaches a fold returns the same one.  Returns None only
+    when the space is provably exhausted; raises BudgetExceeded when the
+    node budget runs out first.
     """
     slots = refine(cells, expected_cells)
     n = len(slots)
     if n != chain.n_pieces:
         raise ValueError(f"chain has {chain.n_pieces} pieces but the glyph refines to {n} slots")
 
-    at: tuple = ({}, {}, {})
-    touching: dict = {}
-    for i, s in enumerate(slots):
-        for corners in _poses(s):
-            for c, pos in enumerate(corners):
-                at[c].setdefault(pos, []).append((i, corners))
-        for v in s:
-            touching[v] = touching.get(v, 0) | 1 << i
-    near = [(touching[s.right] | touching[s.acute1] | touching[s.acute2]) & ~(1 << i)
-            for i, s in enumerate(slots)]
+    poses = [corners for s in slots for corners in _poses(s)]  # placement -> corners
+    bits = [1 << (q >> 1) for q in range(len(poses))]
+    touching = _corner_masks(slots)
+    near = contact_masks(slots)
+    at: tuple = ({}, {}, {})  # corner index -> point -> placements with that corner there
+    for q, corners in enumerate(poses):
+        for c, pos in enumerate(corners):
+            at[c].setdefault(pos, []).append(q)
     # corner indices of piece k's exit and of piece k+1's entry; the last
     # piece's exit is a placeholder, no free slot is left to touch it
     exits = [CORNERS.index(ex) for ex, _ in chain.hinges] + [0]
     entries = [CORNERS.index(en) for _, en in chain.hinges]
-
-    def connected(free: int) -> bool:
-        """The free slots form one component of the contact graph."""
-        seen = frontier = free & -free
-        while frontier:
-            grow = 0
-            while frontier:
-                bit = frontier & -frontier
-                grow |= near[bit.bit_length() - 1]
-                frontier ^= bit
-            frontier = grow & free & ~seen
-            seen |= frontier
-        return seen == free
+    # per hinge shape, placement -> (next placement, its slot bit, the other
+    # slots touching its exit corner) for each next placement, in slot order
+    shapes = list(zip(exits, entries, exits[1:]))
+    tables = {(ex, en, nx): [tuple((r, bits[r], touching[poses[r][nx]] & ~bits[r])
+                                   for r in at[en].get(corners[ex], ()))
+                             for corners in poses]
+              for ex, en, nx in set(shapes)}
+    succ = [tables[shape] for shape in shapes]  # piece k -> the table after it
+    shift = len(poses).bit_length()  # an option is its rank << shift | its placement
+    low = (1 << shift) - 1
 
     nodes = node_cap = 0
-    placements: list = []
+    placed: list = []
 
-    def extend(k: int, free: int, ranked) -> bool:
-        """Try each (slot, corners) of ranked for piece k, then the rest of the chain."""
+    def extend(k: int, free: int, checked: int, ranked) -> bool:
+        """Try each option of ranked for piece k, then the rest of the chain.
+
+        `checked` is the free set at the last connectivity check.
+        """
         nonlocal nodes
-        for i, corners in ranked:
+        check = k % 8 == 7
+        table = succ[k] if k + 1 < n else None
+        for option in ranked:
             nodes += 1
             if nodes > node_cap:  # node_cap <= budget
                 if nodes > budget:
                     raise BudgetExceeded(f"fold search exceeded {budget} nodes")
                 raise _Stop
-            now_free = free & ~(1 << i)
-            if k % 8 == 7 and not connected(now_free):
+            q = option & low
+            now_free = free ^ bits[q]
+            if check and not stays_connected(near, now_free, checked ^ now_free):
                 continue
-            placements.append(Placement(i, corners))
-            if k + 1 == n:
+            placed.append(q)
+            if table is None:
                 return True
-            options = [o for o in at[entries[k]].get(corners[exits[k]], ()) if now_free >> o[0] & 1]
-            exit_c = exits[k + 1]
-            options.sort(key=lambda o: (
-                (touching[o[1][exit_c]] & now_free & ~(1 << o[0])).bit_count(), o[0]))
-            if extend(k + 1, now_free, options):
+            options = sorted([(mask & now_free).bit_count() << shift | r
+                              for r, bit, mask in table[q] if now_free & bit])
+            if options and extend(k + 1, now_free, now_free if check else checked, options):
                 return True
-            placements.pop()
+            placed.pop()
         return False
 
-    starts = [(i, corners) for i, s in enumerate(slots) for corners in _poses(s)]
-    # the second round caps each start at the whole budget, so it cannot stop
-    # early: it ends in a fold, in None, or in BudgetExceeded
-    for round_cap in (FIRST_ROUND_CAP, budget):
-        exhausted_everywhere = True
-        for start in starts:
-            node_cap = min(budget, nodes + round_cap)
-            placements.clear()
-            try:
-                if extend(0, (1 << n) - 1, [start]):
-                    return FoldAssignment(tuple(placements))
-            except _Stop:
-                exhausted_everywhere = False
-        if exhausted_everywhere:
-            return None  # every start ran to exhaustion within its cap
+    full = (1 << n) - 1
+    try:
+        # the second round caps each start at the whole budget, so it cannot
+        # stop early: it ends in a fold, in None, or in BudgetExceeded
+        for round_cap in (FIRST_ROUND_CAP, budget):
+            exhausted_everywhere = True
+            for start in range(len(poses)):
+                node_cap = min(budget, nodes + round_cap)
+                placed.clear()
+                try:
+                    if extend(0, full, full, (start,)):
+                        return FoldAssignment(tuple(Placement(q >> 1, poses[q]) for q in placed))
+                except _Stop:
+                    exhausted_everywhere = False
+            if exhausted_everywhere:
+                return None  # every start ran to exhaustion within its cap
+    finally:
+        extend = None  # noqa: F841 -- the closure refers to itself; free its tables now
 
 
 def verify_fold(chain: HingedChain, cells, assignment: FoldAssignment,

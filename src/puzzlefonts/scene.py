@@ -15,6 +15,7 @@ timestamps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -271,6 +272,10 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
     m, s = MARGIN, SCALE
     width = (max_x - min_x + 2 * m) * s
     height = (max_y - min_y + 2 * m) * s
+    # the numbers written lie within the page, so a coordinate that
+    # overflowed shows here as an infinite page
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"the drawing is too large to write: page {width!r} x {height!r}")
     frame = (min_x, max_y, m, s)  # y is flipped: the SVG y axis points down
 
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'

@@ -32,6 +32,8 @@ def _lay_out(scenes, spacing: float) -> VectorScene:
     out = VectorScene()
     cursor = 0.0
     for scene in scenes:
+        if not math.isfinite(cursor):
+            raise ValueError(f"spacing {spacing!r} places glyphs beyond the float range")
         min_x, min_y, max_x, _max_y = scene.bounds()
         out.extend(scene.translated(cursor - min_x, -min_y))
         cursor += max(max_x - min_x, 0.5) * (1.0 + spacing)
@@ -49,7 +51,8 @@ def typeset(fd: FontData, text: str, variant: str = "solved", seed: int = 0,
     """Lay glyph scenes left to right; puzzle variants also emit puzzle data.
 
     The same (text, variant, seed) always produces the same scene; the seed
-    only matters for the linkage puzzle variant.
+    only matters for the linkage puzzle variant.  A spacing or scale that
+    puts a coordinate past the float range raises ValueError.
     """
     if variant not in ("solved", "puzzle"):
         raise ValueError(f"variant must be 'solved' or 'puzzle', got {variant!r}")
@@ -83,8 +86,12 @@ def _position_key(pos: int) -> str:
 def _scaled(scene: VectorScene, scale: float) -> VectorScene:
     if scale == 1.0:
         return scene
-    return VectorScene([p.mapped(1.0, dx, dy).mapped(scale, 0.0, 0.0)
-                        for dx, dy, run in scene.runs() for p in run])
+    out = VectorScene([p.mapped(1.0, dx, dy).mapped(scale, 0.0, 0.0)
+                       for dx, dy, run in scene.runs() for p in run])
+    # placing makes no nan, so an overflow shows in the bounds as an infinity
+    if not all(map(math.isfinite, out.bounds())):
+        raise ValueError(f"scale {scale!r} maps the drawing beyond the float range")
+    return out
 
 
 # -- machine solving ------------------------------------------------------------

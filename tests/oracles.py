@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch against the definitions,
 not by calling the code under test: exact rational segment intersection,
-a naive belt-winding enumerator, an exhaustive fold enumerator, and a layout
-that copies every primitive to its place.
+a naive belt-winding enumerator, an exhaustive fold enumerator, a plain
+breadth-first search over slot contacts, and a layout that copies every
+primitive to its place.
 """
 
 from fractions import Fraction
@@ -123,6 +124,33 @@ def exhaustive_fold_exists(chain, slots_points) -> bool:
         return False
 
     return rec(0, set(), None)
+
+
+def slots_connected(slots_points, members) -> bool:
+    """Plain breadth-first search: do the member slots form one contact component?
+
+    Two slots touch when they share a corner point; `members` is a set of
+    indices into `slots_points`, the (right, acute1, acute2) corner triples.
+    No members count as connected.
+    """
+    members = set(members)
+    at_point: dict = {}
+    for i in members:
+        for point in slots_points[i]:
+            at_point.setdefault(point, []).append(i)
+    if not members:
+        return True
+    start = min(members)
+    seen = {start}
+    queue = [start]
+    while queue:
+        i = queue.pop(0)
+        for point in slots_points[i]:
+            for j in at_point[point]:
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+    return seen == members
 
 
 def copied_layout(scenes, spacing: float, scale: float = 1.0) -> VectorScene:

@@ -1,13 +1,16 @@
+import gc
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
 from puzzlefonts.errors import BudgetExceeded, InvalidPolyabolo
 from puzzlefonts.hinged import (
-    Cell, HingedChain, cell_triangle, fold_chain, refine, render_chain_strip,
-    render_fold, render_polyabolo, validate_polyabolo, verify_fold,
+    Cell, HingedChain, cell_triangle, contact_masks, fold_chain, refine, render_chain_strip,
+    render_fold, render_polyabolo, stays_connected, validate_polyabolo, verify_fold,
 )
-from oracles import exhaustive_fold_exists
+from oracles import exhaustive_fold_exists, slots_connected
 
 ALT = (("Q", "P"), ("R", "P"))
 
@@ -119,6 +122,25 @@ class TestFoldChain:
         with pytest.raises(ValueError):
             fold_chain(alt_chain(12), TWO_CELL)
 
+    def test_fold_leaves_no_reference_cycle(self):
+        chain = alt_chain(128)
+        gc.collect()
+        gc.disable()
+        try:
+            # fill the interpreter's free lists first, so that what stays
+            # allocated below is what the folds keep alive
+            for _ in range(20):
+                fold_chain(chain, FULL_SQUARE_4, expected_cells=32)
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                fold_chain(chain, FULL_SQUARE_4, expected_cells=32)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert retained < 512 * 1024, f"{retained} bytes retained after 20 folds"
+
     @pytest.mark.parametrize("cells", [
         [(0, 0, "NE", "first")],
         TWO_CELL,
@@ -136,6 +158,71 @@ class TestFoldChain:
         assert (got is not None) == expected
         if got is not None:
             assert verify_fold(chain, cells, got)
+
+
+class TestSearchIsPinned:
+    """The smallest budget that folds each target: a search that visits other
+    nodes, or the same nodes in another order, shows as a moved pin.  Bisected
+    before the connectivity check became local to the last eight placements."""
+
+    @pytest.mark.parametrize("target,budget", [
+        ("square", 198), ("I", 206), ("L", 202), ("O", 587), ("N", 32_089),
+    ])
+    def test_smallest_folding_budget(self, shipped, target, budget):
+        fd = shipped["hinged"]
+        cells = FULL_SQUARE_4 if target == "square" else fd.glyphs[target]
+        fold = fold_chain(fd.chain, cells, budget=budget, expected_cells=32)
+        assert verify_fold(fd.chain, cells, fold, expected_cells=32)
+        with pytest.raises(BudgetExceeded):
+            fold_chain(fd.chain, cells, budget=budget - 1, expected_cells=32)
+
+
+def _connected_pair(rng, near, n):
+    """A seeded (free, removed) pair of slot masks whose union is connected."""
+    if rng.random() < 0.25:
+        union = (1 << n) - 1
+    else:  # grow from one slot by random slots on the border
+        i = rng.randrange(n)
+        union, border = 1 << i, near[i]
+        for _ in range(rng.randrange(8, n)):
+            i = rng.choice([j for j in range(n) if border >> j & 1])
+            union |= 1 << i
+            border = (border | near[i]) & ~union
+    members = [i for i in range(n) if union >> i & 1]
+    count = rng.randint(1, 8)
+    if rng.random() < 0.5:
+        removed = 0
+        for i in rng.sample(members, count):
+            removed |= 1 << i
+    else:  # a walk through touching slots, like the chain's placements
+        i = rng.choice(members)
+        removed = 1 << i
+        for _ in range(count - 1):
+            steps = [j for j in members if near[i] >> j & 1 and not removed >> j & 1]
+            if not steps:
+                break
+            i = rng.choice(steps)
+            removed |= 1 << i
+    return union & ~removed, removed
+
+
+def test_local_connectivity_check_matches_full_flood(shipped):
+    targets = [FULL_SQUARE_4] + [cells for _, cells in sorted(shipped["hinged"].glyphs.items())]
+    rng = random.Random(20140)
+    outcomes = set()
+    for cells in targets:
+        slots = refine(cells, 32)
+        points = [tuple(s) for s in slots]
+        near = contact_masks(slots)
+        for _ in range(60):
+            free, removed = _connected_pair(rng, near, len(slots))
+            members = {i for i in range(len(slots)) if free >> i & 1}
+            assert slots_connected(points, members | {i for i in range(len(slots))
+                                                      if removed >> i & 1})
+            want = slots_connected(points, members)
+            assert stays_connected(near, free, removed) == want, (cells[0], free, removed)
+            outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 class TestVerifyFold:

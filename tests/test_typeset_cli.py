@@ -97,6 +97,33 @@ class TestTypeset:
         with pytest.raises(ValueError, match="scale must be finite and > 0|spacing must be finite"):
             typeset(shipped["conveyer"], "FUN", "solved", spacing=spacing, scale=scale)
 
+    @pytest.mark.parametrize("scale,spacing,message", [
+        (1e308, 0.5, "scale 1e[+]308 maps the drawing beyond the float range"),
+        (1.0, 1e308, "spacing 1e[+]308 places glyphs beyond the float range"),
+        (1.0, -1e308, "spacing -1e[+]308 places glyphs beyond the float range"),
+    ])
+    def test_overflowing_scale_or_spacing_is_refused(self, shipped, scale, spacing, message):
+        with pytest.raises(ValueError, match=message):
+            typeset(shipped["conveyer"], "FUN", "solved", spacing=spacing, scale=scale)
+
+    @pytest.mark.parametrize("scale,spacing", [
+        (1e306, 0.5), (1e307, 0.5), (1e308, 0.5), (1.0, 1e306), (1.0, 1e307), (1.0, 1e308),
+        (1.0, -1e306), (1e-308, 0.5), (1e300, 1e5),
+    ])
+    def test_large_values_write_only_finite_numbers_or_fail(self, shipped, scale, spacing):
+        try:
+            svg = emit_svg(typeset(shipped["conveyer"], "FUN", "solved", spacing=spacing,
+                                   scale=scale).scene)
+        except ValueError as exc:
+            assert re.search("beyond the float range|too large to write", str(exc))
+        else:
+            assert not re.search("inf|nan", svg)
+
+    def test_page_past_the_float_range_is_not_written(self, shipped):
+        wide = typeset(shipped["conveyer"], "FUN", "solved", spacing=1e306).scene
+        with pytest.raises(ValueError, match="too large to write: page inf x"):
+            emit_svg(wide)
+
     def test_negative_spacing_is_allowed(self, shipped):
         scene = typeset(shipped["conveyer"], "FUN", "solved", spacing=-0.5).scene
         assert "nan" not in emit_svg(scene)
@@ -369,6 +396,13 @@ class TestCli:
     def test_zero_scale_exit_1(self, capsys):
         assert run_cli(["typeset", "FUN", "--font", "conveyer", "--scale", "0"]) == 1
         assert "scale must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--scale=1e308", "--spacing=1e308"])
+    def test_overflowing_scale_or_spacing_exit_1(self, tmp_path, capsys, option):
+        out = tmp_path / "x.svg"
+        assert run_cli(["typeset", "FUN", "--font", "conveyer", option, "--out", str(out)]) == 1
+        assert "beyond the float range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_character_exit_1(self, capsys):
         assert run_cli(["typeset", "F@N", "--font", "conveyer"]) == 1
