@@ -113,8 +113,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Write `--spacing -1e-3` as `--spacing=-1e-3`.
+
+    argparse takes only plain negative numbers such as -1 or -0.5 as values
+    and reads any other token that starts with '-', -1e-3 among them, as an
+    option.  Every option here but --help takes one value, so a long option
+    followed by a token that parses as a negative number gets it as its value.
+    """
+    out: list = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2 and "=" not in out[-1]
+                and _is_negative_number(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_negative_values(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (OSError, MissingFontFile) as exc:

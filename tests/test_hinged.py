@@ -1,7 +1,7 @@
 import gc
 import itertools
 import random
-import tracemalloc
+import sys
 
 import pytest
 
@@ -122,24 +122,26 @@ class TestFoldChain:
         with pytest.raises(ValueError):
             fold_chain(alt_chain(12), TWO_CELL)
 
-    def test_fold_leaves_no_reference_cycle(self):
-        chain = alt_chain(128)
-        gc.collect()
-        gc.disable()
-        try:
-            # fill the interpreter's free lists first, so that what stays
-            # allocated below is what the folds keep alive
-            for _ in range(20):
-                fold_chain(chain, FULL_SQUARE_4, expected_cells=32)
-            tracemalloc.start()
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in range(20):
-                fold_chain(chain, FULL_SQUARE_4, expected_cells=32)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-        assert retained < 512 * 1024, f"{retained} bytes retained after 20 folds"
+    def test_fold_leaves_no_reference_cycle(self, shipped):
+        # N's search remembers about 400 dead states, the square's about 10.
+        # Allocated blocks, not traced bytes: tracemalloc makes N's search
+        # twenty times slower
+        fd = shipped["hinged"]
+        for chain, cells in ((alt_chain(128), FULL_SQUARE_4), (fd.chain, fd.glyphs["N"])):
+            gc.collect()
+            gc.disable()
+            try:
+                # fill the interpreter's free lists first, so that what stays
+                # allocated below is what the folds keep alive
+                for _ in range(20):
+                    fold_chain(chain, cells, expected_cells=32)
+                before = sys.getallocatedblocks()
+                for _ in range(20):
+                    fold_chain(chain, cells, expected_cells=32)
+                retained = sys.getallocatedblocks() - before
+            finally:
+                gc.enable()
+            assert retained < 200, f"{retained} blocks retained after 20 folds"
 
     @pytest.mark.parametrize("cells", [
         [(0, 0, "NE", "first")],
@@ -163,10 +165,13 @@ class TestFoldChain:
 class TestSearchIsPinned:
     """The smallest budget that folds each target: a search that visits other
     nodes, or the same nodes in another order, shows as a moved pin.  Bisected
-    before the connectivity check became local to the last eight placements."""
+    before the connectivity check became local to the last eight placements;
+    F and Z, confirmed before dead states were remembered, fold only after
+    thousands of first-round caps and charged dead states."""
 
     @pytest.mark.parametrize("target,budget", [
         ("square", 198), ("I", 206), ("L", 202), ("O", 587), ("N", 32_089),
+        ("F", 414_654), ("Z", 767_602),
     ])
     def test_smallest_folding_budget(self, shipped, target, budget):
         fd = shipped["hinged"]
@@ -175,6 +180,16 @@ class TestSearchIsPinned:
         assert verify_fold(fd.chain, cells, fold, expected_cells=32)
         with pytest.raises(BudgetExceeded):
             fold_chain(fd.chain, cells, budget=budget - 1, expected_cells=32)
+
+    def test_last_charged_dead_state_crosses_the_budget(self):
+        # this search has no fold and ends by charging a dead state it met
+        # before, nodes 11,008-11,016 (the plain walk's count), so only the
+        # charge itself can pass a budget of 11,007-11,015
+        chain = HingedChain.uniform(16, "R", "P")
+        assert fold_chain(chain, square_cells(2, 1), budget=11_016) is None
+        for budget in (11_007, 11_015):
+            with pytest.raises(BudgetExceeded):
+                fold_chain(chain, square_cells(2, 1), budget=budget)
 
 
 def _connected_pair(rng, near, n):

@@ -404,6 +404,15 @@ class TestCli:
         assert "beyond the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value,code", [
+        ("-1e-3", 0), ("-1E-3", 0), ("-0.5", 0), ("-1e308", 1), ("-inf", 1),
+    ])
+    def test_negative_spacing_as_its_own_argument(self, capsys, value, code):
+        # argparse alone reads -1e-3 as an option and exits 2
+        assert run_cli(["typeset", "FUN", "--font", "conveyer", "--spacing", value]) == code
+        captured = capsys.readouterr()
+        assert captured.out.startswith("<?xml") if code == 0 else "spacing" in captured.err
+
     def test_unknown_character_exit_1(self, capsys):
         assert run_cli(["typeset", "F@N", "--font", "conveyer"]) == 1
         assert "characters not in font" in capsys.readouterr().err
