@@ -132,20 +132,21 @@ def refine(cells, expected_cells: int | None = None) -> list[Slot]:
     report = validate_polyabolo(cells, expected)
     if not report.ok:
         raise InvalidPolyabolo(f"invalid polyabolo: {report}")
-    slots = []
-    for cell in sorted(set(check_cell(c) for c in cells)):
-        r, a, b = cell_triangle(cell)
-        m_ra = ((r[0] + a[0]) / 2.0, (r[1] + a[1]) / 2.0)
-        m_rb = ((r[0] + b[0]) / 2.0, (r[1] + b[1]) / 2.0)
-        m_ab = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-        rf = (float(r[0]), float(r[1]))
-        af = (float(a[0]), float(a[1]))
-        bf = (float(b[0]), float(b[1]))
-        for right, ac1, ac2 in ((rf, m_ra, m_rb), (m_ra, af, m_ab),
-                                (m_rb, bf, m_ab), (m_ab, m_ra, m_rb)):
-            lo, hi = sorted((ac1, ac2))
-            slots.append(Slot(right, lo, hi))
-    return sorted(slots)
+    return sorted(s for cell in set(check_cell(c) for c in cells) for s in _cell_slots(cell))
+
+
+def _cell_slots(cell: Cell) -> list[Slot]:
+    """The cell's 4 midpoint sub-triangles: its three corners', then the center one."""
+    r, a, b = cell_triangle(cell)
+    m_ra = ((r[0] + a[0]) / 2.0, (r[1] + a[1]) / 2.0)
+    m_rb = ((r[0] + b[0]) / 2.0, (r[1] + b[1]) / 2.0)
+    m_ab = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+    rf = (float(r[0]), float(r[1]))
+    af = (float(a[0]), float(a[1]))
+    bf = (float(b[0]), float(b[1]))
+    return [Slot(right, *sorted((ac1, ac2)))
+            for right, ac1, ac2 in ((rf, m_ra, m_rb), (m_ra, af, m_ab),
+                                    (m_rb, bf, m_ab), (m_ab, m_ra, m_rb))]
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,158 @@ class _Stop(Exception):
 
 def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
                expected_cells: int | None = None) -> FoldAssignment | None:
-    """Backtracking search for a fold of the chain into the glyph's slots.
+    """Search for a fold of the chain into the glyph's slots, by blocks first.
+
+    A chain whose length is a multiple of 8 is first folded block by block:
+    pieces 8j .. 8j+7 fill the 8 slots of two cells, and each block's entry
+    point is the previous block's exit point (`_fold_blocks`).  Level 1 pairs
+    only cells that share an edge; level 2 also pairs cells that share only
+    a point, edge pairs first.  When neither level folds, or the chain's
+    length is not a multiple of 8, the walk that places one piece per node
+    (`_walk`) searches the whole space.  One budget counts the blocks placed
+    and the walk's nodes.  Every stage is a fixed-order search whose outcome
+    the budget does not steer, so every budget that reaches a fold returns
+    the same one.  Returns None only when the walk has exhausted the space;
+    raises BudgetExceeded when the node budget runs out first.
+    """
+    slots = refine(cells, expected_cells)
+    if len(slots) != chain.n_pieces:
+        raise ValueError(f"chain has {chain.n_pieces} pieces but the glyph refines to {len(slots)} slots")
+    spent = 0
+    if chain.n_pieces % 8 == 0:
+        fold, spent = _fold_blocks(chain, cells, slots, budget)
+        if fold is not None:
+            return fold
+    return _walk(chain, slots, budget, spent)
+
+
+def _block_folds(at, own, inner, entry, exit_, point) -> list:
+    """The folds of one block into the placements `own` of two cells' slots.
+
+    `at` gives each placement's corners, `inner` the block's 7 hinges and
+    `entry`, `exit_` the corner indices of its first piece's entry and last
+    piece's exit (None at the chain's ends).  Only folds whose entry corner
+    lies at `point` count.  Returns [(exit point, the 8 placements)], one
+    fold per exit point: the first in placement order.
+    """
+    follow = {(ex, en): {q: [r for r in reversed(own) if at[r][en] == at[q][ex]] for q in own}
+              for ex, en in set(inner)}  # hinge -> placement -> the next ones, reversed
+    steps = [follow[hinge] for hinge in inner]
+    folds: dict = {}
+    stack = [((q,), 1 << (q >> 1)) for q in reversed(own)  # (path, slots used)
+             if entry is None or at[q][entry] == point]
+    while stack:
+        path, used = stack.pop()
+        if len(path) == 8:
+            folds.setdefault(None if exit_ is None else at[path[-1]][exit_], path)
+            continue
+        stack += [(path + (r,), used | 1 << (r >> 1))
+                  for r in steps[len(path) - 1][path[-1]] if not used >> (r >> 1) & 1]
+    return list(folds.items())
+
+
+def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
+    """The block levels of `fold_chain`: (their fold or None, the nodes spent).
+
+    A block's shape is its 7 inner hinges with its entry and exit corners,
+    taken from the chain, so blocks of one shape share their tables.  The
+    table of each (cell pair, shape, entry point) is built on first use, and
+    only for free pairs that touch the entry point.  The search skips a pair
+    that would leave a free cell beside it with no free cell to pair with at
+    this level, as no fold could place that cell.  A (cells used, exit
+    point) state fixes the rest of the search, so one whose subtree held no
+    fold is remembered and skipped when met again; each level keeps its own.
+    Each block placed is one node.
+    """
+    index = {s: i for i, s in enumerate(slots)}
+    cell_list = sorted(set(check_cell(c) for c in cells))
+    own = [[q for s in _cell_slots(c) for q in (2 * index[s], 2 * index[s] + 1)]
+           for c in cell_list]  # cell -> the placements into its 4 slots
+    poses = [corners for s in slots for corners in _poses(s)]
+    ids = {v: i for i, v in enumerate(sorted({v for corners in poses for v in corners}))}
+    at = [tuple(ids[v] for v in corners) for corners in poses]  # corners as point ids
+    shift = len(ids).bit_length()  # a state is its cells used << shift | its exit point
+    cells_at = [0] * len(ids)  # point -> bitmask of the cells with a slot corner there
+    for c, qs in enumerate(own):
+        for q in qs:
+            for v in at[q]:
+                cells_at[v] |= 1 << c
+    by_shared: dict = {1: [], 2: []}  # shared vertices -> cell pairs, in cell order
+    vertices = [set(cell_triangle(c)) for c in cell_list]
+    for a, b in itertools.combinations(range(len(cell_list)), 2):
+        shared = len(vertices[a] & vertices[b])
+        if shared:
+            by_shared[shared].append((1 << a | 1 << b, a, b, own[a] + own[b]))
+    full = (1 << len(cell_list)) - 1
+
+    hinges = [(CORNERS.index(ex), CORNERS.index(en)) for ex, en in chain.hinges]
+    m = chain.n_pieces // 8
+    shapes = [(tuple(hinges[8 * j:8 * j + 7]), hinges[8 * j - 1][1] if j else None,
+               hinges[8 * j + 7][0] if j + 1 < m else None) for j in range(m)]
+    sids = [shapes.index(shape) for shape in shapes]  # block -> its shape's first block
+    tables: dict = {}  # (pair mask, shape, entry point) -> _block_folds, built on demand
+    nodes = 0
+    placed: list = []  # the placed blocks' placements
+
+    def extend(j: int, used: int, entry) -> bool:
+        """Place blocks j, j+1, ... from the entry point onward."""
+        nonlocal nodes
+        sid = sids[j]
+        pairs = level
+        if entry is not None:
+            pairs = touching.get(entry)
+            if pairs is None:
+                near = cells_at[entry]
+                pairs = touching[entry] = [pair for pair in level if pair[0] & near]
+        for mask, a, b, qs in pairs:
+            if used & mask:
+                continue
+            now = used | mask
+            free = full ^ now
+            rest = (partners[a] | partners[b]) & free
+            while rest and partners[(rest & -rest).bit_length() - 1] & free:
+                rest &= rest - 1
+            if rest:  # a free cell beside the pair would have no free partner left
+                continue
+            table = tables.get((mask, sid, entry))
+            if table is None:
+                table = tables[mask, sid, entry] = _block_folds(at, qs, *shapes[sid], entry)
+            for exit_point, block in table:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(f"fold search exceeded {budget} nodes")
+                placed.append(block)
+                if j + 1 == m:
+                    return True
+                key = now << shift | exit_point
+                if key not in dead:
+                    if extend(j + 1, now, exit_point):
+                        return True
+                    dead.add(key)
+                placed.pop()
+        return False
+
+    try:
+        for level in (by_shared[2], by_shared[2] + by_shared[1]):
+            partners = [0] * len(cell_list)  # cell -> the cells it may pair with
+            for mask, a, b, _ in level:
+                partners[a] |= 1 << b
+                partners[b] |= 1 << a
+            touching: dict = {}  # entry point -> the level's pairs with a cell there
+            dead: set = set()  # states whose subtree held no fold
+            if extend(0, 0, None):
+                return FoldAssignment(tuple(Placement(q >> 1, poses[q])
+                                            for block in placed for q in block)), nodes
+        return None, nodes
+    finally:
+        extend = None  # noqa: F841 -- the closure refers to itself; free its tables now
+
+
+def _walk(chain: HingedChain, slots, budget: int, spent: int = 0) -> FoldAssignment | None:
+    """The piece-by-piece walk: a backtracking search that places one piece per node.
+
+    `fold_chain` runs it when the block levels find no fold, with `spent`
+    nodes of the budget already used; it counts on from there.
 
     A placement is a (slot, pose) pair, numbered ``2 * slot + pose``.  One
     successor table per hinge shape (piece k's exit corner, piece k+1's
@@ -274,11 +426,7 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
     None only when the space is provably exhausted; raises BudgetExceeded
     when the node budget runs out first.
     """
-    slots = refine(cells, expected_cells)
     n = len(slots)
-    if n != chain.n_pieces:
-        raise ValueError(f"chain has {chain.n_pieces} pieces but the glyph refines to {n} slots")
-
     poses = [corners for s in slots for corners in _poses(s)]  # placement -> corners
     bits = [1 << (q >> 1) for q in range(len(poses))]
     touching = _corner_masks(slots)
@@ -302,7 +450,7 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
     shift = len(poses).bit_length()  # an option is its rank << shift | its placement
     low = (1 << shift) - 1
 
-    nodes = node_cap = 0
+    nodes, node_cap = spent, 0
     placed: list = []
     dead: dict = {}  # (free set << shift | last placement) at a check -> nodes its subtree took
 

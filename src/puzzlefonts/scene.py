@@ -52,8 +52,19 @@ STYLE_CLASSES = frozenset(_STYLE_TABLE)
 _COORD = "%.6f"  # the one number format; a value that rounds to -0 is written 0.000000
 
 
+def _non_finite(text: str) -> ValueError:
+    """The error for formatted numbers that hold a nan or inf.
+
+    A formatted finite number has no letter n, so the writer tests a whole
+    formatted text once instead of testing each number.
+    """
+    return ValueError(f"refusing to write a non-finite coordinate: {text!r}")
+
+
 def _fmt(value: float) -> str:
     text = _COORD % value
+    if "n" in text:
+        raise _non_finite(text)
     return "0.000000" if text == "-0.000000" else text
 
 
@@ -121,6 +132,8 @@ class Polyline:
         for x, y in self.points:
             coords += (((x + dx) - min_x + m) * s, (max_y - (y + dy) + m) * s)
         text = " ".join([_COORD + "," + _COORD] * len(self.points)) % tuple(coords)
+        if "n" in text:
+            raise _non_finite(text)
         # a "-" only ever starts a number, so this rewrites just the numbers
         # that round to -0
         return text.replace("-0.000000", "0.000000")

@@ -5,10 +5,12 @@ import sys
 
 import pytest
 
+from puzzlefonts import hinged
 from puzzlefonts.errors import BudgetExceeded, InvalidPolyabolo
 from puzzlefonts.hinged import (
-    Cell, HingedChain, cell_triangle, contact_masks, fold_chain, refine, render_chain_strip,
-    render_fold, render_polyabolo, stays_connected, validate_polyabolo, verify_fold,
+    DEFAULT_BUDGET, Cell, HingedChain, _fold_blocks, _walk, cell_triangle, contact_masks, fold_chain,
+    refine, render_chain_strip, render_fold, render_polyabolo, stays_connected, validate_polyabolo,
+    verify_fold,
 )
 from oracles import exhaustive_fold_exists, slots_connected
 
@@ -114,18 +116,20 @@ class TestFoldChain:
         assert fold_chain(chain, [(0, 0, "NE", "first")]) is None
 
     def test_budget_exceeded_is_distinguished(self):
+        # a fold of 128 pieces places 16 blocks or walks 128 nodes, so any
+        # budget under 16 runs out whatever order the search takes
         chain = alt_chain(128)
         with pytest.raises(BudgetExceeded):
-            fold_chain(chain, FULL_SQUARE_4, budget=50, expected_cells=32)
+            fold_chain(chain, FULL_SQUARE_4, budget=15, expected_cells=32)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fold_chain(alt_chain(12), TWO_CELL)
 
     def test_fold_leaves_no_reference_cycle(self, shipped):
-        # N's search remembers about 400 dead states, the square's about 10.
-        # Allocated blocks, not traced bytes: tracemalloc makes N's search
-        # twenty times slower
+        # N's block levels remember about 9,300 dead states, the square's
+        # 24.  Allocated blocks, not traced bytes: tracemalloc makes N's
+        # search twenty times slower
         fd = shipped["hinged"]
         for chain, cells in ((alt_chain(128), FULL_SQUARE_4), (fd.chain, fd.glyphs["N"])):
             gc.collect()
@@ -163,11 +167,12 @@ class TestFoldChain:
 
 
 class TestSearchIsPinned:
-    """The smallest budget that folds each target: a search that visits other
-    nodes, or the same nodes in another order, shows as a moved pin.  Bisected
-    before the connectivity check became local to the last eight placements;
-    F and Z, confirmed before dead states were remembered, fold only after
-    thousands of first-round caps and charged dead states."""
+    """The smallest budget at which the 128-piece walk alone folds each target:
+    a walk that visits other nodes, or the same nodes in another order, shows
+    as a moved pin.  Bisected before the connectivity check became local to the
+    last eight placements; F and Z, confirmed before dead states were
+    remembered, fold only after thousands of first-round caps and charged dead
+    states.  `fold_chain` places blocks first, so these are the walk's own."""
 
     @pytest.mark.parametrize("target,budget", [
         ("square", 198), ("I", 206), ("L", 202), ("O", 587), ("N", 32_089),
@@ -176,20 +181,153 @@ class TestSearchIsPinned:
     def test_smallest_folding_budget(self, shipped, target, budget):
         fd = shipped["hinged"]
         cells = FULL_SQUARE_4 if target == "square" else fd.glyphs[target]
-        fold = fold_chain(fd.chain, cells, budget=budget, expected_cells=32)
+        slots = refine(cells, 32)
+        fold = _walk(fd.chain, slots, budget)
         assert verify_fold(fd.chain, cells, fold, expected_cells=32)
         with pytest.raises(BudgetExceeded):
-            fold_chain(fd.chain, cells, budget=budget - 1, expected_cells=32)
+            _walk(fd.chain, slots, budget - 1)
 
     def test_last_charged_dead_state_crosses_the_budget(self):
         # this search has no fold and ends by charging a dead state it met
         # before, nodes 11,008-11,016 (the plain walk's count), so only the
         # charge itself can pass a budget of 11,007-11,015
         chain = HingedChain.uniform(16, "R", "P")
-        assert fold_chain(chain, square_cells(2, 1), budget=11_016) is None
+        slots = refine(square_cells(2, 1))
+        assert _walk(chain, slots, 11_016) is None
         for budget in (11_007, 11_015):
             with pytest.raises(BudgetExceeded):
-                fold_chain(chain, square_cells(2, 1), budget=budget)
+                _walk(chain, slots, budget)
+
+
+BLOCK_SHAPES = {"2x1": square_cells(2, 1), "2x2": square_cells(2, 2), "4x1": square_cells(4, 1),
+                "two cells": TWO_CELL}
+BLOCK_CHAINS = {"Q:P/R:P": ALT, "Q:P/R:R": (("Q", "P"), ("R", "R")), "R:P": (("R", "P"),),
+                "Q:P": (("Q", "P"),)}
+# uniform R:P on 8 cells has no fold, and the walk alone takes 3 s (4x1) and
+# 35 s (2x2) to show it, so the comparison with the walk leaves these two out
+SLOW_WALKS = {("2x2", "R:P"), ("4x1", "R:P")}
+# 16 pieces whose hinges no pairing of the 4 cells into blocks can follow:
+# the block levels give up after 15 blocks and the walk folds in 36 nodes
+WALK_ONLY = ([(1, 0, "NE", "second"), (2, 0, "NE", "first"), (2, 0, "NE", "second"),
+              (2, 1, "NE", "second")], (("R", "Q"), ("Q", "P")))
+
+
+class TestBlockLevels:
+    @pytest.mark.parametrize("shape", sorted(BLOCK_SHAPES))
+    @pytest.mark.parametrize("pattern", sorted(BLOCK_CHAINS))
+    def test_block_folds_pass_verify(self, shape, pattern):
+        cells = BLOCK_SHAPES[shape]
+        slots = refine(cells)
+        chain = HingedChain.cyclic(len(slots), BLOCK_CHAINS[pattern])
+        fold, _ = _fold_blocks(chain, cells, slots, 10**6)
+        assert (fold is not None) == (pattern == "Q:P/R:P")
+        if fold is not None:
+            assert verify_fold(chain, cells, fold)
+
+    @pytest.mark.parametrize("shape,pattern", [
+        (shape, pattern) for shape in sorted(BLOCK_SHAPES) for pattern in sorted(BLOCK_CHAINS)
+        if (shape, pattern) not in SLOW_WALKS])
+    def test_none_exactly_when_the_walk_finds_none(self, shape, pattern):
+        cells = BLOCK_SHAPES[shape]
+        slots = refine(cells)
+        chain = HingedChain.cyclic(len(slots), BLOCK_CHAINS[pattern])
+        fold = fold_chain(chain, cells, budget=10**7)
+        assert (fold is None) == (_walk(chain, slots, 10**7) is None)
+        if len(slots) <= 16:
+            assert (fold is not None) == exhaustive_fold_exists(chain, [tuple(s) for s in slots])
+        if fold is not None:
+            assert verify_fold(chain, cells, fold)
+
+    def test_matches_exhaustive_oracle_on_random_toys(self):
+        # 2 or 4 edge-connected cells of a 3x3 grid with a random diagonal per
+        # square, hinges repeating 1 or 2 random (exit, entry) pairs: in 100
+        # draws the block levels fold (7 times only at level 2), and the walk
+        # after them folds or exhausts the space
+        rng = random.Random(20141016)
+        outcomes = set()
+        for _ in range(100):
+            diagonal = {(x, y): rng.choice(("NE", "NW")) for x in range(3) for y in range(3)}
+            grid = [(x, y, d, half) for (x, y), d in diagonal.items() for half in ("first", "second")]
+            cells = [rng.choice(grid)]
+            k = rng.choice((2, 4))
+            while len(cells) < k:
+                cell = rng.choice(grid)
+                if cell not in cells and validate_polyabolo(cells + [cell], len(cells) + 1).ok:
+                    cells.append(cell)
+            pattern = [(rng.choice("RPQ"), rng.choice("RPQ")) for _ in range(rng.choice((1, 2)))]
+            chain = HingedChain.cyclic(4 * k, pattern)
+            slots = refine(cells)
+            blocks, _ = _fold_blocks(chain, cells, slots, 10**6)
+            fold = fold_chain(chain, cells, budget=10**6)
+            assert (fold is not None) == exhaustive_fold_exists(chain, [tuple(s) for s in slots])
+            if fold is not None:
+                assert verify_fold(chain, cells, fold)
+                assert blocks is None or blocks == fold
+            outcomes.add((blocks is not None, fold is not None))
+        assert outcomes == {(True, True), (False, True), (False, False)}
+
+    def test_walk_folds_where_blocks_cannot_on_one_budget(self):
+        cells, pattern = WALK_ONLY
+        slots = refine(cells)
+        chain = HingedChain.cyclic(16, pattern)
+        assert _fold_blocks(chain, cells, slots, 10**6) == (None, 15)
+        assert exhaustive_fold_exists(chain, [tuple(s) for s in slots])
+        fold = fold_chain(chain, cells, budget=15 + 36)
+        assert fold == _walk(chain, slots, 36) and verify_fold(chain, cells, fold)
+        with pytest.raises(BudgetExceeded):
+            fold_chain(chain, cells, budget=15 + 35)
+
+    @pytest.mark.parametrize("case", ["blocks fold", "walk folds", "walk exhausts",
+                                      "blocks run out", "walk runs out"])
+    def test_search_leaves_no_cycle_for_the_collector(self, case):
+        # each search's closure refers to itself, so a stage that does not
+        # break that cycle on its way out leaves its tables to the collector
+        cells, pattern = WALK_ONLY
+        chain, budget = HingedChain.cyclic(16, pattern), 10**6
+        if case == "blocks fold":
+            chain, cells = alt_chain(16), square_cells(2, 1)
+        elif case == "walk exhausts":
+            chain, cells = HingedChain.uniform(16, "R", "P"), square_cells(2, 1)
+        elif case == "blocks run out":
+            budget = 10
+        elif case == "walk runs out":
+            budget = 15 + 30
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                fold_chain(chain, cells, budget=budget)
+            except BudgetExceeded:
+                assert case in ("blocks run out", "walk runs out")
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0, f"{found} objects in reference cycles after the fold"
+
+    def test_chain_not_in_blocks_of_8_skips_the_block_levels(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a 12-piece chain went to the block levels")
+        monkeypatch.setattr(hinged, "_fold_blocks", no_blocks)
+        cells = [(0, 0, "NE", "first"), (0, 0, "NE", "second"), (1, 0, "NE", "first")]
+        chain = alt_chain(12)
+        fold = fold_chain(chain, cells)
+        assert exhaustive_fold_exists(chain, [tuple(s) for s in refine(cells)])
+        assert fold == _walk(chain, refine(cells), DEFAULT_BUDGET)
+        assert verify_fold(chain, cells, fold)
+
+    @pytest.mark.parametrize("target,budget", [
+        ("square", 40), ("F", 44_812), ("I", 38), ("L", 38), ("N", 9_743), ("O", 38),
+        ("T", 897), ("U", 764), ("Z", 21_758),
+    ])
+    def test_smallest_folding_budget(self, shipped, target, budget):
+        # the block levels fold every target, N and Z only at level 2; each
+        # block placed is one node
+        fd = shipped["hinged"]
+        cells = FULL_SQUARE_4 if target == "square" else fd.glyphs[target]
+        fold = fold_chain(fd.chain, cells, budget=budget, expected_cells=32)
+        assert verify_fold(fd.chain, cells, fold, expected_cells=32)
+        with pytest.raises(BudgetExceeded):
+            fold_chain(fd.chain, cells, budget=budget - 1, expected_cells=32)
 
 
 def _connected_pair(rng, near, n):

@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -54,6 +55,28 @@ def test_unknown_style_rejected():
     s = VectorScene()
     with pytest.raises(ValueError):
         s.add_circle((0, 0), 1.0, "plaid")
+
+
+def test_nan_point_is_refused_not_written():
+    # min and max skip a nan after the first point, so the page stays finite
+    s = VectorScene()
+    s.add_polyline([(0, 0), (float("nan"), 1)], "chain")
+    assert not any(map(math.isnan, s.bounds()))
+    with pytest.raises(ValueError, match="non-finite"):
+        emit_svg(s)
+
+
+@pytest.mark.parametrize("add", [
+    lambda s: s.add_polygon([(0, 0), (1, 0), (1, float("inf"))], "piece"),
+    lambda s: s.add_circle((float("nan"), 0), 1.0, "disk"),
+    lambda s: s.add_circle((0, 0), float("nan"), "disk"),
+    lambda s: s.add_arc(Arc(Point2(float("nan"), 0), 1.0, 0.0, 90.0, CCW), "belt"),
+], ids=["inf polygon point", "nan circle center", "nan radius", "nan arc center"])
+def test_non_finite_primitive_after_finite_ones_is_refused(add):
+    s = scene_with_bits()
+    add(s)
+    with pytest.raises(ValueError):
+        emit_svg(s)
 
 
 def test_bounds_cover_arc_extremes():
