@@ -15,6 +15,7 @@ half-integer grid, so every geometric comparison here is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -213,6 +214,21 @@ def contact_masks(slots) -> list:
             for i, s in enumerate(slots)]
 
 
+def _flood(adjacent, within: int, seed: int, goal: int) -> int:
+    """The members of `within` that `seed` reaches through the `adjacent`
+    masks (one per member), by bitmask; it may stop once it has all `goal`."""
+    seen = frontier = seed
+    while frontier and goal & ~seen:
+        grow = 0
+        while frontier:
+            bit = frontier & -frontier
+            grow |= adjacent[bit.bit_length() - 1]
+            frontier ^= bit
+        frontier = grow & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def stays_connected(near, free: int, removed: int) -> bool:
     """Whether the free slots form one component of the contact graph.
 
@@ -228,16 +244,20 @@ def stays_connected(near, free: int, removed: int) -> bool:
         reach |= near[bit.bit_length() - 1]
         removed ^= bit
     reach &= free
-    seen = frontier = reach & -reach
-    while frontier and reach & ~seen:
-        grow = 0
-        while frontier:
-            bit = frontier & -frontier
-            grow |= near[bit.bit_length() - 1]
-            frontier ^= bit
-        frontier = grow & free & ~seen
-        seen |= frontier
-    return not reach & ~seen
+    return not reach & ~_flood(near, free, reach & -reach, reach)
+
+
+def _fillable(meets, partners, free: int) -> bool:
+    """Whether the `free` cells are one component under `meets` and every
+    component under `partners` has an even number of cells."""
+    if _flood(meets, free, free & -free, free) != free:
+        return False
+    while free:
+        part = _flood(partners, free, free & -free, free)
+        if part.bit_count() & 1:
+            return False
+        free ^= part
+    return True
 
 
 class _Stop(Exception):
@@ -252,13 +272,17 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
     pieces 8j .. 8j+7 fill the 8 slots of two cells, and each block's entry
     point is the previous block's exit point (`_fold_blocks`).  Level 1 pairs
     only cells that share an edge; level 2 also pairs cells that share only
-    a point, edge pairs first.  When neither level folds, or the chain's
-    length is not a multiple of 8, the walk that places one piece per node
-    (`_walk`) searches the whole space.  One budget counts the blocks placed
-    and the walk's nodes.  Every stage is a fixed-order search whose outcome
-    the budget does not steer, so every budget that reaches a fold returns
-    the same one.  Returns None only when the walk has exhausted the space;
-    raises BudgetExceeded when the node budget runs out first.
+    a point, edge pairs first.  A level cuts a pair that leaves free cells
+    no blocks could fill: a component of odd size under the level's pairing
+    (each block fills one pair), or parts that share no vertex (consecutive
+    blocks meet at a vertex or at the midpoint of a shared edge).  When
+    neither level folds, or the chain's length is not a multiple of 8, the
+    walk that places one piece per node (`_walk`) searches the whole space.
+    One budget counts the blocks placed and the walk's nodes.  Every stage
+    is a fixed-order search whose outcome the budget does not steer, so
+    every budget that reaches a fold returns the same one.  Returns None
+    only when the walk has exhausted the space; raises BudgetExceeded
+    (saying where) when the node budget runs out first.
     """
     slots = refine(cells, expected_cells)
     if len(slots) != chain.n_pieces:
@@ -271,28 +295,28 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
     return _walk(chain, slots, budget, spent)
 
 
-def _block_folds(at, own, inner, entry, exit_, point) -> list:
+def _block_folds(at, follow, own, inner, entry, exit_, point) -> list:
     """The folds of one block into the placements `own` of two cells' slots.
 
-    `at` gives each placement's corners, `inner` the block's 7 hinges and
-    `entry`, `exit_` the corner indices of its first piece's entry and last
-    piece's exit (None at the chain's ends).  Only folds whose entry corner
-    lies at `point` count.  Returns [(exit point, the 8 placements)], one
-    fold per exit point: the first in placement order.
+    `at` gives each placement's corners, `follow` each hinge's successor
+    lists, `inner` the block's 7 hinges and `entry`, `exit_` the corner
+    indices of its first piece's entry and last piece's exit (None at the
+    chain's ends).  Only folds whose entry corner lies at `point` count.
+    Returns [(exit point, the 8 placements)], one fold per exit point: the
+    first in placement order.
     """
-    follow = {(ex, en): {q: [r for r in reversed(own) if at[r][en] == at[q][ex]] for q in own}
-              for ex, en in set(inner)}  # hinge -> placement -> the next ones, reversed
     steps = [follow[hinge] for hinge in inner]
+    own_slots = sum({1 << (q >> 1) for q in own})
     folds: dict = {}
-    stack = [((q,), 1 << (q >> 1)) for q in reversed(own)  # (path, slots used)
+    stack = [((q,), own_slots ^ 1 << (q >> 1)) for q in reversed(own)  # (path, slots free)
              if entry is None or at[q][entry] == point]
     while stack:
-        path, used = stack.pop()
+        path, free = stack.pop()
         if len(path) == 8:
             folds.setdefault(None if exit_ is None else at[path[-1]][exit_], path)
             continue
-        stack += [(path + (r,), used | 1 << (r >> 1))
-                  for r in steps[len(path) - 1][path[-1]] if not used >> (r >> 1) & 1]
+        stack += [(path + (r,), free ^ 1 << (r >> 1))
+                  for r in steps[len(path) - 1][path[-1]] if free >> (r >> 1) & 1]
     return list(folds.items())
 
 
@@ -302,12 +326,15 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
     A block's shape is its 7 inner hinges with its entry and exit corners,
     taken from the chain, so blocks of one shape share their tables.  The
     table of each (cell pair, shape, entry point) is built on first use, and
-    only for free pairs that touch the entry point.  The search skips a pair
-    that would leave a free cell beside it with no free cell to pair with at
-    this level, as no fold could place that cell.  A (cells used, exit
-    point) state fixes the rest of the search, so one whose subtree held no
-    fold is remembered and skipped when met again; each level keeps its own.
-    Each block placed is one node.
+    only for free pairs that touch the entry point.  A pair is skipped unless
+    the cells it leaves free pass `_fillable` (once per set of cells used):
+    later blocks fill them pair by pair, so no component under the level's
+    pairing may be odd, and each block meets the next at a slot corner, a
+    vertex or shared edge midpoint of both, so they must stay connected
+    through shared vertices.  A (cells used, exit point) state fixes the
+    rest of the search, so one whose subtree held no fold is remembered and
+    skipped when met again; each level keeps its own.  Each block placed is
+    one node.
     """
     index = {s: i for i, s in enumerate(slots)}
     cell_list = sorted(set(check_cell(c) for c in cells))
@@ -324,13 +351,22 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
                 cells_at[v] |= 1 << c
     by_shared: dict = {1: [], 2: []}  # shared vertices -> cell pairs, in cell order
     vertices = [set(cell_triangle(c)) for c in cell_list]
+    meets = [0] * len(cell_list)  # cell -> the cells it shares a vertex with
     for a, b in itertools.combinations(range(len(cell_list)), 2):
         shared = len(vertices[a] & vertices[b])
         if shared:
             by_shared[shared].append((1 << a | 1 << b, a, b, own[a] + own[b]))
+            meets[a] |= 1 << b
+            meets[b] |= 1 << a
     full = (1 << len(cell_list)) - 1
 
     hinges = [(CORNERS.index(ex), CORNERS.index(en)) for ex, en in chain.hinges]
+    by_point: dict = {}  # (corner index, point) -> the placements with that corner there
+    for q in reversed([q for qs in own for q in qs]):  # last cell first, each reversed
+        for c, v in enumerate(at[q]):
+            by_point.setdefault((c, v), []).append(q)
+    follow = {(ex, en): [by_point.get((en, corners[ex]), ()) for corners in at]
+              for ex, en in set(hinges)}  # hinge -> placement -> the next ones
     m = chain.n_pieces // 8
     shapes = [(tuple(hinges[8 * j:8 * j + 7]), hinges[8 * j - 1][1] if j else None,
                hinges[8 * j + 7][0] if j + 1 < m else None) for j in range(m)]
@@ -353,19 +389,16 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
             if used & mask:
                 continue
             now = used | mask
-            free = full ^ now
-            rest = (partners[a] | partners[b]) & free
-            while rest and partners[(rest & -rest).bit_length() - 1] & free:
-                rest &= rest - 1
-            if rest:  # a free cell beside the pair would have no free partner left
+            if not fillable(full ^ now):
                 continue
             table = tables.get((mask, sid, entry))
             if table is None:
-                table = tables[mask, sid, entry] = _block_folds(at, qs, *shapes[sid], entry)
+                table = tables[mask, sid, entry] = _block_folds(at, follow, qs, *shapes[sid], entry)
             for exit_point, block in table:
                 nodes += 1
                 if nodes > budget:
-                    raise BudgetExceeded(f"fold search exceeded {budget} nodes")
+                    raise BudgetExceeded(f"fold search exceeded {budget} nodes at block level "
+                                         f"{number}, placing block {j} (pieces {8 * j}-{8 * j + 7})")
                 placed.append(block)
                 if j + 1 == m:
                     return True
@@ -378,13 +411,14 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
         return False
 
     try:
-        for level in (by_shared[2], by_shared[2] + by_shared[1]):
+        for number, level in enumerate((by_shared[2], by_shared[2] + by_shared[1]), 1):
             partners = [0] * len(cell_list)  # cell -> the cells it may pair with
             for mask, a, b, _ in level:
                 partners[a] |= 1 << b
                 partners[b] |= 1 << a
             touching: dict = {}  # entry point -> the level's pairs with a cell there
             dead: set = set()  # states whose subtree held no fold
+            fillable = functools.cache(functools.partial(_fillable, meets, partners))
             if extend(0, 0, None):
                 return FoldAssignment(tuple(Placement(q >> 1, poses[q])
                                             for block in placed for q in block)), nodes
@@ -459,7 +493,8 @@ def _walk(chain: HingedChain, slots, budget: int, spent: int = 0) -> FoldAssignm
         nonlocal nodes
         nodes = node_cap + 1
         if nodes > budget:
-            raise BudgetExceeded(f"fold search exceeded {budget} nodes")
+            raise BudgetExceeded(f"fold search exceeded {budget} nodes in the piece-by-piece "
+                                 f"walk, {spent} of them spent on block levels")
         raise _Stop
 
     def extend(k: int, free: int, checked: int, ranked) -> bool:

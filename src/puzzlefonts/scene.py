@@ -286,7 +286,11 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
     width = (max_x - min_x + 2 * m) * s
     height = (max_y - min_y + 2 * m) * s
     # the numbers written lie within the page, so a coordinate that
-    # overflowed shows here as an infinite page
+    # overflowed shows here as an infinite page; min and max carry a nan
+    # only from the scene's first point into the page, a later one is met
+    # when it is written
+    if math.isnan(width) or math.isnan(height):
+        raise _non_finite(f"bounds {min_x!r}, {min_y!r}, {max_x!r}, {max_y!r}")
     if not (math.isfinite(width) and math.isfinite(height)):
         raise ValueError(f"the drawing is too large to write: page {width!r} x {height!r}")
     frame = (min_x, max_y, m, s)  # y is flipped: the SVG y axis points down

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from scratch against the definitions,
 not by calling the code under test: exact rational segment intersection,
-a naive belt-winding enumerator, an exhaustive fold enumerator, a plain
-breadth-first search over slot contacts, and a layout that copies every
-primitive to its place.
+a naive belt-winding enumerator, an exhaustive fold enumerator, a block
+fold search without cuts, a plain breadth-first search over slot contacts,
+and a layout that copies every primitive to its place.
 """
 
 from fractions import Fraction
@@ -124,6 +124,89 @@ def exhaustive_fold_exists(chain, slots_points) -> bool:
         return False
 
     return rec(0, set(), None)
+
+
+def plain_block_fold(chain, cells, slots_points):
+    """The first fold of the chain by 8-piece blocks, or None: no cuts, no memo.
+
+    Block j (pieces 8j .. 8j+7) fills the 4 slots of each of two cells and
+    enters at the previous block's exit point.  Level 1 pairs cells that
+    share an edge; level 2 also pairs cells that share only a vertex, edge
+    pairs first, each group in cell order.  A pair's placements run over its
+    first cell, then its second; a cell's slots run from the one at its
+    right-angle vertex, the ones at its diagonal's start and end, to the
+    middle one, each with its acute corners in slot order, then swapped.
+    Per pair and entry point the block's folds are listed in that order,
+    and only the first one to reach each exit point is tried.  Returns the
+    fold as (slot index, (R, P, Q) corners) per piece.  `cells` are
+    (sx, sy, diagonal, half) tuples and `slots_points` the glyph's
+    (right, acute1, acute2) corner triples.
+    """
+    n = chain.n_pieces
+    if n % 8 or n != len(slots_points):
+        return None
+    corner_order = ("R", "P", "Q")
+    cell_list = sorted(set(tuple(c) for c in cells))
+
+    def vertices(cell):  # (right-angle vertex, diagonal start, diagonal end)
+        x, y, diagonal, half = cell
+        if diagonal == "NE":
+            return ((x, y + 1) if half == "first" else (x + 1, y)), (x, y), (x + 1, y + 1)
+        return ((x + 1, y + 1) if half == "first" else (x, y)), (x + 1, y), (x, y + 1)
+
+    placements = []  # per cell, its (slot index, corners) in search order
+    for cell in cell_list:
+        vs = [(float(x), float(y)) for x, y in vertices(cell)]
+        points = set(vs) | {((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p in vs for q in vs}
+        mine = [i for i, s in enumerate(slots_points) if set(s) <= points]
+        mine.sort(key=lambda i: next((t for t, v in enumerate(vs) if v in slots_points[i]), 3))
+        placements.append([(i, p) for i in mine for p in (slots_points[i], (
+            slots_points[i][0], slots_points[i][2], slots_points[i][1]))])
+
+    exits = [corner_order.index(ex) for ex, _ in chain.hinges]  # piece k's, k < n - 1
+    entries = [None] + [corner_order.index(en) for _, en in chain.hinges]  # piece k's, k > 0
+    pairs = {1: [], 2: []}
+    for a in range(len(cell_list)):
+        for b in range(a + 1, len(cell_list)):
+            shared = len(set(vertices(cell_list[a])) & set(vertices(cell_list[b])))
+            if shared:
+                pairs[shared].append((a, b))
+
+    def block_folds(j, a, b, entry_point):
+        """[(exit point, placements)] of block j into cells a and b, first per exit."""
+        own = placements[a] + placements[b]
+        found = {}
+
+        def rec(path, used, point):  # point: where the next piece must enter
+            k = 8 * j + len(path)
+            if len(path) == 8:
+                found.setdefault(point, tuple(path))
+                return
+            for i, corners in own:
+                if i not in used and (point is None or corners[entries[k]] == point):
+                    rec(path + [(i, corners)], used | {i},
+                        corners[exits[k]] if k < n - 1 else None)
+
+        rec([], set(), entry_point)
+        return list(found.items())
+
+    def search(level, j, used, entry_point):
+        if 8 * j == n:
+            return ()
+        for a, b in level:
+            if a in used or b in used:
+                continue
+            for exit_point, block in block_folds(j, a, b, entry_point):
+                rest = search(level, j + 1, used | {a, b}, exit_point)
+                if rest is not None:
+                    return block + rest
+        return None
+
+    for level in (pairs[2], pairs[2] + pairs[1]):
+        fold = search(level, 0, frozenset(), None)
+        if fold is not None:
+            return fold
+    return None
 
 
 def slots_connected(slots_points, members) -> bool:

@@ -8,11 +8,11 @@ import pytest
 from puzzlefonts import hinged
 from puzzlefonts.errors import BudgetExceeded, InvalidPolyabolo
 from puzzlefonts.hinged import (
-    DEFAULT_BUDGET, Cell, HingedChain, _fold_blocks, _walk, cell_triangle, contact_masks, fold_chain,
-    refine, render_chain_strip, render_fold, render_polyabolo, stays_connected, validate_polyabolo,
-    verify_fold,
+    DEFAULT_BUDGET, HALVES, Cell, HingedChain, _fold_blocks, _walk, cell_triangle, contact_masks,
+    fold_chain, refine, render_chain_strip, render_fold, render_polyabolo, stays_connected,
+    validate_polyabolo, verify_fold,
 )
-from oracles import exhaustive_fold_exists, slots_connected
+from oracles import exhaustive_fold_exists, plain_block_fold, slots_connected
 
 ALT = (("Q", "P"), ("R", "P"))
 
@@ -127,7 +127,7 @@ class TestFoldChain:
             fold_chain(alt_chain(12), TWO_CELL)
 
     def test_fold_leaves_no_reference_cycle(self, shipped):
-        # N's block levels remember about 9,300 dead states, the square's
+        # N's block levels remember about 470 dead states, the square's
         # 24.  Allocated blocks, not traced bytes: tracemalloc makes N's
         # search twenty times slower
         fd = shipped["hinged"]
@@ -266,6 +266,56 @@ class TestBlockLevels:
             outcomes.add((blocks is not None, fold is not None))
         assert outcomes == {(True, True), (False, True), (False, False)}
 
+    def test_matches_plain_block_search_on_random_glyphs(self):
+        # 6 to 12 edge-connected cells of a 4x4 grid with a random diagonal
+        # per square, grown half the time by the other half of a square
+        # already in; 3 in 4 chains alternate a random hinge between acute
+        # corners with a random one at a right angle, the rest repeat 1 or 2
+        # random (exit, entry) pairs.  About half of the 60 draws fold; in
+        # about half the cuts skip blocks that a look at the cells beside the
+        # pair alone would place
+        rng = random.Random(20141017)
+        acute = [(a, b) for a in "PQ" for b in "PQ"]
+        right = [("R", "P"), ("R", "Q"), ("P", "R"), ("Q", "R")]
+        folded = 0
+        for _ in range(60):
+            diagonal = {(x, y): rng.choice(("NE", "NW")) for x in range(4) for y in range(4)}
+            grid = [(x, y, d, half) for (x, y), d in diagonal.items() for half in ("first", "second")]
+            k = rng.choice((6, 8, 10, 12))
+            cells = [rng.choice(grid)]
+            while len(cells) < k:
+                x, y, d, half = rng.choice(cells)
+                cell = ((x, y, d, "second" if half == "first" else "first") if rng.random() < 0.5
+                        else rng.choice(grid))
+                if cell not in cells and validate_polyabolo(cells + [cell], len(cells) + 1).ok:
+                    cells.append(cell)
+            if rng.random() < 0.75:
+                pattern = [rng.choice(acute), rng.choice(right)]
+            else:
+                pattern = [(rng.choice("RPQ"), rng.choice("RPQ")) for _ in range(rng.choice((1, 2)))]
+            chain = HingedChain.cyclic(4 * k, pattern)
+            slots = refine(cells)
+            fold, _ = _fold_blocks(chain, cells, slots, 10**6)
+            want = plain_block_fold(chain, cells, [tuple(s) for s in slots])
+            assert (None if fold is None else fold.placements) == want, (cells, pattern)
+            folded += fold is not None
+        assert 20 <= folded <= 40
+
+    def test_level_1_blocks_may_meet_at_a_shared_vertex_only(self):
+        # an L of three squares, folded at level 1 corner square first: the
+        # two squares left free share only the point (1, 1), where the second
+        # block hands over to the third, so a cut that asked the free cells
+        # to share edges would lose this fold
+        cells = [(0, 0, "NE", h) for h in HALVES] + [(1, 0, "NW", h) for h in HALVES] + [
+            (0, 1, "NE", h) for h in HALVES]
+        chain = HingedChain.cyclic(24, (("P", "Q"), ("R", "P")))
+        slots = refine(cells)
+        fold, nodes = _fold_blocks(chain, cells, slots, 10**6)
+        assert fold.placements == plain_block_fold(chain, cells, [tuple(s) for s in slots])
+        assert verify_fold(chain, cells, fold)
+        with pytest.raises(BudgetExceeded, match="at block level 1, placing block 2"):
+            _fold_blocks(chain, cells, slots, nodes - 1)
+
     def test_walk_folds_where_blocks_cannot_on_one_budget(self):
         cells, pattern = WALK_ONLY
         slots = refine(cells)
@@ -304,6 +354,17 @@ class TestBlockLevels:
             gc.enable()
         assert found == 0, f"{found} objects in reference cycles after the fold"
 
+    @pytest.mark.parametrize("budget,where", [
+        # the block levels of WALK_ONLY spend 15 nodes, none of them at level 1
+        (10, "at block level 2, placing block 0 (pieces 0-7)"),
+        (15 + 30, "in the piece-by-piece walk, 15 of them spent on block levels"),
+    ], ids=["blocks run out", "walk runs out"])
+    def test_budget_message_says_where_it_ran_out(self, budget, where):
+        cells, pattern = WALK_ONLY
+        with pytest.raises(BudgetExceeded) as err:
+            fold_chain(HingedChain.cyclic(16, pattern), cells, budget=budget)
+        assert str(err.value) == f"fold search exceeded {budget} nodes {where}"
+
     def test_chain_not_in_blocks_of_8_skips_the_block_levels(self, monkeypatch):
         def no_blocks(*args):
             raise AssertionError("a 12-piece chain went to the block levels")
@@ -316,8 +377,8 @@ class TestBlockLevels:
         assert verify_fold(chain, cells, fold)
 
     @pytest.mark.parametrize("target,budget", [
-        ("square", 40), ("F", 44_812), ("I", 38), ("L", 38), ("N", 9_743), ("O", 38),
-        ("T", 897), ("U", 764), ("Z", 21_758),
+        ("square", 40), ("F", 1_734), ("I", 38), ("L", 38), ("N", 490), ("O", 38),
+        ("T", 42), ("U", 41), ("Z", 641),
     ])
     def test_smallest_folding_budget(self, shipped, target, budget):
         # the block levels fold every target, N and Z only at level 2; each

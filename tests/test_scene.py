@@ -62,7 +62,16 @@ def test_nan_point_is_refused_not_written():
     s = VectorScene()
     s.add_polyline([(0, 0), (float("nan"), 1)], "chain")
     assert not any(map(math.isnan, s.bounds()))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="^refusing to write a non-finite coordinate: "):
+        emit_svg(s)
+
+
+def test_nan_in_the_first_point_is_refused_as_a_coordinate():
+    # min and max carry a nan in the first point into the page size, which
+    # is then nan, not infinite: the drawing is not too large
+    s = VectorScene()
+    s.add_polyline([(float("nan"), 0), (0, 1)], "chain")
+    with pytest.raises(ValueError, match="^refusing to write a non-finite coordinate: "):
         emit_svg(s)
 
 
