@@ -28,8 +28,10 @@ HALVES = ("first", "second")
 CORNERS = ("R", "P", "Q")  # right angle, then the two acute (hypotenuse) corners
 
 DEFAULT_BUDGET = 10_000_000
-# Nodes per start in the fold search's first round, fixed so the fold found
-# does not depend on the budget: 1M // 256 starts; winning starts need <= 2,738.
+# Nodes per start in the fold walk's first round, fixed so the fold found
+# does not depend on the budget: 1M // 256 starts; the winning starts of the
+# walk alone on the square and FILNOTUZ need <= 3,292 (T).  The round stays
+# because it pays: without it the walk needs 15.7M nodes for Z (see `_walk`).
 FIRST_ROUND_CAP = 3_906
 
 
@@ -248,16 +250,20 @@ def stays_connected(near, free: int, removed: int) -> bool:
 
 
 def _fillable(meets, partners, free: int) -> bool:
-    """Whether the `free` cells are one component under `meets` and every
-    component under `partners` has an even number of cells."""
-    if _flood(meets, free, free & -free, free) != free:
-        return False
-    while free:
-        part = _flood(partners, free, free & -free, free)
+    """Whether every component of the `free` cells under `partners` has an
+    even number of cells and the cells are one component under `meets`.
+
+    Every pair of partners meets, so one component under `partners` is one
+    under `meets` too, and only two or more need the second flood.
+    """
+    rest, parts = free, 0
+    while rest:
+        part = _flood(partners, rest, rest & -rest, rest)
         if part.bit_count() & 1:
             return False
-        free ^= part
-    return True
+        rest ^= part
+        parts += 1
+    return parts < 2 or _flood(meets, free, free & -free, free) == free
 
 
 class _Stop(Exception):
@@ -446,19 +452,21 @@ def _walk(chain: HingedChain, slots, budget: int, spent: int = 0) -> FoldAssignm
     glyph), so `stays_connected` only floods from the free neighbours of the
     8 slots placed since then.  Past a check, the rest of the search depends
     only on the free set and the last placement (the depth is the count of
-    placed slots), so a table that lives for one call and is shared by all
+    placed slots), so a set that lives for one call and is shared by all
     starts and rounds remembers each such state whose subtree was walked to
-    the end without a fold, with the nodes that walk took.  Meeting the state
-    again charges those nodes instead of walking them; a charge that passes
-    the cap stops where the walk would have, so the nodes counted, every
-    budget's outcome and every fold are those of the plain walk.  The table
-    grows with the nodes visited: about 100 bytes per remembered state, 22.6k
-    states (2.3 MB) in Z's 768k-node search.  The search rotates through
-    the possible first placements, each capped at FIRST_ROUND_CAP nodes,
-    before burning the whole budget depth-first.  The budget only bounds the
-    search: every budget that reaches a fold returns the same one.  Returns
-    None only when the space is provably exhausted; raises BudgetExceeded
-    when the node budget runs out first.
+    the end without a fold.  As in the block levels, a state met again is
+    skipped and costs only the node that reached it.  The set is what makes
+    exhaustion affordable: uniform R:P hinges on a 2x2 square (32 pieces)
+    take 12.3M nodes, 38 s CPU, to prove foldless with it and 75.7M nodes,
+    168 s, without.  It grows with the nodes visited: 35.3k states (3.6 MB)
+    in Z's 767k-node search.  The search
+    rotates through the possible first placements, each capped at
+    FIRST_ROUND_CAP nodes, before burning the whole budget depth-first: one
+    depth-first pass over the starts needs 15.7M nodes for Z and finds no F
+    fold in 40M.  The budget only bounds the search: every budget that
+    reaches a fold returns the same one.  Returns None only when the space is
+    provably exhausted; raises BudgetExceeded when the node budget runs out
+    first.
     """
     n = len(slots)
     poses = [corners for s in slots for corners in _poses(s)]  # placement -> corners
@@ -486,16 +494,7 @@ def _walk(chain: HingedChain, slots, budget: int, spent: int = 0) -> FoldAssignm
 
     nodes, node_cap = spent, 0
     placed: list = []
-    dead: dict = {}  # (free set << shift | last placement) at a check -> nodes its subtree took
-
-    def overrun():
-        """Stop where the walk first passes node_cap (node_cap <= budget)."""
-        nonlocal nodes
-        nodes = node_cap + 1
-        if nodes > budget:
-            raise BudgetExceeded(f"fold search exceeded {budget} nodes in the piece-by-piece "
-                                 f"walk, {spent} of them spent on block levels")
-        raise _Stop
+    dead: set = set()  # (free set << shift | last placement) at a check, walked without a fold
 
     def extend(k: int, free: int, checked: int, ranked) -> bool:
         """Try each option of ranked for piece k, then the rest of the chain.
@@ -507,29 +506,28 @@ def _walk(chain: HingedChain, slots, budget: int, spent: int = 0) -> FoldAssignm
         table = succ[k] if k + 1 < n else None
         for option in ranked:
             nodes += 1
-            if nodes > node_cap:
-                overrun()
+            if nodes > node_cap:  # node_cap <= budget
+                if nodes > budget:
+                    raise BudgetExceeded(f"fold search exceeded {budget} nodes in the piece-by-piece "
+                                         f"walk, {spent} of them spent on block levels")
+                raise _Stop
             q = option & low
             now_free = free ^ bits[q]
             if check:
                 if not stays_connected(near, now_free, checked ^ now_free):
                     continue
                 key = now_free << shift | q
-                if key in dead:  # walked to the end before, without a fold
-                    nodes += dead[key]
-                    if nodes > node_cap:
-                        overrun()
+                if key in dead:
                     continue
             placed.append(q)
             if table is None:
                 return True
             options = sorted([(mask & now_free).bit_count() << shift | r
                               for r, bit, mask in table[q] if now_free & bit])
-            before = nodes
             if options and extend(k + 1, now_free, now_free if check else checked, options):
                 return True
             if check:
-                dead[key] = nodes - before
+                dead.add(key)
             placed.pop()
         return False
 

@@ -28,6 +28,11 @@ def square_cells(w, h):
 
 FULL_SQUARE_4 = square_cells(4, 4)
 TWO_CELL = [(0, 0, "NE", "first"), (0, 0, "NE", "second")]
+# a 32-cell G into which the block levels cannot fold the shipped chain
+G_GLYPH = [(x, y, d, half) for x, y, d in (
+    (0, 3, "NW"), (1, 3, "NE"), (2, 3, "NW"), (3, 0, "NE"), (3, 2, "NE"), (3, 3, "NW"),
+    (4, 0, "NE"), (4, 1, "NW"), (4, 2, "NE"), (4, 3, "NE"), (4, 4, "NW"), (5, 0, "NW"),
+    (5, 1, "NW"), (5, 2, "NW"), (5, 3, "NW"), (5, 4, "NW")) for half in HALVES]
 
 
 class TestValidatePolyabolo:
@@ -170,13 +175,12 @@ class TestSearchIsPinned:
     """The smallest budget at which the 128-piece walk alone folds each target:
     a walk that visits other nodes, or the same nodes in another order, shows
     as a moved pin.  Bisected before the connectivity check became local to the
-    last eight placements; F and Z, confirmed before dead states were
-    remembered, fold only after thousands of first-round caps and charged dead
-    states.  `fold_chain` places blocks first, so these are the walk's own."""
+    last eight placements; F and Z fold in the first round, only at starts 108
+    and 204.  `fold_chain` places blocks first, so these are the walk's own."""
 
     @pytest.mark.parametrize("target,budget", [
         ("square", 198), ("I", 206), ("L", 202), ("O", 587), ("N", 32_089),
-        ("F", 414_654), ("Z", 767_602),
+        ("F", 414_654), ("Z", 767_414),
     ])
     def test_smallest_folding_budget(self, shipped, target, budget):
         fd = shipped["hinged"]
@@ -187,24 +191,33 @@ class TestSearchIsPinned:
         with pytest.raises(BudgetExceeded):
             _walk(fd.chain, slots, budget - 1)
 
-    def test_last_charged_dead_state_crosses_the_budget(self):
-        # this search has no fold and ends by charging a dead state it met
-        # before, nodes 11,008-11,016 (the plain walk's count), so only the
-        # charge itself can pass a budget of 11,007-11,015
+    def test_smallest_exhausting_budget(self):
+        # a dead state met again costs only the node that reached it, so the
+        # proof that this chain has no fold counts only the nodes it walks
         chain = HingedChain.uniform(16, "R", "P")
         slots = refine(square_cells(2, 1))
-        assert _walk(chain, slots, 11_016) is None
-        for budget in (11_007, 11_015):
-            with pytest.raises(BudgetExceeded):
-                _walk(chain, slots, budget)
+        assert _walk(chain, slots, 7_688) is None
+        with pytest.raises(BudgetExceeded):
+            _walk(chain, slots, 7_687)
+
+    def test_fallback_walk_folds_where_the_blocks_cannot(self, shipped):
+        # the block levels exhaust on this G after 41,135 nodes and the walk
+        # folds it in the first round, at start 168; one depth-first pass over
+        # the starts finds no fold in 10M nodes, so this pins the rounds
+        fd = shipped["hinged"]
+        fold = fold_chain(fd.chain, G_GLYPH, budget=657_500, expected_cells=32)
+        assert verify_fold(fd.chain, G_GLYPH, fold, expected_cells=32)
+        with pytest.raises(BudgetExceeded, match="41135 of them spent on block levels"):
+            fold_chain(fd.chain, G_GLYPH, budget=657_499, expected_cells=32)
 
 
 BLOCK_SHAPES = {"2x1": square_cells(2, 1), "2x2": square_cells(2, 2), "4x1": square_cells(4, 1),
                 "two cells": TWO_CELL}
 BLOCK_CHAINS = {"Q:P/R:P": ALT, "Q:P/R:R": (("Q", "P"), ("R", "R")), "R:P": (("R", "P"),),
                 "Q:P": (("Q", "P"),)}
-# uniform R:P on 8 cells has no fold, and the walk alone takes 3 s (4x1) and
-# 35 s (2x2) to show it, so the comparison with the walk leaves these two out
+# uniform R:P on 8 cells has no fold, and the walk alone takes 1.1M nodes, 3 s
+# (4x1), and 12.3M nodes, 38 s (2x2), to show it, so the comparison with the
+# walk leaves these two out
 SLOW_WALKS = {("2x2", "R:P"), ("4x1", "R:P")}
 # 16 pieces whose hinges no pairing of the 4 cells into blocks can follow:
 # the block levels give up after 15 blocks and the walk folds in 36 nodes
