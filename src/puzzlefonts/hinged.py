@@ -69,9 +69,19 @@ def cell_triangle(cell: Cell) -> tuple:
     return ((x, y), (x + 1, y), (x, y + 1))
 
 
-def _edges_of(tri) -> list:
-    r, a, b = tri
-    return [frozenset((r, a)), frozenset((r, b)), frozenset((a, b))]
+def _cell_graph(cells) -> tuple:
+    """Per cell of `cells` (all distinct), the bitmasks of the other cells
+    that share an edge with it and that share at least a vertex with it."""
+    tris = [cell_triangle(c) for c in cells]
+    at: dict = {}  # vertex -> bitmask of the cells with a corner there
+    for i, tri in enumerate(tris):
+        for v in tri:
+            at[v] = at.get(v, 0) | 1 << i
+    edges, meets = [], []
+    for i, (r, a, b) in enumerate(tris):
+        edges.append((at[r] & at[a] | at[r] & at[b] | at[a] & at[b]) & ~(1 << i))
+        meets.append((at[r] | at[a] | at[b]) & ~(1 << i))
+    return edges, meets
 
 
 @dataclass(frozen=True)
@@ -100,28 +110,9 @@ def validate_polyabolo(cells, expected_cells: int = 32) -> PolyaboloReport:
         if len({c.diagonal for c in square_cells}) > 1:
             no_overlap = False  # halves of different diagonals overlap
     # connectivity over shared (leg or hypotenuse) edges
-    edge_map: dict = {}
-    for idx, c in enumerate(unique):
-        for e in _edges_of(cell_triangle(c)):
-            edge_map.setdefault(e, []).append(idx)
-    connected = True
-    if unique:
-        seen = {0}
-        stack = [0]
-        adj: dict = {i: set() for i in range(len(unique))}
-        for owners in edge_map.values():
-            for i, j in itertools.combinations(owners, 2):
-                adj[i].add(j)
-                adj[j].add(i)
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        connected = len(seen) == len(unique)
-    else:
-        connected = False
+    edges, _ = _cell_graph(unique)
+    full = (1 << len(unique)) - 1
+    connected = bool(unique) and _flood(edges, full, 1, full) == full
     return PolyaboloReport(len(cs), expected_cells, connected, no_overlap, len(unique) * 0.5)
 
 
@@ -355,15 +346,12 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
         for q in qs:
             for v in at[q]:
                 cells_at[v] |= 1 << c
-    by_shared: dict = {1: [], 2: []}  # shared vertices -> cell pairs, in cell order
-    vertices = [set(cell_triangle(c)) for c in cell_list]
-    meets = [0] * len(cell_list)  # cell -> the cells it shares a vertex with
+    edges, meets = _cell_graph(cell_list)
+    edge_pairs, point_pairs = [], []  # cell pairs that share an edge, or only a point, in cell order
     for a, b in itertools.combinations(range(len(cell_list)), 2):
-        shared = len(vertices[a] & vertices[b])
-        if shared:
-            by_shared[shared].append((1 << a | 1 << b, a, b, own[a] + own[b]))
-            meets[a] |= 1 << b
-            meets[b] |= 1 << a
+        if meets[a] >> b & 1:
+            pair = (1 << a | 1 << b, a, b, own[a] + own[b])
+            (edge_pairs if edges[a] >> b & 1 else point_pairs).append(pair)
     full = (1 << len(cell_list)) - 1
 
     hinges = [(CORNERS.index(ex), CORNERS.index(en)) for ex, en in chain.hinges]
@@ -417,7 +405,7 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
         return False
 
     try:
-        for number, level in enumerate((by_shared[2], by_shared[2] + by_shared[1]), 1):
+        for number, level in enumerate((edge_pairs, edge_pairs + point_pairs), 1):
             partners = [0] * len(cell_list)  # cell -> the cells it may pair with
             for mask, a, b, _ in level:
                 partners[a] |= 1 << b

@@ -31,6 +31,11 @@ RENDER = {
     ("cane", "solved"): "6d03ee6961a6556772f71cbe644e85c73a7b64e64b91c02ac4e5640670c47e06",
     ("cane", "puzzle"): "20bf041a66eb4dd36660f2c73472546aace14dd091eb5fc815a495d0699277a4",
 }
+# conveyer, solved, spacing 0.25, scale 2
+SCALED_RENDER = "3899306b0b62466408effc72c97fe726d3d81846ab06f5fbce13d2ed3162c4be"
+CANE_PUZZLE_16 = "0cf57e7e4aeec5ad41f9e14273e73680bb4795989781c0ac3b7f844648867f8f"
+# the solution sheet of the conveyer puzzle of FUN (seed 0)
+SOLUTION_SHEET = "d630c95c2c371a9cd120679a3326f59151cd752ce5a04458ddc2cba2329b8b06"
 
 WRITE = {
     "linkage": "d95f7001af04341be3cb903da6889e1a54156f05bedaf32ebc45fd3818b75256",
@@ -75,21 +80,18 @@ def test_render(shipped, font, variant):
 
 def test_scaled_render_with_arcs(shipped):
     scene = typeset(shipped["conveyer"], TEXT, "solved", seed=7, spacing=0.25, scale=2.0).scene
-    assert _sha(emit_svg(scene)) == \
-        "3899306b0b62466408effc72c97fe726d3d81846ab06f5fbce13d2ed3162c4be"
+    assert _sha(emit_svg(scene)) == SCALED_RENDER
 
 
 def test_sixteen_letter_cane_puzzle(shipped):
     scene = typeset(shipped["cane"], "FILNOTUZZUTONLIF", "puzzle", seed=7).scene
-    assert _sha(emit_svg(scene)) == \
-        "0cf57e7e4aeec5ad41f9e14273e73680bb4795989781c0ac3b7f844648867f8f"
+    assert _sha(emit_svg(scene)) == CANE_PUZZLE_16
 
 
 def test_conveyer_solution_sheet(shipped):
     puzzle = typeset(shipped["conveyer"], "FUN", "puzzle").puzzle_data
     outcome = solve_puzzle(shipped["conveyer"], puzzle)
-    assert _sha(emit_svg(outcome.solution_scene)) == \
-        "d630c95c2c371a9cd120679a3326f59151cd752ce5a04458ddc2cba2329b8b06"
+    assert _sha(emit_svg(outcome.solution_scene)) == SOLUTION_SHEET
 
 
 @pytest.mark.parametrize("font", sorted(WRITE))

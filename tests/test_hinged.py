@@ -44,6 +44,8 @@ class TestValidatePolyabolo:
         blobs = square_cells(2, 4) + [(x + 10, y, "NE", h) for x, y, _, h in square_cells(2, 4)]
         rep = validate_polyabolo(blobs, 32)
         assert rep.cell_count == 32 and not rep.connected
+        touching = [(0, 0, "NE", "first"), (1, 1, "NE", "second")]  # only the point (1, 1)
+        assert not validate_polyabolo(touching, 2).connected
 
     def test_wrong_count(self):
         rep = validate_polyabolo(FULL_SQUARE_4[:-1], 32)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from oracles import copied_layout
+from test_golden import RENDER, SCALED_RENDER, SOLUTION_SHEET, TEXT
 from puzzlefonts import fontdata, scene
 from puzzlefonts.cli import main
 from puzzlefonts.errors import NotAChain, UnknownCharacter
@@ -367,9 +368,18 @@ class TestCli:
                  "--out", str(tmp_path / "p.svg"), "--puzzle-out", str(puzzle)])
         assert run_cli(["solve", str(puzzle), "--out", str(sheet)]) == 0
         assert capsys.readouterr().out.strip() == "FUN"
-        # the hash of tests/test_golden.py::test_conveyer_solution_sheet
-        assert hashlib.sha256(sheet.read_bytes()).hexdigest() == \
-            "d630c95c2c371a9cd120679a3326f59151cd752ce5a04458ddc2cba2329b8b06"
+        assert hashlib.sha256(sheet.read_bytes()).hexdigest() == SOLUTION_SHEET
+
+    @pytest.mark.parametrize("options,golden", [
+        pytest.param(["--font", font, "--variant", variant], RENDER[font, variant],
+                     id=f"{font}-{variant}") for font, variant in sorted(RENDER)
+    ] + [
+        pytest.param(["--font", "conveyer", "--spacing", "0.25", "--scale", "2"], SCALED_RENDER,
+                     id="conveyer-scaled"),
+    ])
+    def test_typeset_writes_golden_render(self, capsys, options, golden):
+        assert run_cli(["typeset", TEXT, "--seed", "7", *options]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == golden
 
     def test_solve_takes_no_font_option(self, capsys):
         with pytest.raises(SystemExit):
@@ -377,13 +387,16 @@ class TestCli:
         assert re.findall(r"--font\b(?!-)", capsys.readouterr().out) == []
 
     def test_validate_exit_codes(self, tmp_path, capsys):
-        good = fontdata.find_font_file("linkage")
-        assert run_cli(["validate", str(good)]) == 0
-        capsys.readouterr()
+        good = [str(fontdata.find_font_file(fid)) for fid in fontdata.FONT_IDS]
+        assert run_cli(["validate", *good]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"{path}: ok" for path in good]
         bad = tmp_path / "bad.pft"
         bad.write_text("font linkage 1\nglyph F\nangles 1 2 3\n")
         assert run_cli(["validate", str(bad)]) == 1
         capsys.readouterr()
+        bad.write_text("font conveyer 1\nglyph I\ndisk 0 oops\n")
+        assert run_cli(["validate", str(bad)]) == 1
+        assert "  3:8: expected number, got 'oops'" in capsys.readouterr().out.splitlines()
         assert run_cli(["validate", str(tmp_path / "missing.pft")]) == 2
 
     def test_validate_json_lines(self, tmp_path, capsys):
