@@ -9,8 +9,9 @@ corner-to-corner; folding places consecutive pieces into slots so that each
 hinge's two designated corners land on the same point.  Feasibility is a
 property of the shipped chain data and is verified empirically by search.
 
-All cell corner coordinates are integers and slot corners lie on the
-half-integer grid, so every geometric comparison here is exact.
+All cell corner coordinates are integers, below COORD_LIMIT in magnitude
+(`check_cell`), and slot corners lie on the half-integer grid, so every
+geometric comparison here is exact.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ DEFAULT_BUDGET = 10_000_000
 # walk alone on the square and FILNOTUZ need <= 3,292 (T).  The round stays
 # because it pays: without it the walk needs 15.7M nodes for Z (see `_walk`).
 FIRST_ROUND_CAP = 3_906
+# Cell coordinates stay below this in magnitude, so every slot corner, a
+# half-integer, is an exact float, and so is a corner's offset from its
+# cell's square, which is how `_block_table` shares tables between glyphs.
+COORD_LIMIT = 2 ** 51
 
 
 class Cell(NamedTuple):
@@ -48,8 +53,19 @@ class Slot(NamedTuple):
     acute2: tuple
 
 
+def _coordinate(field: str, value) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or not -COORD_LIMIT < n < COORD_LIMIT:
+        raise FieldError(field, f"cell coordinates must be integers of magnitude below 2**51, "
+                                f"got {value!r}")
+    return n
+
+
 def check_cell(cell) -> Cell:
-    c = Cell(int(cell[0]), int(cell[1]), cell[2], cell[3])
+    c = Cell(_coordinate("sx", cell[0]), _coordinate("sy", cell[1]), cell[2], cell[3])
     if c.diagonal not in DIAGONALS:
         raise FieldError("diagonal", f"diagonal must be NE or NW, got {c.diagonal!r}")
     if c.half not in HALVES:
@@ -292,82 +308,100 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
     return _walk(chain, slots, budget, spent)
 
 
-def _block_folds(at, follow, own, inner, entry, exit_, point) -> list:
-    """The folds of one block into the placements `own` of two cells' slots.
+@functools.cache
+def _block_table(pair: tuple, block: tuple, entry) -> tuple:
+    """The folds of one block into the 8 slots of a cell pair, in the pair's own coordinates.
 
-    `at` gives each placement's corners, `follow` each hinge's successor
-    lists, `inner` the block's 7 hinges and `entry`, `exit_` the corner
+    `pair` is (cell a's diagonal and half, cell b's diagonal and half, b's
+    square minus a's) and puts a's square at the origin.  `block` is the
+    block's 7 inner hinges as (exit, entry) corner indices, then the corner
     indices of its first piece's entry and last piece's exit (None at the
-    chain's ends).  Only folds whose entry corner lies at `point` count.
-    Returns [(exit point, the 8 placements)], one fold per exit point: the
-    first in placement order.
+    chain's ends).  Only folds whose first piece's entry corner lies at
+    `entry`, a point relative to a's square, count.  The pair's 16
+    placements are numbered a's then b's, each cell's slots in `_cell_slots`
+    order and each slot's poses in `_poses` order, and tried depth first in
+    that order.  Returns ((exit point, the 8 placements), ...), one fold per
+    exit point: the first found.  The key holds shapes only, never a glyph's
+    cells or points, so every pair of the same shape in any glyph shares the
+    table; `_fold_blocks` maps it onto its own placements and points.  The
+    cache grows with the block shapes of the chains folded, not with the
+    glyphs: there are 48 pair shapes of cells that meet, with at most 11
+    slot corners each, so one block shape has at most 556 keys.
     """
+    da, ha, db, hb, dx, dy = pair
+    inner, enter, leave = block
+    at = [corners for cell in (Cell(0, 0, da, ha), Cell(dx, dy, db, hb))
+          for s in _cell_slots(cell) for corners in _poses(s)]
+    later = range(len(at) - 1, -1, -1)  # the stack pops what it got last, so push in reverse
+    follow = {(ex, en): [[r for r in later if at[r][en] == corners[ex]] for corners in at]
+              for ex, en in set(inner)}  # hinge -> placement -> the next ones
     steps = [follow[hinge] for hinge in inner]
-    own_slots = sum({1 << (q >> 1) for q in own})
     folds: dict = {}
-    stack = [((q,), own_slots ^ 1 << (q >> 1)) for q in reversed(own)  # (path, slots free)
-             if entry is None or at[q][entry] == point]
+    stack = [((q,), 0xFF ^ 1 << (q >> 1)) for q in later  # (path, slots free)
+             if enter is None or at[q][enter] == entry]
     while stack:
         path, free = stack.pop()
         if len(path) == 8:
-            folds.setdefault(None if exit_ is None else at[path[-1]][exit_], path)
+            folds.setdefault(None if leave is None else at[path[-1]][leave], path)
             continue
         stack += [(path + (r,), free ^ 1 << (r >> 1))
                   for r in steps[len(path) - 1][path[-1]] if free >> (r >> 1) & 1]
-    return list(folds.items())
+    return tuple(folds.items())
 
 
 def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
     """The block levels of `fold_chain`: (their fold or None, the nodes spent).
 
     A block's shape is its 7 inner hinges with its entry and exit corners,
-    taken from the chain, so blocks of one shape share their tables.  The
-    table of each (cell pair, shape, entry point) is built on first use, and
-    only for free pairs that touch the entry point.  A pair is skipped unless
-    the cells it leaves free pass `_fillable` (once per set of cells used):
-    later blocks fill them pair by pair, so no component under the level's
-    pairing may be odd, and each block meets the next at a slot corner, a
-    vertex or shared edge midpoint of both, so they must stay connected
-    through shared vertices.  A (cells used, exit point) state fixes the
-    rest of the search, so one whose subtree held no fold is remembered and
-    skipped when met again; each level keeps its own.  Each block placed is
-    one node.
+    taken from the chain.  A block's folds into a cell pair come from the
+    shared kernel `_block_table`, which builds each table once per process.
+    Its key holds shapes only: each cell's diagonal and half, the second
+    cell's offset from the first, the block's shape and the entry point
+    relative to the first cell's square; never a glyph, its cells or the
+    chain.  So the 611 tables a pass over the square and FILNOTUZ looks up
+    are 92 builds, and a glyph that repeats the pairs of the glyphs before
+    it builds few or none.  This call looks up tables only for free pairs
+    that touch the entry point, maps each one's exit points onto the glyph's
+    point ids once, and maps the placed blocks onto the glyph's placements
+    only for the fold it returns.  A pair is skipped unless the cells it
+    leaves free pass `_fillable` (once per set of cells used): later blocks
+    fill them pair by pair, so no component under the level's pairing may be
+    odd, and each block meets the next at a slot corner, a vertex or shared
+    edge midpoint of both, so they must stay connected through shared
+    vertices.  A (cells used, exit point) state fixes the rest of the
+    search, so one whose subtree held no fold is remembered and skipped when
+    met again; each level keeps its own.  Each block placed is one node.
     """
     index = {s: i for i, s in enumerate(slots)}
     cell_list = sorted(set(check_cell(c) for c in cells))
-    own = [[q for s in _cell_slots(c) for q in (2 * index[s], 2 * index[s] + 1)]
-           for c in cell_list]  # cell -> the placements into its 4 slots
-    poses = [corners for s in slots for corners in _poses(s)]
-    ids = {v: i for i, v in enumerate(sorted({v for corners in poses for v in corners}))}
-    at = [tuple(ids[v] for v in corners) for corners in poses]  # corners as point ids
+    points = sorted({v for s in slots for v in s})
+    ids = {v: i for i, v in enumerate(points)}
     shift = len(ids).bit_length()  # a state is its cells used << shift | its exit point
+    own = []  # cell -> the placements into its 4 slots
     cells_at = [0] * len(ids)  # point -> bitmask of the cells with a slot corner there
-    for c, qs in enumerate(own):
-        for q in qs:
-            for v in at[q]:
-                cells_at[v] |= 1 << c
+    for c, cell in enumerate(cell_list):
+        mine = _cell_slots(cell)
+        own.append([q for s in mine for q in (2 * index[s], 2 * index[s] + 1)])
+        for v in {v for s in mine for v in s}:
+            cells_at[ids[v]] |= 1 << c
     edges, meets = _cell_graph(cell_list)
     edge_pairs, point_pairs = [], []  # cell pairs that share an edge, or only a point, in cell order
     for a, b in itertools.combinations(range(len(cell_list)), 2):
         if meets[a] >> b & 1:
-            pair = (1 << a | 1 << b, a, b, own[a] + own[b])
+            (x, y, da, ha), (bx, by, db, hb) = cell_list[a], cell_list[b]
+            pair = (1 << a | 1 << b, a, b, own[a] + own[b], (da, ha, db, hb, bx - x, by - y), x, y)
             (edge_pairs if edges[a] >> b & 1 else point_pairs).append(pair)
     full = (1 << len(cell_list)) - 1
 
     hinges = [(CORNERS.index(ex), CORNERS.index(en)) for ex, en in chain.hinges]
-    by_point: dict = {}  # (corner index, point) -> the placements with that corner there
-    for q in reversed([q for qs in own for q in qs]):  # last cell first, each reversed
-        for c, v in enumerate(at[q]):
-            by_point.setdefault((c, v), []).append(q)
-    follow = {(ex, en): [by_point.get((en, corners[ex]), ()) for corners in at]
-              for ex, en in set(hinges)}  # hinge -> placement -> the next ones
     m = chain.n_pieces // 8
     shapes = [(tuple(hinges[8 * j:8 * j + 7]), hinges[8 * j - 1][1] if j else None,
                hinges[8 * j + 7][0] if j + 1 < m else None) for j in range(m)]
     sids = [shapes.index(shape) for shape in shapes]  # block -> its shape's first block
-    tables: dict = {}  # (pair mask, shape, entry point) -> _block_folds, built on demand
+    # (pair mask, shape, entry point) -> [(exit point, the block's pair placements)]
+    tables: dict = {}
     nodes = 0
-    placed: list = []  # the placed blocks' placements
+    placed: list = []  # the placed blocks: (the pair's placements, the block's indices into them)
 
     def extend(j: int, used: int, entry) -> bool:
         """Place blocks j, j+1, ... from the entry point onward."""
@@ -379,21 +413,24 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
             if pairs is None:
                 near = cells_at[entry]
                 pairs = touching[entry] = [pair for pair in level if pair[0] & near]
-        for mask, a, b, qs in pairs:
+        for mask, a, b, qs, shape, x, y in pairs:
             if used & mask:
                 continue
             now = used | mask
             if not fillable(full ^ now):
                 continue
             table = tables.get((mask, sid, entry))
-            if table is None:
-                table = tables[mask, sid, entry] = _block_folds(at, follow, qs, *shapes[sid], entry)
+            if table is None:  # offsets from the pair's square are exact below COORD_LIMIT
+                start = None if entry is None else (points[entry][0] - x, points[entry][1] - y)
+                table = tables[mask, sid, entry] = [
+                    (None if end is None else ids[end[0] + x, end[1] + y], block)
+                    for end, block in _block_table(shape, shapes[sid], start)]
             for exit_point, block in table:
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceeded(f"fold search exceeded {budget} nodes at block level "
                                          f"{number}, placing block {j} (pieces {8 * j}-{8 * j + 7})")
-                placed.append(block)
+                placed.append((qs, block))
                 if j + 1 == m:
                     return True
                 key = now << shift | exit_point
@@ -407,15 +444,16 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
     try:
         for number, level in enumerate((edge_pairs, edge_pairs + point_pairs), 1):
             partners = [0] * len(cell_list)  # cell -> the cells it may pair with
-            for mask, a, b, _ in level:
+            for mask, a, b, *_ in level:
                 partners[a] |= 1 << b
                 partners[b] |= 1 << a
             touching: dict = {}  # entry point -> the level's pairs with a cell there
             dead: set = set()  # states whose subtree held no fold
             fillable = functools.cache(functools.partial(_fillable, meets, partners))
             if extend(0, 0, None):
-                return FoldAssignment(tuple(Placement(q >> 1, poses[q])
-                                            for block in placed for q in block)), nodes
+                fold = [qs[i] for qs, block in placed for i in block]
+                return FoldAssignment(tuple(Placement(q >> 1, _poses(slots[q >> 1])[q & 1])
+                                            for q in fold)), nodes
         return None, nodes
     finally:
         extend = None  # noqa: F841 -- the closure refers to itself; free its tables now

@@ -126,6 +126,59 @@ def exhaustive_fold_exists(chain, slots_points) -> bool:
     return rec(0, set(), None)
 
 
+def cell_vertices(cell) -> tuple:
+    """(right-angle vertex, diagonal start, diagonal end) of an (sx, sy, diagonal, half) cell."""
+    x, y, diagonal, half = cell
+    if diagonal == "NE":
+        return ((x, y + 1) if half == "first" else (x + 1, y)), (x, y), (x + 1, y + 1)
+    return ((x + 1, y + 1) if half == "first" else (x, y)), (x + 1, y), (x, y + 1)
+
+
+def cell_placements(cell, slots_points) -> list:
+    """The cell's placements in search order, as (slot index, (R, P, Q) corners).
+
+    The cell's slots run from the one at its right-angle vertex, the ones at
+    its diagonal's start and end, to the middle one, each with its acute
+    corners in slot order, then swapped.  `slots_points` are the glyph's
+    (right, acute1, acute2) corner triples.
+    """
+    vs = [(float(x), float(y)) for x, y in cell_vertices(cell)]
+    points = set(vs) | {((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p in vs for q in vs}
+    mine = [i for i, s in enumerate(slots_points) if set(s) <= points]
+    mine.sort(key=lambda i: next((t for t, v in enumerate(vs) if v in slots_points[i]), 3))
+    return [(i, p) for i in mine for p in (slots_points[i], (
+        slots_points[i][0], slots_points[i][2], slots_points[i][1]))]
+
+
+def block_folds(chain, j, own, entry_point) -> list:
+    """[(exit point, placements)] of block j (pieces 8j .. 8j+7) into `own`, first per exit.
+
+    `own` lists the placements the block may use, as `cell_placements` gives
+    them; the folds are listed in depth-first order over it, and only the
+    first one to reach each exit point counts.  The block's first piece
+    enters at `entry_point` (anywhere for the first block); the chain's last
+    piece has the exit point None.
+    """
+    n = chain.n_pieces
+    corner_order = ("R", "P", "Q")
+    exits = [corner_order.index(ex) for ex, _ in chain.hinges]  # piece k's, k < n - 1
+    entries = [None] + [corner_order.index(en) for _, en in chain.hinges]  # piece k's, k > 0
+    found = {}
+
+    def rec(path, used, point):  # point: where the next piece must enter
+        k = 8 * j + len(path)
+        if len(path) == 8:
+            found.setdefault(point, tuple(path))
+            return
+        for i, corners in own:
+            if i not in used and (point is None or corners[entries[k]] == point):
+                rec(path + [(i, corners)], used | {i},
+                    corners[exits[k]] if k < n - 1 else None)
+
+    rec([], set(), entry_point)
+    return list(found.items())
+
+
 def plain_block_fold(chain, cells, slots_points):
     """The first fold of the chain by 8-piece blocks, or None: no cuts, no memo.
 
@@ -133,11 +186,9 @@ def plain_block_fold(chain, cells, slots_points):
     enters at the previous block's exit point.  Level 1 pairs cells that
     share an edge; level 2 also pairs cells that share only a vertex, edge
     pairs first, each group in cell order.  A pair's placements run over its
-    first cell, then its second; a cell's slots run from the one at its
-    right-angle vertex, the ones at its diagonal's start and end, to the
-    middle one, each with its acute corners in slot order, then swapped.
-    Per pair and entry point the block's folds are listed in that order,
-    and only the first one to reach each exit point is tried.  Returns the
+    first cell, then its second, each in `cell_placements` order.  Per pair
+    and entry point the block's folds are listed in that order, and only the
+    first one to reach each exit point is tried (`block_folds`).  Returns the
     fold as (slot index, (R, P, Q) corners) per piece.  `cells` are
     (sx, sy, diagonal, half) tuples and `slots_points` the glyph's
     (right, acute1, acute2) corner triples.
@@ -145,50 +196,14 @@ def plain_block_fold(chain, cells, slots_points):
     n = chain.n_pieces
     if n % 8 or n != len(slots_points):
         return None
-    corner_order = ("R", "P", "Q")
     cell_list = sorted(set(tuple(c) for c in cells))
-
-    def vertices(cell):  # (right-angle vertex, diagonal start, diagonal end)
-        x, y, diagonal, half = cell
-        if diagonal == "NE":
-            return ((x, y + 1) if half == "first" else (x + 1, y)), (x, y), (x + 1, y + 1)
-        return ((x + 1, y + 1) if half == "first" else (x, y)), (x + 1, y), (x, y + 1)
-
-    placements = []  # per cell, its (slot index, corners) in search order
-    for cell in cell_list:
-        vs = [(float(x), float(y)) for x, y in vertices(cell)]
-        points = set(vs) | {((p[0] + q[0]) / 2, (p[1] + q[1]) / 2) for p in vs for q in vs}
-        mine = [i for i, s in enumerate(slots_points) if set(s) <= points]
-        mine.sort(key=lambda i: next((t for t, v in enumerate(vs) if v in slots_points[i]), 3))
-        placements.append([(i, p) for i in mine for p in (slots_points[i], (
-            slots_points[i][0], slots_points[i][2], slots_points[i][1]))])
-
-    exits = [corner_order.index(ex) for ex, _ in chain.hinges]  # piece k's, k < n - 1
-    entries = [None] + [corner_order.index(en) for _, en in chain.hinges]  # piece k's, k > 0
+    placements = [cell_placements(cell, slots_points) for cell in cell_list]
     pairs = {1: [], 2: []}
     for a in range(len(cell_list)):
         for b in range(a + 1, len(cell_list)):
-            shared = len(set(vertices(cell_list[a])) & set(vertices(cell_list[b])))
+            shared = len(set(cell_vertices(cell_list[a])) & set(cell_vertices(cell_list[b])))
             if shared:
                 pairs[shared].append((a, b))
-
-    def block_folds(j, a, b, entry_point):
-        """[(exit point, placements)] of block j into cells a and b, first per exit."""
-        own = placements[a] + placements[b]
-        found = {}
-
-        def rec(path, used, point):  # point: where the next piece must enter
-            k = 8 * j + len(path)
-            if len(path) == 8:
-                found.setdefault(point, tuple(path))
-                return
-            for i, corners in own:
-                if i not in used and (point is None or corners[entries[k]] == point):
-                    rec(path + [(i, corners)], used | {i},
-                        corners[exits[k]] if k < n - 1 else None)
-
-        rec([], set(), entry_point)
-        return list(found.items())
 
     def search(level, j, used, entry_point):
         if 8 * j == n:
@@ -196,7 +211,8 @@ def plain_block_fold(chain, cells, slots_points):
         for a, b in level:
             if a in used or b in used:
                 continue
-            for exit_point, block in block_folds(j, a, b, entry_point):
+            for exit_point, block in block_folds(chain, j, placements[a] + placements[b],
+                                                 entry_point):
                 rest = search(level, j + 1, used | {a, b}, exit_point)
                 if rest is not None:
                     return block + rest

@@ -6,13 +6,18 @@ import sys
 import pytest
 
 from puzzlefonts import hinged
-from puzzlefonts.errors import BudgetExceeded, InvalidPolyabolo
+from puzzlefonts.cli import main
+from puzzlefonts.errors import BudgetExceeded, FieldError, InvalidPolyabolo
 from puzzlefonts.hinged import (
-    DEFAULT_BUDGET, HALVES, Cell, HingedChain, _fold_blocks, _walk, cell_triangle, contact_masks,
-    fold_chain, refine, render_chain_strip, render_fold, render_polyabolo, stays_connected,
-    validate_polyabolo, verify_fold,
+    CORNERS, COORD_LIMIT, DEFAULT_BUDGET, HALVES, Cell, HingedChain, _block_table, _cell_slots,
+    _fold_blocks, _poses, _walk, cell_triangle, check_cell, contact_masks, fold_chain, refine,
+    render_chain_strip, render_fold, render_polyabolo, stays_connected, validate_polyabolo,
+    verify_fold,
 )
-from oracles import exhaustive_fold_exists, plain_block_fold, slots_connected
+from oracles import (
+    block_folds, cell_placements, cell_vertices, exhaustive_fold_exists, plain_block_fold,
+    slots_connected,
+)
 
 ALT = (("Q", "P"), ("R", "P"))
 
@@ -33,6 +38,16 @@ G_GLYPH = [(x, y, d, half) for x, y, d in (
     (0, 3, "NW"), (1, 3, "NE"), (2, 3, "NW"), (3, 0, "NE"), (3, 2, "NE"), (3, 3, "NW"),
     (4, 0, "NE"), (4, 1, "NW"), (4, 2, "NE"), (4, 3, "NE"), (4, 4, "NW"), (5, 0, "NW"),
     (5, 1, "NW"), (5, 2, "NW"), (5, 3, "NW"), (5, 4, "NW")) for half in HALVES]
+
+
+def moved(cells, dx, dy):
+    return [(x + dx, y + dy, diagonal, half) for x, y, diagonal, half in cells]
+
+
+def shipped_targets(shipped):
+    """The 4x4 square and the shipped hinged glyphs, by name."""
+    glyphs = shipped["hinged"].glyphs
+    return {"square": FULL_SQUARE_4, **{ch: glyphs[ch] for ch in sorted(glyphs)}}
 
 
 class TestValidatePolyabolo:
@@ -74,6 +89,71 @@ class TestCellGeometry:
         assert va[0] * vb[0] + va[1] * vb[1] == 0  # legs perpendicular at R
         assert va[0] ** 2 + va[1] ** 2 == 1
         assert vb[0] ** 2 + vb[1] ** 2 == 1
+
+
+class TestCellCoordinates:
+    """Cell coordinates are integers below COORD_LIMIT in magnitude, so that
+    every slot corner is an exact float: rounded ones would let slots
+    collide, and a glyph whose slots collide can pass as valid."""
+
+    @pytest.mark.parametrize("cell,field", [
+        ((0.5, 0, "NE", "first"), "sx"),
+        ((0, -1.5, "NW", "second"), "sy"),
+        ((COORD_LIMIT, 0, "NE", "first"), "sx"),
+        ((0, -COORD_LIMIT, "NE", "second"), "sy"),
+        ((2 ** 60, 0, "NE", "first"), "sx"),
+        ((float("inf"), 0, "NE", "first"), "sx"),
+        ((0, float("nan"), "NE", "first"), "sy"),
+        (("3", 0, "NE", "first"), "sx"),
+    ])
+    def test_rejects_what_is_not_a_small_integer(self, cell, field):
+        with pytest.raises(FieldError) as err:
+            check_cell(cell)
+        assert err.value.field == field
+        assert "cell coordinates must be integers" in str(err.value)
+
+    def test_accepts_integral_values_inside_the_bound(self):
+        limit = COORD_LIMIT - 1
+        assert check_cell((3.0, -limit, "NE", "first")) == Cell(3, -limit, "NE", "first")
+        assert check_cell((limit, 0, "NW", "second")) == Cell(limit, 0, "NW", "second")
+
+    @pytest.mark.parametrize("side", ["high", "low"])
+    def test_library_rejects_a_glyph_beyond_the_bound(self, shipped, side):
+        # up to the bound it folds as it does at home: see
+        # TestBlockTable::test_translated_targets_fold_the_same
+        chain, cells = shipped["hinged"].chain, shipped["hinged"].glyphs["O"]
+        fold = fold_chain(chain, cells, expected_cells=32)
+        edge = (COORD_LIMIT - 1 - max(c.sx for c in cells) if side == "high"
+                else -(COORD_LIMIT - 1) - min(c.sx for c in cells))
+        assert validate_polyabolo(moved(cells, edge, 0), 32).ok
+        step = 1 if side == "high" else -1
+        for dx in (edge + step, 2 ** 52 * step, 2 ** 60 * step):
+            for call in (validate_polyabolo, refine, lambda c: fold_chain(chain, c),
+                         lambda c: verify_fold(chain, c, fold)):
+                with pytest.raises(FieldError):
+                    call(moved(cells, dx, 0))
+
+    @pytest.mark.parametrize("side,beyond", [("high", False), ("high", True), ("low", False),
+                                             ("low", True)])
+    def test_validate_reports_the_coordinate_beyond_the_bound(self, shipped, tmp_path, capsys,
+                                                              side, beyond):
+        cells = shipped["hinged"].glyphs["O"]
+        dx = (COORD_LIMIT - 1 - max(c.sx for c in cells) + beyond if side == "high"
+              else -(COORD_LIMIT - 1) - min(c.sx for c in cells) - beyond)
+        there = moved(cells, dx, 0)
+        path = tmp_path / "moved.pft"
+        path.write_text("font hinged 1\nchain 128 Q:P R:P\nglyph O\n" + "".join(
+            f"cell {x} {y} {diagonal} {half}\n" for x, y, diagonal, half in there))
+        assert main(["validate", str(path)]) == (1 if beyond else 0)
+        out = capsys.readouterr().out.splitlines()
+        if not beyond:
+            assert out == [f"{path}: ok"]
+            return
+        # the first cell line whose x is out of range, at its x token
+        line = 4 + next(k for k, c in enumerate(there) if abs(c[0]) >= COORD_LIMIT)
+        x = there[line - 4][0]
+        assert (f"  {line}:6: cell coordinates must be integers of magnitude below 2**51, "
+                f"got {x}") in out
 
 
 class TestRefine:
@@ -404,6 +484,120 @@ class TestBlockLevels:
         assert verify_fold(fd.chain, cells, fold, expected_cells=32)
         with pytest.raises(BudgetExceeded):
             fold_chain(fd.chain, cells, budget=budget - 1, expected_cells=32)
+
+
+def block_shape(chain, j):
+    """Block j's shape as `_block_table` keys it: its 7 inner hinges as
+    (exit, entry) corner indices, its entry and its exit corner index."""
+    hinges = [(CORNERS.index(ex), CORNERS.index(en)) for ex, en in chain.hinges]
+    m = chain.n_pieces // 8
+    return (tuple(hinges[8 * j:8 * j + 7]), hinges[8 * j - 1][1] if j else None,
+            hinges[8 * j + 7][0] if j + 1 < m else None)
+
+
+def kernel_listing(chain, slots, a, b, j, entry_point):
+    """`_block_table` for block j in cells a and b (a first in cell order), mapped
+    onto the glyph as the oracle lists it: [(exit point, placements)]."""
+    pair = (a.diagonal, a.half, b.diagonal, b.half, b.sx - a.sx, b.sy - a.sy)
+    entry = None if entry_point is None else (entry_point[0] - a.sx, entry_point[1] - a.sy)
+    local = [(slots.index(s), corners) for cell in (a, b) for s in _cell_slots(cell)
+             for corners in _poses(s)]
+    return [(None if end is None else (end[0] + a.sx, end[1] + a.sy),
+             tuple(local[i] for i in path))
+            for end, path in _block_table(pair, block_shape(chain, j), entry)]
+
+
+def assert_tables_match_the_oracle(chain, cells):
+    """Every meeting cell pair, block shape and entry point of the glyph."""
+    slots = refine(cells)
+    points = [tuple(s) for s in slots]
+    cell_list = sorted(set(check_cell(c) for c in cells))
+    shapes = [block_shape(chain, j) for j in range(chain.n_pieces // 8)]
+    firsts = [j for j, shape in enumerate(shapes) if shapes.index(shape) == j]
+    for a, b in itertools.combinations(cell_list, 2):
+        if not set(cell_vertices(a)) & set(cell_vertices(b)):
+            continue
+        own = cell_placements(a, points) + cell_placements(b, points)
+        entries = sorted({v for _, corners in own for v in corners})
+        for j in firsts:
+            for entry_point in entries if j else [None]:
+                assert (kernel_listing(chain, slots, a, b, j, entry_point)
+                        == block_folds(chain, j, own, entry_point)), (a, b, j, entry_point)
+
+
+def random_block_glyphs():
+    """The 60 seeded (cells, chain) draws of
+    `test_matches_plain_block_search_on_random_glyphs`."""
+    rng = random.Random(20141017)
+    acute = [(a, b) for a in "PQ" for b in "PQ"]
+    right = [("R", "P"), ("R", "Q"), ("P", "R"), ("Q", "R")]
+    for _ in range(60):
+        diagonal = {(x, y): rng.choice(("NE", "NW")) for x in range(4) for y in range(4)}
+        grid = [(x, y, d, half) for (x, y), d in diagonal.items() for half in ("first", "second")]
+        k = rng.choice((6, 8, 10, 12))
+        cells = [rng.choice(grid)]
+        while len(cells) < k:
+            x, y, d, half = rng.choice(cells)
+            cell = ((x, y, d, "second" if half == "first" else "first") if rng.random() < 0.5
+                    else rng.choice(grid))
+            if cell not in cells and validate_polyabolo(cells + [cell], len(cells) + 1).ok:
+                cells.append(cell)
+        if rng.random() < 0.75:
+            pattern = [rng.choice(acute), rng.choice(right)]
+        else:
+            pattern = [(rng.choice("RPQ"), rng.choice("RPQ")) for _ in range(rng.choice((1, 2)))]
+        yield cells, HingedChain.cyclic(4 * k, pattern)
+
+
+class TestBlockTable:
+    """`_block_table` keys a block's folds into a cell pair by shapes only, so
+    one table serves every pair of that shape in every glyph."""
+
+    def test_matches_the_oracle_on_shipped_targets(self, shipped):
+        for cells in shipped_targets(shipped).values():
+            assert_tables_match_the_oracle(shipped["hinged"].chain, cells)
+
+    def test_matches_the_oracle_on_random_glyphs(self):
+        draws = list(random_block_glyphs())
+        assert len(draws) == 60
+        for cells, chain in draws:
+            assert_tables_match_the_oracle(chain, cells)
+
+    def test_targets_share_tables(self, shipped):
+        # the nine targets look up 611 tables, which are fewer than 100
+        # shapes; a second pass, and a glyph moved elsewhere, build none
+        chain, targets = shipped["hinged"].chain, shipped_targets(shipped)
+        _block_table.cache_clear()
+        for cells in targets.values():
+            fold_chain(chain, cells, budget=10**6, expected_cells=32)
+        first = _block_table.cache_info()
+        assert first.hits + first.misses == 611
+        assert first.currsize <= 100
+        for cells in [*targets.values(), moved(targets["F"], -7, 12), moved(targets["Z"], 40, -3)]:
+            fold_chain(chain, cells, budget=10**6, expected_cells=32)
+        assert _block_table.cache_info().currsize == first.currsize
+
+    def test_translated_targets_fold_the_same(self, shipped):
+        # the same pieces in the same slots, found with the same nodes: the
+        # untranslated count is the target's pin in TestBlockLevels
+        chain = shipped["hinged"].chain
+        rng = random.Random(20141019)
+        for name, cells in shipped_targets(shipped).items():
+            fold, nodes = _fold_blocks(chain, cells, refine(cells, 32), 10**6)
+            xs, ys = [c[0] for c in cells], [c[1] for c in cells]
+            offsets = [(rng.randint(-99, 99), rng.randint(-99, 99)),
+                       (rng.randint(-2 ** 50, 2 ** 50), rng.randint(-2 ** 50, 2 ** 50)),
+                       (COORD_LIMIT - 1 - max(xs), -(COORD_LIMIT - 1) - min(ys)),
+                       (-(COORD_LIMIT - 1) - min(xs), COORD_LIMIT - 1 - max(ys))]
+            for dx, dy in offsets:
+                there = moved(cells, dx, dy)
+                got = fold_chain(chain, there, budget=nodes, expected_cells=32)
+                assert [(p.slot_index, p.corners) for p in got.placements] == [
+                    (p.slot_index, tuple((x + dx, y + dy) for x, y in p.corners))
+                    for p in fold.placements], (name, dx, dy)
+                assert verify_fold(chain, there, got, expected_cells=32)
+                with pytest.raises(BudgetExceeded):
+                    fold_chain(chain, there, budget=nodes - 1, expected_cells=32)
 
 
 def _connected_pair(rng, near, n):
