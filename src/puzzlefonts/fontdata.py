@@ -586,10 +586,21 @@ class _Maze(FontKind):
             yield maze.render_crease_pattern(sheet), None
 
 
+# A chain's hinges are expanded as it is read, at a cost linear in its piece
+# count; the font's chain has 128 (`check` reports others), so refuse far more.
+MAX_CHAIN_PIECES = 1024
+
+
+def _chain_length(n: int) -> int:
+    if n > MAX_CHAIN_PIECES:
+        raise ValueError(f"chain has {n} pieces, more than the {MAX_CHAIN_PIECES} allowed")
+    return n
+
+
 class _Hinged(FontKind):
     keywords = {
         "chain": Line("a piece count and at least one exit:entry pattern", (_integer,), None,
-                      lambda n, *pattern: HingedChain.cyclic(n, pattern), rest=_hinge),
+                      lambda n, *pattern: HingedChain.cyclic(_chain_length(n), pattern), rest=_hinge),
         "cell": Line("x y NE|NW first|second", (_integer, _integer, str, str), "cells",
                      lambda *cell: check_cell(cell), fields=Cell._fields),
     }
@@ -614,8 +625,6 @@ class _Hinged(FontKind):
                 report.add(f"glyph {char!r}: cells are not edge-connected")
             if not pr.no_overlap:
                 report.add(f"glyph {char!r}: cells overlap")
-            if pr.ok and abs(pr.area - 16.0) > 1e-12:
-                report.add(f"glyph {char!r}: area {pr.area} != 16")
         if fd.chain is not None and fd.chain.n_pieces != 128:
             report.add(f"chain has {fd.chain.n_pieces} pieces, expected 128")
 

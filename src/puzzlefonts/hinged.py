@@ -138,11 +138,11 @@ def refine(cells, expected_cells: int | None = None) -> list[Slot]:
     Returns slots sorted lexicographically; this order is the search and
     canonicalization order everywhere else.
     """
-    expected = expected_cells if expected_cells is not None else len(set(check_cell(c) for c in cells))
-    report = validate_polyabolo(cells, expected)
+    checked = {check_cell(c) for c in cells}
+    report = validate_polyabolo(cells, len(checked) if expected_cells is None else expected_cells)
     if not report.ok:
         raise InvalidPolyabolo(f"invalid polyabolo: {report}")
-    return sorted(s for cell in set(check_cell(c) for c in cells) for s in _cell_slots(cell))
+    return sorted(s for cell in checked for s in _cell_slots(cell))
 
 
 def _cell_slots(cell: Cell) -> list[Slot]:
@@ -353,37 +353,35 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
     """The block levels of `fold_chain`: (their fold or None, the nodes spent).
 
     A block's shape is its 7 inner hinges with its entry and exit corners,
-    taken from the chain.  A block's folds into a cell pair come from the
-    shared kernel `_block_table`, which builds each table once per process.
-    Its key holds shapes only: each cell's diagonal and half, the second
-    cell's offset from the first, the block's shape and the entry point
-    relative to the first cell's square; never a glyph, its cells or the
-    chain.  So the 611 tables a pass over the square and FILNOTUZ looks up
-    are 92 builds, and a glyph that repeats the pairs of the glyphs before
-    it builds few or none.  This call looks up tables only for free pairs
-    that touch the entry point, maps each one's exit points onto the glyph's
-    point ids once, and maps the placed blocks onto the glyph's placements
-    only for the fold it returns.  A pair is skipped unless the cells it
-    leaves free pass `_fillable` (once per set of cells used): later blocks
-    fill them pair by pair, so no component under the level's pairing may be
-    odd, and each block meets the next at a slot corner, a vertex or shared
-    edge midpoint of both, so they must stay connected through shared
-    vertices.  A (cells used, exit point) state fixes the rest of the
-    search, so one whose subtree held no fold is remembered and skipped when
-    met again; each level keeps its own.  Each block placed is one node.
+    taken from the chain.  The search runs in the glyph's own slot-corner
+    points.  A block's folds into a cell pair come from `_block_table`, the
+    only table cache, which builds each table once per process.  Its key
+    holds shapes only: each cell's diagonal and half, the second cell's
+    offset from the first, the block's shape and the entry point relative
+    to the first cell's square.  So a pass over the square and FILNOTUZ
+    builds 92 tables, and a glyph that repeats the pairs of the glyphs
+    before it builds few or none.  Each node reads the table of a free pair
+    that touches its entry point and moves the exit points by the pair's
+    square, which is exact below COORD_LIMIT; the placed blocks are mapped
+    onto the glyph's placements only for the fold returned.  A pair is
+    skipped unless the cells it leaves free pass `_fillable` (once per set
+    of cells used): later blocks fill them pair by pair, so no component
+    under the level's pairing may be odd, and each block meets the next at
+    a slot corner, a vertex or shared edge midpoint of both, so they must
+    stay connected through shared vertices.  A (cells used, exit point)
+    state fixes the rest of the search, so one whose subtree held no fold
+    is remembered and skipped when met again; each level keeps its own.
+    Each block placed is one node.
     """
     index = {s: i for i, s in enumerate(slots)}
     cell_list = sorted(set(check_cell(c) for c in cells))
-    points = sorted({v for s in slots for v in s})
-    ids = {v: i for i, v in enumerate(points)}
-    shift = len(ids).bit_length()  # a state is its cells used << shift | its exit point
     own = []  # cell -> the placements into its 4 slots
-    cells_at = [0] * len(ids)  # point -> bitmask of the cells with a slot corner there
+    cells_at: dict = {}  # slot corner -> bitmask of the cells with a slot corner there
     for c, cell in enumerate(cell_list):
         mine = _cell_slots(cell)
         own.append([q for s in mine for q in (2 * index[s], 2 * index[s] + 1)])
         for v in {v for s in mine for v in s}:
-            cells_at[ids[v]] |= 1 << c
+            cells_at[v] = cells_at.get(v, 0) | 1 << c
     edges, meets = _cell_graph(cell_list)
     edge_pairs, point_pairs = [], []  # cell pairs that share an edge, or only a point, in cell order
     for a, b in itertools.combinations(range(len(cell_list)), 2):
@@ -397,16 +395,13 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
     m = chain.n_pieces // 8
     shapes = [(tuple(hinges[8 * j:8 * j + 7]), hinges[8 * j - 1][1] if j else None,
                hinges[8 * j + 7][0] if j + 1 < m else None) for j in range(m)]
-    sids = [shapes.index(shape) for shape in shapes]  # block -> its shape's first block
-    # (pair mask, shape, entry point) -> [(exit point, the block's pair placements)]
-    tables: dict = {}
     nodes = 0
     placed: list = []  # the placed blocks: (the pair's placements, the block's indices into them)
 
     def extend(j: int, used: int, entry) -> bool:
         """Place blocks j, j+1, ... from the entry point onward."""
         nonlocal nodes
-        sid = sids[j]
+        block_shape = shapes[j]
         pairs = level
         if entry is not None:
             pairs = touching.get(entry)
@@ -419,13 +414,8 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
             now = used | mask
             if not fillable(full ^ now):
                 continue
-            table = tables.get((mask, sid, entry))
-            if table is None:  # offsets from the pair's square are exact below COORD_LIMIT
-                start = None if entry is None else (points[entry][0] - x, points[entry][1] - y)
-                table = tables[mask, sid, entry] = [
-                    (None if end is None else ids[end[0] + x, end[1] + y], block)
-                    for end, block in _block_table(shape, shapes[sid], start)]
-            for exit_point, block in table:
+            start = None if entry is None else (entry[0] - x, entry[1] - y)
+            for end, block in _block_table(shape, block_shape, start):
                 nodes += 1
                 if nodes > budget:
                     raise BudgetExceeded(f"fold search exceeded {budget} nodes at block level "
@@ -433,11 +423,11 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
                 placed.append((qs, block))
                 if j + 1 == m:
                     return True
-                key = now << shift | exit_point
-                if key not in dead:
+                exit_point = end[0] + x, end[1] + y
+                if (now, exit_point) not in dead:
                     if extend(j + 1, now, exit_point):
                         return True
-                    dead.add(key)
+                    dead.add((now, exit_point))
                 placed.pop()
         return False
 
@@ -456,7 +446,7 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
                                             for q in fold)), nodes
         return None, nodes
     finally:
-        extend = None  # noqa: F841 -- the closure refers to itself; free its tables now
+        extend = None  # noqa: F841 -- the closure refers to itself; free its state now
 
 
 def _walk(chain: HingedChain, slots, budget: int, spent: int = 0) -> FoldAssignment | None:

@@ -172,6 +172,17 @@ class TestParse:
         assert fd.chain.n_pieces == 8
         assert fd.chain.hinges[:3] == (("Q", "P"), ("R", "P"), ("Q", "P"))
 
+    def test_chain_length_bounded_before_expanding(self, shipped):
+        # the hinges are expanded as the line is read, so a huge count
+        # would cost memory linear in it; it is refused at its token
+        n = fontdata.MAX_CHAIN_PIECES + 1
+        fd, diags = fontdata.parse(f"font hinged 1\nchain {n} Q:P R:P\n")
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(2, 7)]
+        assert f"chain has {n} pieces" in diags[0].message
+        assert fontdata.parse("font hinged 1\nchain 8 Q:P\n")[0].chain.n_pieces == 8
+        assert shipped["hinged"].chain.n_pieces == 128
+
     def test_multiple_independent_errors_one_pass(self):
         text = ("font linkage 1\n"
                 "glyph F\nangles 90 0 90 90\n"        # arity
