@@ -13,7 +13,7 @@ import sys
 from . import fontdata
 from .errors import MissingFontFile, PuzzleFontError
 from .scene import SvgConfig, emit_svg
-from .typeset import solve_puzzle, typeset
+from .typeset import DEFAULT_SPACING, solve_puzzle, typeset
 
 
 def _write_out(text: str, out_path: str | None) -> None:
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--puzzle-out", default=None,
                    help="also write the machine-readable puzzle (.pft)")
     t.add_argument("--font-dir", default=None, help="directory of .pft files (default ./fonts)")
-    t.add_argument("--spacing", type=float, default=0.5)
+    t.add_argument("--spacing", type=float, default=DEFAULT_SPACING)
     t.add_argument("--scale", type=float, default=1.0)
     t.set_defaults(func=cmd_typeset)
 

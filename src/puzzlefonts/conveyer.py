@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InvalidSpec
 from .geometry import (
-    CCW, CW, TOL, Arc, Point2, Segment, angle_of, arc_length,
-    arc_tangent_dir, cross, dist, dot, element_end, element_start,
-    hull_perimeter, path_is_simple, point_segment_distance, sub,
-    tangent_points,
+    CCW, CW, TOL, Arc, Point2, Segment, angle_of, arc_tangent_dir, cross,
+    dist, dot, element_end, element_length, element_start, hull_perimeter,
+    path_is_simple, point_segment_distance, sub, tangent_points,
 )
 
 # Most candidate windings one belt search builds.  An n-disk set has
@@ -49,8 +48,17 @@ def check_disk_set(centers) -> tuple:
     return pts
 
 
+def _integer(what: str, value) -> int:
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidSpec(f"{what} must be an integer, got {value!r}")
+
+
 def check_spec(winding, n_disks: int) -> tuple:
-    w = tuple((int(i), int(o)) for i, o in winding)
+    w = tuple((_integer("disk index", i), _integer("orientation", o)) for i, o in winding)
     if not w:
         raise InvalidSpec("winding is empty")
     for i, o in w:
@@ -66,54 +74,39 @@ def check_spec(winding, n_disks: int) -> tuple:
 
 @dataclass(frozen=True)
 class BeltPath:
+    """A built belt: its elements and each arc's disk; `total_length` sums the elements."""
     elements: tuple          # alternating Arc / Segment, chained and closed
     disk_of_arc: tuple       # disk index per arc, in element order
-    total_length: float
 
-
-def _tangent_for(o1: int, o2: int) -> tuple[str, str]:
-    if o1 == CCW and o2 == CCW:
-        return "external", "right"
-    if o1 == CW and o2 == CW:
-        return "external", "left"
-    if o1 == CCW and o2 == CW:
-        return "internal", "right"
-    return "internal", "left"
+    @property
+    def total_length(self) -> float:
+        total = 0.0  # left to right: sum() rounds floats differently from Python 3.12 on
+        for el in self.elements:
+            total += element_length(el)
+        return total
 
 
 def compute_belt(centers, winding) -> BeltPath:
-    """Realize a winding as the alternating tangent/arc belt path.
+    """Realize a winding as the alternating arc/tangent belt path.
 
-    Equal consecutive orientations take the external tangent on the side the
-    wrap direction dictates; opposite orientations take the crossing tangent.
-    Each disk contributes one arc from its incoming to its outgoing tangent
-    point, swept in its own orientation.
+    Equal consecutive orientations take the external tangent, opposite ones
+    the crossing tangent, on the right of the center line when the first
+    disk is wrapped CCW and on the left when CW.  Each disk contributes one
+    arc from its incoming to its outgoing tangent point, swept in its own
+    orientation, followed by its outgoing tangent.  The path holds those
+    elements and the winding's disk indices as `disk_of_arc`.
     """
     disks = check_disk_set(centers)
     w = check_spec(winding, len(disks))
-    n = len(w)
-    segs = []
-    for k in range(n):
-        i, oi = w[k]
-        j, oj = w[(k + 1) % n]
-        kind, side = _tangent_for(oi, oj)
-        p, q = tangent_points(disks[i], disks[j], kind, side)
-        segs.append(Segment(p, q))
+    segs = [Segment(*tangent_points(disks[i], disks[j], "external" if oi == oj else "internal",
+                                    "right" if oi == CCW else "left"))
+            for (i, oi), (j, oj) in zip(w, w[1:] + w[:1])]
     elements = []
-    disk_of_arc = []
-    total = 0.0
-    for k in range(n):
-        i, oi = w[k]
+    for k, (i, oi) in enumerate(w):
         c = disks[i]
-        incoming = segs[(k - 1) % n].b
-        outgoing = segs[k].a
-        arc = Arc(c, 1.0, angle_of(sub(incoming, c)), angle_of(sub(outgoing, c)), oi)
-        elements.append(arc)
-        disk_of_arc.append(i)
-        total += arc_length(arc)
-        elements.append(segs[k])
-        total += dist(segs[k].a, segs[k].b)
-    return BeltPath(tuple(elements), tuple(disk_of_arc), total)
+        elements += (Arc(c, 1.0, angle_of(sub(segs[k - 1].b, c)), angle_of(sub(segs[k].a, c)), oi),
+                     segs[k])
+    return BeltPath(tuple(elements), tuple(i for i, _ in w))
 
 
 @dataclass(frozen=True)
@@ -128,26 +121,23 @@ class ValidationReport:
         return self.simple and self.avoids_interiors and self.visits_all and self.taut
 
 
+def _heading(el, at_end: bool) -> Point2:
+    """The unit direction of travel at an element's end or start."""
+    if isinstance(el, Segment):
+        d = sub(el.b, el.a)
+        norm = math.hypot(*d) or 1.0
+        return Point2(d.x / norm, d.y / norm)
+    return arc_tangent_dir(el, el.end_angle if at_end else el.start_angle)
+
+
 def _junctions_c1(elements) -> bool:
     n = len(elements)
     for k in range(n):
         e1 = elements[k]
         e2 = elements[(k + 1) % n]
-        p = element_end(e1)
-        if dist(p, element_start(e2)) > 1e-7:
+        if dist(element_end(e1), element_start(e2)) > 1e-7:
             return False
-        if isinstance(e1, Segment):
-            d = sub(e1.b, e1.a)
-            norm = math.hypot(*d) or 1.0
-            d1 = Point2(d.x / norm, d.y / norm)
-        else:
-            d1 = arc_tangent_dir(e1, e1.end_angle)
-        if isinstance(e2, Segment):
-            d = sub(e2.b, e2.a)
-            norm = math.hypot(*d) or 1.0
-            d2 = Point2(d.x / norm, d.y / norm)
-        else:
-            d2 = arc_tangent_dir(e2, e2.start_angle)
+        d1, d2 = _heading(e1, True), _heading(e2, False)
         if abs(cross(d1, d2)) > 1e-9 or dot(d1, d2) <= 0.0:
             return False
     return True

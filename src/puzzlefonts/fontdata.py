@@ -33,7 +33,7 @@ from .errors import (
     AmbiguousSolution, FieldError, InvalidSpec, MissingFontFile, NoSolution, NotAChain,
 )
 from .geometry import Point2, Segment, arc_extent
-from .hinged import Cell, HingedChain, check_cell
+from .hinged import CORNERS, Cell, HingedChain, check_cell
 from .maze import GridMaze
 from .scene import VectorScene
 
@@ -131,7 +131,7 @@ def _belt_entry(text: str) -> tuple:
 
 def _hinge(text: str) -> tuple:
     parts = text.split(":")
-    if len(parts) != 2 or any(p not in ("R", "P", "Q") for p in parts):
+    if len(parts) != 2 or any(p not in CORNERS for p in parts):
         raise ValueError(f"hinge pattern token must look like 'Q:P', got {text!r}")
     return parts[0], parts[1]
 
@@ -474,6 +474,12 @@ def _conveyer_scene(disks, belt) -> VectorScene:
     return scene
 
 
+# `check_disk_set` is quadratic in the disk count and runs on every glyph in
+# `check`, the solved render and the reader.  The shipped glyphs have at most
+# 6 disks and the belt search runs out of budget from 10, so refuse far more.
+MAX_GLYPH_DISKS = 64
+
+
 class _Conveyer(FontKind):
     keywords = {
         "disk": Line("x and y", (_number, _number), "disks", Point2),
@@ -484,6 +490,8 @@ class _Conveyer(FontKind):
         disks = tuple(payload.get("disks", ()))
         if not disks:
             raise ValueError("has no disks")
+        if len(disks) > MAX_GLYPH_DISKS:
+            raise ValueError(f"has {len(disks)} disks, more than the {MAX_GLYPH_DISKS} allowed")
         return ConveyerRecord(disks=disks, belt=payload.get("belt"))
 
     def lines(self, rec):

@@ -89,10 +89,7 @@ def _cell_graph(cells) -> tuple:
     """Per cell of `cells` (all distinct), the bitmasks of the other cells
     that share an edge with it and that share at least a vertex with it."""
     tris = [cell_triangle(c) for c in cells]
-    at: dict = {}  # vertex -> bitmask of the cells with a corner there
-    for i, tri in enumerate(tris):
-        for v in tri:
-            at[v] = at.get(v, 0) | 1 << i
+    at = _corner_masks(tris)
     edges, meets = [], []
     for i, (r, a, b) in enumerate(tris):
         edges.append((at[r] & at[a] | at[r] & at[b] | at[a] & at[b]) & ~(1 << i))
@@ -116,7 +113,11 @@ class PolyaboloReport:
 
 def validate_polyabolo(cells, expected_cells: int = 32) -> PolyaboloReport:
     """Cell count, edge-connectivity, pairwise disjointness, total area."""
-    cs = [check_cell(c) for c in cells]
+    return _polyabolo_report([check_cell(c) for c in cells], expected_cells)
+
+
+def _polyabolo_report(cs, expected_cells: int) -> PolyaboloReport:
+    """`validate_polyabolo` of cells that `check_cell` has already checked."""
     unique = sorted(set(cs))
     no_overlap = len(unique) == len(cs)
     by_square: dict = {}
@@ -138,11 +139,11 @@ def refine(cells, expected_cells: int | None = None) -> list[Slot]:
     Returns slots sorted lexicographically; this order is the search and
     canonicalization order everywhere else.
     """
-    checked = {check_cell(c) for c in cells}
-    report = validate_polyabolo(cells, len(checked) if expected_cells is None else expected_cells)
+    cs = [check_cell(c) for c in cells]
+    report = _polyabolo_report(cs, len(set(cs)) if expected_cells is None else expected_cells)
     if not report.ok:
         raise InvalidPolyabolo(f"invalid polyabolo: {report}")
-    return sorted(s for cell in checked for s in _cell_slots(cell))
+    return sorted(s for cell in set(cs) for s in _cell_slots(cell))
 
 
 def _cell_slots(cell: Cell) -> list[Slot]:
@@ -207,11 +208,11 @@ def _corner_position(corners, label: str):
     return corners[CORNERS.index(label)]
 
 
-def _corner_masks(slots) -> dict:
-    """Each corner point -> the bitmask of the slots with a corner there."""
+def _corner_masks(items) -> dict:
+    """Each point -> the bitmask of the items, each a collection of points, that hold it."""
     touching: dict = {}
-    for i, s in enumerate(slots):
-        for v in s:
+    for i, points in enumerate(items):
+        for v in points:
             touching[v] = touching.get(v, 0) | 1 << i
     return touching
 
@@ -363,31 +364,28 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
     before it builds few or none.  Each node reads the table of a free pair
     that touches its entry point and moves the exit points by the pair's
     square, which is exact below COORD_LIMIT; the placed blocks are mapped
-    onto the glyph's placements only for the fold returned.  A pair is
-    skipped unless the cells it leaves free pass `_fillable` (once per set
-    of cells used): later blocks fill them pair by pair, so no component
-    under the level's pairing may be odd, and each block meets the next at
-    a slot corner, a vertex or shared edge midpoint of both, so they must
-    stay connected through shared vertices.  A (cells used, exit point)
-    state fixes the rest of the search, so one whose subtree held no fold
-    is remembered and skipped when met again; each level keeps its own.
+    onto the glyph's placements only for the fold returned.  A level's
+    pairing is `_cell_graph`'s `edges` (level 1) or `meets` (level 2).
+    A pair is skipped unless the cells it leaves free pass `_fillable`
+    (once per set of cells used): later blocks fill them pair by pair, so
+    no component under the level's pairing may be odd, and each block meets
+    the next at a slot corner, a vertex or shared edge midpoint of both, so
+    they must stay connected through shared vertices.  A (cells used, exit
+    point) state fixes the rest of the search, so one whose subtree held no
+    fold is remembered and skipped when met again; each level keeps its own.
     Each block placed is one node.
     """
     index = {s: i for i, s in enumerate(slots)}
     cell_list = sorted(set(check_cell(c) for c in cells))
-    own = []  # cell -> the placements into its 4 slots
-    cells_at: dict = {}  # slot corner -> bitmask of the cells with a slot corner there
-    for c, cell in enumerate(cell_list):
-        mine = _cell_slots(cell)
-        own.append([q for s in mine for q in (2 * index[s], 2 * index[s] + 1)])
-        for v in {v for s in mine for v in s}:
-            cells_at[v] = cells_at.get(v, 0) | 1 << c
+    mine = [_cell_slots(cell) for cell in cell_list]
+    own = [[q for s in ss for q in (2 * index[s], 2 * index[s] + 1)] for ss in mine]  # cell -> placements
+    cells_at = _corner_masks([v for s in ss for v in s] for ss in mine)  # slot corner -> cells there
     edges, meets = _cell_graph(cell_list)
     edge_pairs, point_pairs = [], []  # cell pairs that share an edge, or only a point, in cell order
     for a, b in itertools.combinations(range(len(cell_list)), 2):
         if meets[a] >> b & 1:
             (x, y, da, ha), (bx, by, db, hb) = cell_list[a], cell_list[b]
-            pair = (1 << a | 1 << b, a, b, own[a] + own[b], (da, ha, db, hb, bx - x, by - y), x, y)
+            pair = (1 << a | 1 << b, own[a] + own[b], (da, ha, db, hb, bx - x, by - y), x, y)
             (edge_pairs if edges[a] >> b & 1 else point_pairs).append(pair)
     full = (1 << len(cell_list)) - 1
 
@@ -408,7 +406,7 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
             if pairs is None:
                 near = cells_at[entry]
                 pairs = touching[entry] = [pair for pair in level if pair[0] & near]
-        for mask, a, b, qs, shape, x, y in pairs:
+        for mask, qs, shape, x, y in pairs:
             if used & mask:
                 continue
             now = used | mask
@@ -432,11 +430,8 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
         return False
 
     try:
-        for number, level in enumerate((edge_pairs, edge_pairs + point_pairs), 1):
-            partners = [0] * len(cell_list)  # cell -> the cells it may pair with
-            for mask, a, b, *_ in level:
-                partners[a] |= 1 << b
-                partners[b] |= 1 << a
+        for number, (level, partners) in enumerate(((edge_pairs, edges),
+                                                    (edge_pairs + point_pairs, meets)), 1):
             touching: dict = {}  # entry point -> the level's pairs with a cell there
             dead: set = set()  # states whose subtree held no fold
             fillable = functools.cache(functools.partial(_fillable, meets, partners))

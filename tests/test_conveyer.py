@@ -6,7 +6,7 @@ import pytest
 
 from puzzlefonts.conveyer import (
     CCW, CW, _junctions_c1, belt_length_lower_bound, canonical_spec, check_disk_set,
-    compute_belt, fingerprint, iter_belts, solve_belt, validate_belt,
+    check_spec, compute_belt, fingerprint, iter_belts, solve_belt, validate_belt,
 )
 from puzzlefonts.errors import BudgetExceeded, InvalidSpec
 from puzzlefonts.geometry import TOL, Arc, arc_extent
@@ -53,6 +53,15 @@ class TestComputeBelt:
             compute_belt(STADIUM, [(0, CCW)])
         with pytest.raises(InvalidSpec):
             compute_belt(STADIUM, [(0, CCW), (7, CCW)])
+        # an index or orientation that is not an integer is refused, not truncated
+        for winding in ([(0, 1.9), (1, -1)], [(0, 1), (0.7, 1)], [(0, 1), ("1", 1)],
+                        [(0, 1), (1, None)], [(0, 1), (float("nan"), 1)],
+                        [(0, 1), (float("inf"), 1)]):
+            with pytest.raises(InvalidSpec):
+                check_spec(winding, 2)
+            with pytest.raises(InvalidSpec):
+                validate_belt(STADIUM, winding)
+        assert check_spec([(0, 1.0), (True, -1)], 2) == ((0, CCW), (1, CW))
 
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError):

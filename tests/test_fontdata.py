@@ -183,6 +183,19 @@ class TestParse:
         assert fontdata.parse("font hinged 1\nchain 8 Q:P\n")[0].chain.n_pieces == 8
         assert shipped["hinged"].chain.n_pieces == 128
 
+    def test_glyph_disks_bounded(self):
+        # check_disk_set is quadratic in the disk count, so a glyph with
+        # more disks than the bound is refused as it is read
+        def conveyer_glyph(n):
+            return "font conveyer 1\nglyph A\n" + "".join(f"disk {3 * k} 0\n" for k in range(n))
+        fd, diags = fontdata.parse(conveyer_glyph(fontdata.MAX_GLYPH_DISKS))
+        assert not diags and len(fd.glyphs["A"].disks) == fontdata.MAX_GLYPH_DISKS
+        n = fontdata.MAX_GLYPH_DISKS + 1
+        fd, diags = fontdata.parse(conveyer_glyph(n))
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(2, 1)]
+        assert f"glyph 'A': has {n} disks" in diags[0].message
+
     def test_multiple_independent_errors_one_pass(self):
         text = ("font linkage 1\n"
                 "glyph F\nangles 90 0 90 90\n"        # arity

@@ -362,37 +362,14 @@ class TestBlockLevels:
         assert outcomes == {(True, True), (False, True), (False, False)}
 
     def test_matches_plain_block_search_on_random_glyphs(self):
-        # 6 to 12 edge-connected cells of a 4x4 grid with a random diagonal
-        # per square, grown half the time by the other half of a square
-        # already in; 3 in 4 chains alternate a random hinge between acute
-        # corners with a random one at a right angle, the rest repeat 1 or 2
-        # random (exit, entry) pairs.  About half of the 60 draws fold; in
-        # about half the cuts skip blocks that a look at the cells beside the
-        # pair alone would place
-        rng = random.Random(20141017)
-        acute = [(a, b) for a in "PQ" for b in "PQ"]
-        right = [("R", "P"), ("R", "Q"), ("P", "R"), ("Q", "R")]
+        # about half of the 60 draws fold; in about half the cuts skip
+        # blocks that a look at the cells beside the pair alone would place
         folded = 0
-        for _ in range(60):
-            diagonal = {(x, y): rng.choice(("NE", "NW")) for x in range(4) for y in range(4)}
-            grid = [(x, y, d, half) for (x, y), d in diagonal.items() for half in ("first", "second")]
-            k = rng.choice((6, 8, 10, 12))
-            cells = [rng.choice(grid)]
-            while len(cells) < k:
-                x, y, d, half = rng.choice(cells)
-                cell = ((x, y, d, "second" if half == "first" else "first") if rng.random() < 0.5
-                        else rng.choice(grid))
-                if cell not in cells and validate_polyabolo(cells + [cell], len(cells) + 1).ok:
-                    cells.append(cell)
-            if rng.random() < 0.75:
-                pattern = [rng.choice(acute), rng.choice(right)]
-            else:
-                pattern = [(rng.choice("RPQ"), rng.choice("RPQ")) for _ in range(rng.choice((1, 2)))]
-            chain = HingedChain.cyclic(4 * k, pattern)
+        for cells, chain in random_block_glyphs():
             slots = refine(cells)
             fold, _ = _fold_blocks(chain, cells, slots, 10**6)
             want = plain_block_fold(chain, cells, [tuple(s) for s in slots])
-            assert (None if fold is None else fold.placements) == want, (cells, pattern)
+            assert (None if fold is None else fold.placements) == want, (cells, chain.hinges[:2])
             folded += fold is not None
         assert 20 <= folded <= 40
 
@@ -526,8 +503,14 @@ def assert_tables_match_the_oracle(chain, cells):
 
 
 def random_block_glyphs():
-    """The 60 seeded (cells, chain) draws of
-    `test_matches_plain_block_search_on_random_glyphs`."""
+    """60 seeded (cells, chain) draws.
+
+    6 to 12 edge-connected cells of a 4x4 grid with a random diagonal per
+    square, grown half the time by the other half of a square already in;
+    3 in 4 chains alternate a random hinge between acute corners with a
+    random one at a right angle, the rest repeat 1 or 2 random (exit, entry)
+    pairs.
+    """
     rng = random.Random(20141017)
     acute = [(a, b) for a in "PQ" for b in "PQ"]
     right = [("R", "P"), ("R", "Q"), ("P", "R"), ("Q", "R")]
