@@ -73,11 +73,6 @@ def strand_x(sub: Subcane, omega: float, t: float) -> float:
     return sub.rho * math.cos(2.0 * math.pi * omega * t + math.radians(sub.phi))
 
 
-def strand_depth(sub: Subcane, omega: float, t: float) -> float:
-    """Depth toward the viewer (larger = nearer) at height t."""
-    return sub.rho * math.sin(2.0 * math.pi * omega * t + math.radians(sub.phi))
-
-
 def render_top(cs: CaneCrossSection) -> VectorScene:
     """Envelope circle plus one circle per subcane at its polar position."""
     scene = VectorScene()
@@ -103,7 +98,7 @@ def side_view_samples(cs: CaneCrossSection, twist: TwistParams,
         rows = []
         for k in range(n + 1):
             t = length * k / n
-            angle = turn * t + phase  # the angle of strand_x and strand_depth
+            angle = turn * t + phase  # the angle of strand_x
             rows.append((t, rho * math.cos(angle), rho * math.sin(angle)))
         out.append(rows)
     return out

@@ -57,8 +57,13 @@ def _integer(what: str, value) -> int:
     raise InvalidSpec(f"{what} must be an integer, got {value!r}")
 
 
+def _entries(winding) -> tuple:
+    """The winding's (disk index, orientation) entries, each an integer."""
+    return tuple((_integer("disk index", i), _integer("orientation", o)) for i, o in winding)
+
+
 def check_spec(winding, n_disks: int) -> tuple:
-    w = tuple((_integer("disk index", i), _integer("orientation", o)) for i, o in winding)
+    w = _entries(winding)
     if not w:
         raise InvalidSpec("winding is empty")
     for i, o in w:
@@ -175,7 +180,7 @@ def canonical_spec(winding) -> tuple:
     the reversed list with all orientations flipped (the same belt walked
     backwards).
     """
-    w = tuple((int(i), int(o)) for i, o in winding)
+    w = _entries(winding)
     n = len(w)
     best = None
     rev = tuple((i, -o) for i, o in reversed(w))

@@ -37,9 +37,6 @@ from .hinged import CORNERS, Cell, HingedChain, check_cell
 from .maze import GridMaze
 from .scene import VectorScene
 
-FORMAT_VERSION = 1
-
-
 @dataclass(frozen=True)
 class ParseDiagnostic:
     line: int
@@ -75,9 +72,6 @@ class FontData:
     version: int
     glyphs: dict
     chain: HingedChain | None = None
-
-    def letters(self) -> list[str]:
-        return sorted(self.glyphs)
 
 
 # -- parser -------------------------------------------------------------------
@@ -377,7 +371,8 @@ class FontKind:
     check(fd, report)           add the per-glyph and cross-glyph issues
     render(fd, text, variant, seed)
                                 yield (scene, puzzle record or None) for
-                                each piece `typeset` lays out
+                                each piece `typeset` lays out; layout only
+                                reads a scene, so one may be yielded twice
     reader(font_fd)             read(record) -> letter of one puzzle glyph,
                                 or NoSolution, AmbiguousSolution, NotAChain;
                                 None for the kinds without a machine solver
@@ -413,8 +408,8 @@ class _Linkage(FontKind):
     def record(self, payload):
         angles = payload.get("angles")
         vertices = payload.get("vertices")
-        if angles is None and vertices is None:
-            raise ValueError("needs an 'angles' or 'vertex' payload")
+        if (angles is None) == (vertices is None):
+            raise ValueError("needs an 'angles' line or 'vertex' lines, not both")
         if vertices is not None and len(vertices) != 7:
             raise ValueError(f"has {len(vertices)} vertices, expected 7")
         return LinkageRecord(angles=angles, vertices=tuple(vertices) if vertices else None)
@@ -637,10 +632,12 @@ class _Hinged(FontKind):
             report.add(f"chain has {fd.chain.n_pieces} pieces, expected 128")
 
     def render(self, fd, text, variant, seed):
-        for ch in text:
-            if variant == "puzzle":
-                yield hinged.render_chain_strip(fd.chain), None
-            else:
+        if variant == "puzzle":
+            strip = hinged.render_chain_strip(fd.chain)  # one chain for every letter
+            for _ch in text:
+                yield strip, None
+        else:
+            for ch in text:
                 yield hinged.render_polyabolo(fd.glyphs[ch]), None
 
 

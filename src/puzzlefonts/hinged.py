@@ -298,6 +298,7 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
     only when the walk has exhausted the space; raises BudgetExceeded
     (saying where) when the node budget runs out first.
     """
+    cells = list(cells)  # read once: refine and the block levels both need them
     slots = refine(cells, expected_cells)
     if len(slots) != chain.n_pieces:
         raise ValueError(f"chain has {chain.n_pieces} pieces but the glyph refines to {len(slots)} slots")

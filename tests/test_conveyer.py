@@ -255,6 +255,18 @@ class TestCanonicalization:
         rev = [(i, -o) for i, o in reversed(w)]
         assert canonical_spec(w) == canonical_spec(rev)
 
+    @pytest.mark.parametrize("winding", [
+        [(0, 1.9), (1, -1)], [(0, 1.9), (1.5, -1)], [(0.5, CCW), (1, CW)],
+        [("x", CCW), (1, CW)], [(0, None), (1, CW)], [(0, math.nan), (1, CW)], [(math.inf, CCW), (1, CW)],
+    ])
+    def test_non_integer_entries_refused(self, winding):
+        # read as check_spec reads them, so a fractional entry is not truncated
+        with pytest.raises(InvalidSpec, match="must be an integer"):
+            canonical_spec(winding)
+
+    def test_integral_entries_accepted(self):
+        assert canonical_spec([(0, 1.0), (True, -1)]) == canonical_spec([(0, CCW), (1, CW)])
+
     def test_distinct_orientations_distinct(self):
         a = canonical_spec([(0, CCW), (1, CCW), (2, CCW)])
         b = canonical_spec([(0, CCW), (1, CW), (2, CCW)])

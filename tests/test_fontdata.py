@@ -196,6 +196,17 @@ class TestParse:
         assert [(d.line, d.column) for d in diags] == [(2, 1)]
         assert f"glyph 'A': has {n} disks" in diags[0].message
 
+    @pytest.mark.parametrize("lines", [
+        "angles 90 0 90 90 0\n" + "".join(f"vertex {k} 0\n" for k in range(7)),
+        "",
+    ], ids=["both", "neither"])
+    def test_linkage_glyph_has_one_form(self, lines):
+        # the writer keeps one form, so a glyph with both would lose its vertices
+        fd, diags = fontdata.parse("font linkage 1\nglyph A\n" + lines)
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(2, 1)]
+        assert "glyph 'A': needs an 'angles' line or 'vertex' lines, not both" in diags[0].message
+
     def test_multiple_independent_errors_one_pass(self):
         text = ("font linkage 1\n"
                 "glyph F\nangles 90 0 90 90\n"        # arity
@@ -267,6 +278,7 @@ def test_parse_is_total(text):
     written = fontdata.write(fd)
     again, again_diags = fontdata.parse(written)
     assert not again_diags and fontdata.write(again) == written
+    assert (again.glyphs, again.chain, again.version) == (fd.glyphs, fd.chain, fd.version)
     if fontdata.validate(fd).ok:
         letters = "".join(sorted(fd.glyphs))
         for variant in ("solved", "puzzle"):

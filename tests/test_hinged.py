@@ -462,6 +462,17 @@ class TestBlockLevels:
         with pytest.raises(BudgetExceeded):
             fold_chain(fd.chain, cells, budget=budget - 1, expected_cells=32)
 
+    @pytest.mark.parametrize("once", [iter, lambda cells: (c for c in cells)], ids=["iterator", "generator"])
+    def test_cells_read_once(self, shipped, once):
+        # refine and the block levels both need the cells, so an iterator
+        # folds as the list does, at the same smallest budget
+        fd = shipped["hinged"]
+        cells = fd.glyphs["F"]
+        want = fold_chain(fd.chain, cells, budget=1_734, expected_cells=32)
+        assert fold_chain(fd.chain, once(cells), budget=1_734, expected_cells=32) == want
+        with pytest.raises(BudgetExceeded):
+            fold_chain(fd.chain, once(cells), budget=1_733, expected_cells=32)
+
 
 def block_shape(chain, j):
     """Block j's shape as `_block_table` keys it: its 7 inner hinges as

@@ -57,6 +57,15 @@ class TestTypeset:
         typeset(shipped["linkage"], "FUN", "puzzle", seed=7)
         assert len(realized) == 3
 
+    def test_hinged_puzzle_strip_built_once_per_text(self, shipped, monkeypatch):
+        # every letter's puzzle is the same chain, so one strip serves the text
+        from puzzlefonts import hinged
+        built = []
+        real = hinged.render_chain_strip
+        monkeypatch.setattr(hinged, "render_chain_strip", lambda chain: built.append(chain) or real(chain))
+        typeset(shipped["hinged"], "FILNOTUZ", "puzzle")
+        assert len(built) == 1
+
     def test_maze_puzzle_composes_single_sheet(self, shipped):
         scene = typeset(shipped["maze"], "FUN", "puzzle").scene
         # one composed boundary rectangle, not three spaced glyphs
