@@ -113,11 +113,20 @@ class PolyaboloReport:
 
 def validate_polyabolo(cells, expected_cells: int = 32) -> PolyaboloReport:
     """Cell count, edge-connectivity, pairwise disjointness, total area."""
-    return _polyabolo_report([check_cell(c) for c in cells], expected_cells)
+    return _examine(cells, expected_cells)[0]
 
 
-def _polyabolo_report(cs, expected_cells: int) -> PolyaboloReport:
-    """`validate_polyabolo` of cells that `check_cell` has already checked."""
+class RefinedGlyph(NamedTuple):
+    """A checked glyph, as `refine` returns it."""
+    cells: list   # the distinct cells, sorted
+    slots: list   # their sub-triangles, sorted: the order of placement numbers
+    edges: list   # per cell, the bitmask of the cells that share an edge with it
+    meets: list   # per cell, the bitmask of the cells that share a vertex with it
+
+
+def _examine(cells, expected_cells: int | None) -> tuple:
+    """Check each cell once: (the report, the sorted distinct cells, their `_cell_graph`)."""
+    cs = [check_cell(c) for c in cells]
     unique = sorted(set(cs))
     no_overlap = len(unique) == len(cs)
     by_square: dict = {}
@@ -127,23 +136,25 @@ def _polyabolo_report(cs, expected_cells: int) -> PolyaboloReport:
         if len({c.diagonal for c in square_cells}) > 1:
             no_overlap = False  # halves of different diagonals overlap
     # connectivity over shared (leg or hypotenuse) edges
-    edges, _ = _cell_graph(unique)
+    edges, meets = _cell_graph(unique)
     full = (1 << len(unique)) - 1
     connected = bool(unique) and _flood(edges, full, 1, full) == full
-    return PolyaboloReport(len(cs), expected_cells, connected, no_overlap, len(unique) * 0.5)
+    report = PolyaboloReport(len(cs), len(unique) if expected_cells is None else expected_cells,
+                             connected, no_overlap, len(unique) * 0.5)
+    return report, unique, edges, meets
 
 
-def refine(cells, expected_cells: int | None = None) -> list[Slot]:
-    """Split each cell into its 4 midpoint sub-triangles (legs 1/2).
+def refine(cells, expected_cells: int | None = None) -> RefinedGlyph:
+    """Check the glyph and split each cell into its 4 midpoint sub-triangles (legs 1/2).
 
-    Returns slots sorted lexicographically; this order is the search and
+    The slots are sorted lexicographically; this order is the search and
     canonicalization order everywhere else.
     """
-    cs = [check_cell(c) for c in cells]
-    report = _polyabolo_report(cs, len(set(cs)) if expected_cells is None else expected_cells)
+    report, unique, edges, meets = _examine(cells, expected_cells)
     if not report.ok:
         raise InvalidPolyabolo(f"invalid polyabolo: {report}")
-    return sorted(s for cell in set(cs) for s in _cell_slots(cell))
+    slots = sorted(s for cell in unique for s in _cell_slots(cell))
+    return RefinedGlyph(unique, slots, edges, meets)
 
 
 def _cell_slots(cell: Cell) -> list[Slot]:
@@ -188,24 +199,15 @@ class HingedChain:
         return HingedChain(n_pieces, tuple(pats[k % len(pats)] for k in range(n_pieces - 1)))
 
 
-class Placement(NamedTuple):
-    slot_index: int
-    corners: tuple  # positions of (R, P, Q) piece corners
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    placements: tuple  # one Placement per chain piece, in chain order
-
-
 def _poses(slot: Slot) -> tuple:
     """Both congruence maps of a piece onto a slot (R is forced, acutes swap)."""
     return ((slot.right, slot.acute1, slot.acute2),
             (slot.right, slot.acute2, slot.acute1))
 
 
-def _corner_position(corners, label: str):
-    return corners[CORNERS.index(label)]
+def _placed(slots, fold) -> list:
+    """The (R, P, Q) corner points of each placement number ``2 * slot + pose`` of `fold`."""
+    return [_poses(slots[q >> 1])[q & 1] for q in fold]
 
 
 def _corner_masks(items) -> dict:
@@ -279,7 +281,7 @@ class _Stop(Exception):
 
 
 def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
-               expected_cells: int | None = None) -> FoldAssignment | None:
+               expected_cells: int | None = None) -> tuple | None:
     """Search for a fold of the chain into the glyph's slots, by blocks first.
 
     A chain whose length is a multiple of 8 is first folded block by block:
@@ -294,20 +296,22 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
     walk that places one piece per node (`_walk`) searches the whole space.
     One budget counts the blocks placed and the walk's nodes.  Every stage
     is a fixed-order search whose outcome the budget does not steer, so
-    every budget that reaches a fold returns the same one.  Returns None
-    only when the walk has exhausted the space; raises BudgetExceeded
-    (saying where) when the node budget runs out first.
+    every budget that reaches a fold returns the same one.  A fold is a
+    tuple of placement numbers ``2 * slot + pose``, one per piece in chain
+    order, its slots in `refine` order and its poses in `_poses` order.
+    Returns None only when the walk has exhausted the space; raises
+    BudgetExceeded (saying where) when the node budget runs out first.
     """
-    cells = list(cells)  # read once: refine and the block levels both need them
-    slots = refine(cells, expected_cells)
-    if len(slots) != chain.n_pieces:
-        raise ValueError(f"chain has {chain.n_pieces} pieces but the glyph refines to {len(slots)} slots")
+    glyph = refine(cells, expected_cells)
+    if len(glyph.slots) != chain.n_pieces:
+        raise ValueError(f"chain has {chain.n_pieces} pieces but the glyph refines to "
+                         f"{len(glyph.slots)} slots")
     spent = 0
     if chain.n_pieces % 8 == 0:
-        fold, spent = _fold_blocks(chain, cells, slots, budget)
+        fold, spent = _fold_blocks(chain, glyph, budget)
         if fold is not None:
             return fold
-    return _walk(chain, slots, budget, spent)
+    return _walk(chain, glyph.slots, budget, spent)
 
 
 @functools.cache
@@ -351,7 +355,7 @@ def _block_table(pair: tuple, block: tuple, entry) -> tuple:
     return tuple(folds.items())
 
 
-def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
+def _fold_blocks(chain: HingedChain, glyph: RefinedGlyph, budget: int) -> tuple:
     """The block levels of `fold_chain`: (their fold or None, the nodes spent).
 
     A block's shape is its 7 inner hinges with its entry and exit corners,
@@ -365,8 +369,8 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
     before it builds few or none.  Each node reads the table of a free pair
     that touches its entry point and moves the exit points by the pair's
     square, which is exact below COORD_LIMIT; the placed blocks are mapped
-    onto the glyph's placements only for the fold returned.  A level's
-    pairing is `_cell_graph`'s `edges` (level 1) or `meets` (level 2).
+    onto the glyph's placement numbers only for the fold returned.  A
+    level's pairing is the glyph's `edges` (level 1) or `meets` (level 2).
     A pair is skipped unless the cells it leaves free pass `_fillable`
     (once per set of cells used): later blocks fill them pair by pair, so
     no component under the level's pairing may be odd, and each block meets
@@ -376,19 +380,18 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
     fold is remembered and skipped when met again; each level keeps its own.
     Each block placed is one node.
     """
+    cells, slots, edges, meets = glyph
     index = {s: i for i, s in enumerate(slots)}
-    cell_list = sorted(set(check_cell(c) for c in cells))
-    mine = [_cell_slots(cell) for cell in cell_list]
+    mine = [_cell_slots(cell) for cell in cells]
     own = [[q for s in ss for q in (2 * index[s], 2 * index[s] + 1)] for ss in mine]  # cell -> placements
     cells_at = _corner_masks([v for s in ss for v in s] for ss in mine)  # slot corner -> cells there
-    edges, meets = _cell_graph(cell_list)
     edge_pairs, point_pairs = [], []  # cell pairs that share an edge, or only a point, in cell order
-    for a, b in itertools.combinations(range(len(cell_list)), 2):
+    for a, b in itertools.combinations(range(len(cells)), 2):
         if meets[a] >> b & 1:
-            (x, y, da, ha), (bx, by, db, hb) = cell_list[a], cell_list[b]
+            (x, y, da, ha), (bx, by, db, hb) = cells[a], cells[b]
             pair = (1 << a | 1 << b, own[a] + own[b], (da, ha, db, hb, bx - x, by - y), x, y)
             (edge_pairs if edges[a] >> b & 1 else point_pairs).append(pair)
-    full = (1 << len(cell_list)) - 1
+    full = (1 << len(cells)) - 1
 
     hinges = [(CORNERS.index(ex), CORNERS.index(en)) for ex, en in chain.hinges]
     m = chain.n_pieces // 8
@@ -437,15 +440,13 @@ def _fold_blocks(chain: HingedChain, cells, slots, budget: int) -> tuple:
             dead: set = set()  # states whose subtree held no fold
             fillable = functools.cache(functools.partial(_fillable, meets, partners))
             if extend(0, 0, None):
-                fold = [qs[i] for qs, block in placed for i in block]
-                return FoldAssignment(tuple(Placement(q >> 1, _poses(slots[q >> 1])[q & 1])
-                                            for q in fold)), nodes
+                return tuple(qs[i] for qs, block in placed for i in block), nodes
         return None, nodes
     finally:
         extend = None  # noqa: F841 -- the closure refers to itself; free its state now
 
 
-def _walk(chain: HingedChain, slots, budget: int, spent: int = 0) -> FoldAssignment | None:
+def _walk(chain: HingedChain, slots, budget: int, spent: int = 0) -> tuple | None:
     """The piece-by-piece walk: a backtracking search that places one piece per node.
 
     `fold_chain` runs it when the block levels find no fold, with `spent`
@@ -554,7 +555,7 @@ def _walk(chain: HingedChain, slots, budget: int, spent: int = 0) -> FoldAssignm
                 placed.clear()
                 try:
                     if extend(0, full, full, (start,)):
-                        return FoldAssignment(tuple(Placement(q >> 1, poses[q]) for q in placed))
+                        return tuple(placed)
                 except _Stop:
                     exhausted_everywhere = False
             if exhausted_everywhere:
@@ -563,29 +564,23 @@ def _walk(chain: HingedChain, slots, budget: int, spent: int = 0) -> FoldAssignm
         extend = None  # noqa: F841 -- the closure refers to itself; free its tables now
 
 
-def verify_fold(chain: HingedChain, cells, assignment: FoldAssignment,
-                expected_cells: int | None = None) -> bool:
-    """Structural check: bijection, true congruences, hinge coincidence."""
-    slots = refine(cells, expected_cells)
-    if len(assignment.placements) != chain.n_pieces or len(slots) != chain.n_pieces:
+def verify_fold(chain: HingedChain, cells, fold, expected_cells: int | None = None) -> bool:
+    """Structural check of a fold as `fold_chain` returns it.
+
+    Each piece's placement number must be an int in ``range(2 * slots)``,
+    each slot must be used once, and each hinge's two corners must meet.
+    A placement puts the piece on its slot by one of `_poses`, so it is
+    congruent by construction.
+    """
+    slots = refine(cells, expected_cells).slots
+    n = len(slots)
+    if chain.n_pieces != n or len(fold) != n:
         return False
-    used = set()
-    for pl in assignment.placements:
-        if not 0 <= pl.slot_index < len(slots):
-            return False
-        if pl.slot_index in used:
-            return False
-        used.add(pl.slot_index)
-        slot = slots[pl.slot_index]
-        r, p, q = pl.corners
-        if r != slot.right or {p, q} != {slot.acute1, slot.acute2}:
-            return False
-    for k, (exit_label, entry_label) in enumerate(chain.hinges):
-        exit_pos = _corner_position(assignment.placements[k].corners, exit_label)
-        entry_pos = _corner_position(assignment.placements[k + 1].corners, entry_label)
-        if exit_pos != entry_pos:
-            return False
-    return True
+    if not all(type(q) is int and 0 <= q < 2 * n for q in fold) or len({q >> 1 for q in fold}) != n:
+        return False
+    placed = _placed(slots, fold)
+    return all(placed[k][CORNERS.index(ex)] == placed[k + 1][CORNERS.index(en)]
+               for k, (ex, en) in enumerate(chain.hinges))
 
 
 # -- rendering ----------------------------------------------------------------
@@ -615,13 +610,13 @@ def render_chain_strip(chain: HingedChain) -> VectorScene:
     return scene
 
 
-def render_fold(chain: HingedChain, cells, assignment: FoldAssignment) -> VectorScene:
+def render_fold(chain: HingedChain, cells, fold) -> VectorScene:
     """Folded chain diagram: placed pieces with hinge dots."""
-    scene = render_polyabolo(cells)
-    for pl in assignment.placements:
-        r, p, q = pl.corners
+    glyph = refine(cells)
+    scene = render_polyabolo(glyph.cells)
+    placed = _placed(glyph.slots, fold)
+    for r, p, q in placed:
         scene.add_polyline([p, r, q], "chain")
-    for k, (exit_label, _entry) in enumerate(chain.hinges):
-        pos = _corner_position(assignment.placements[k].corners, exit_label)
-        scene.add_circle(pos, 0.04, "hinge", filled=True)
+    for corners, (exit_label, _entry) in zip(placed, chain.hinges):
+        scene.add_circle(corners[CORNERS.index(exit_label)], 0.04, "hinge", filled=True)
     return scene

@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from scratch against the definitions,
 not by calling the code under test: exact rational segment intersection,
-a naive belt-winding enumerator, an exhaustive fold enumerator, a block
-fold search without cuts, a plain breadth-first search over slot contacts,
-and a layout that copies every primitive to its place.
+a naive belt-winding enumerator, an exhaustive fold enumerator, a fold
+check, a block fold search without cuts, a plain breadth-first search over
+slot contacts, and a layout that copies every primitive to its place.
 """
 
 from fractions import Fraction
@@ -124,6 +124,31 @@ def exhaustive_fold_exists(chain, slots_points) -> bool:
         return False
 
     return rec(0, set(), None)
+
+
+def fold_is_valid(chain, slots_points, pieces) -> bool:
+    """Check a fold against the definitions: one piece per slot, each piece
+    congruent to its slot, and each hinge's two corners at one point.
+
+    `slots_points` is the list of (right, acute1, acute2) corner triples and
+    `pieces` one (slot index, (R, P, Q) corners) per chain piece, in chain
+    order.  A piece is congruent to its slot when its right-angle corner is
+    the slot's and its acute corners are the slot's two, in either order.
+    """
+    n = len(slots_points)
+    if n != chain.n_pieces or len(pieces) != n:
+        return False
+    if sorted(i for i, _ in pieces) != list(range(n)):
+        return False
+    for i, (r, p, q) in pieces:
+        right, acute1, acute2 = slots_points[i]
+        if r != right or {p, q} != {acute1, acute2}:
+            return False
+    corner_order = ("R", "P", "Q")
+    for k, (ex, en) in enumerate(chain.hinges):
+        if pieces[k][1][corner_order.index(ex)] != pieces[k + 1][1][corner_order.index(en)]:
+            return False
+    return True
 
 
 def cell_vertices(cell) -> tuple:

@@ -158,7 +158,7 @@ def test_criterion_09_hinged_font(shipped):
     for name, cells in targets:
         rep = validate_polyabolo(cells, 32)
         assert rep.ok and rep.area == 16.0, name
-        assert len(refine(cells, 32)) == 128
+        assert len(refine(cells, 32).slots) == 128
         t0 = time.perf_counter()
         fold = fold_chain(chain, cells, budget=10_000_000, expected_cells=32)
         dt = time.perf_counter() - t0

@@ -15,8 +15,8 @@ from puzzlefonts.hinged import (
     verify_fold,
 )
 from oracles import (
-    block_folds, cell_placements, cell_vertices, exhaustive_fold_exists, plain_block_fold,
-    slots_connected,
+    block_folds, cell_placements, cell_vertices, exhaustive_fold_exists, fold_is_valid,
+    plain_block_fold, slots_connected,
 )
 
 ALT = (("Q", "P"), ("R", "P"))
@@ -42,6 +42,14 @@ G_GLYPH = [(x, y, d, half) for x, y, d in (
 
 def moved(cells, dx, dy):
     return [(x + dx, y + dy, diagonal, half) for x, y, diagonal, half in cells]
+
+
+def as_pieces(slots, fold):
+    """A fold's placement numbers ``2 * slot + pose`` as the oracles list pieces:
+    (slot index, (R, P, Q) corners), pose 0 keeping the slot's acute corners in
+    order and pose 1 swapping them."""
+    return tuple((q >> 1, (r, a1, a2) if q & 1 == 0 else (r, a2, a1))
+                 for q in fold for r, a1, a2 in [slots[q >> 1]])
 
 
 def shipped_targets(shipped):
@@ -158,7 +166,7 @@ class TestCellCoordinates:
 
 class TestRefine:
     def test_single_cell_four_slots(self):
-        slots = refine([(0, 0, "NE", "first")])
+        slots = refine([(0, 0, "NE", "first")]).slots
         assert len(slots) == 4
         # each slot is right isosceles with legs 1/2 -> area 1/8, total 1/2
         total = 0.0
@@ -171,7 +179,7 @@ class TestRefine:
         assert total == pytest.approx(0.5)
 
     def test_square_gives_128(self):
-        assert len(refine(FULL_SQUARE_4, 32)) == 128
+        assert len(refine(FULL_SQUARE_4, 32).slots) == 128
 
     def test_rejects_invalid(self):
         with pytest.raises(InvalidPolyabolo):
@@ -213,6 +221,22 @@ class TestFoldChain:
         with pytest.raises(ValueError):
             fold_chain(alt_chain(12), TWO_CELL)
 
+    def test_each_cell_checked_once_per_call(self, shipped, monkeypatch):
+        # fold_chain and verify_fold each refine the glyph once, and the
+        # block levels take its cells and cell graph from that record
+        calls = {"check_cell": 0, "_cell_graph": 0}
+        for name in calls:
+            def counted(*args, real=getattr(hinged, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(hinged, name, counted)
+        chain, cells = shipped["hinged"].chain, shipped["hinged"].glyphs["F"]
+        fold = fold_chain(chain, cells, budget=10**6, expected_cells=32)
+        assert calls == {"check_cell": 32, "_cell_graph": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        assert verify_fold(chain, cells, fold, expected_cells=32)
+        assert calls == {"check_cell": 32, "_cell_graph": 1}
+
     def test_fold_leaves_no_reference_cycle(self, shipped):
         # N's block levels remember about 470 dead states, the square's
         # 24.  Allocated blocks, not traced bytes: tracemalloc makes N's
@@ -245,7 +269,7 @@ class TestFoldChain:
     ])
     def test_matches_exhaustive_oracle_on_toys(self, cells):
         chain = alt_chain(4 * len(cells))
-        slots = refine(cells)
+        slots = refine(cells).slots
         expected = exhaustive_fold_exists(chain, [tuple(s) for s in slots])
         got = fold_chain(chain, cells)
         assert (got is not None) == expected
@@ -267,7 +291,7 @@ class TestSearchIsPinned:
     def test_smallest_folding_budget(self, shipped, target, budget):
         fd = shipped["hinged"]
         cells = FULL_SQUARE_4 if target == "square" else fd.glyphs[target]
-        slots = refine(cells, 32)
+        slots = refine(cells, 32).slots
         fold = _walk(fd.chain, slots, budget)
         assert verify_fold(fd.chain, cells, fold, expected_cells=32)
         with pytest.raises(BudgetExceeded):
@@ -277,7 +301,7 @@ class TestSearchIsPinned:
         # a dead state met again costs only the node that reached it, so the
         # proof that this chain has no fold counts only the nodes it walks
         chain = HingedChain.uniform(16, "R", "P")
-        slots = refine(square_cells(2, 1))
+        slots = refine(square_cells(2, 1)).slots
         assert _walk(chain, slots, 7_688) is None
         with pytest.raises(BudgetExceeded):
             _walk(chain, slots, 7_687)
@@ -312,9 +336,9 @@ class TestBlockLevels:
     @pytest.mark.parametrize("pattern", sorted(BLOCK_CHAINS))
     def test_block_folds_pass_verify(self, shape, pattern):
         cells = BLOCK_SHAPES[shape]
-        slots = refine(cells)
-        chain = HingedChain.cyclic(len(slots), BLOCK_CHAINS[pattern])
-        fold, _ = _fold_blocks(chain, cells, slots, 10**6)
+        glyph = refine(cells)
+        chain = HingedChain.cyclic(len(glyph.slots), BLOCK_CHAINS[pattern])
+        fold, _ = _fold_blocks(chain, glyph, 10**6)
         assert (fold is not None) == (pattern == "Q:P/R:P")
         if fold is not None:
             assert verify_fold(chain, cells, fold)
@@ -324,7 +348,7 @@ class TestBlockLevels:
         if (shape, pattern) not in SLOW_WALKS])
     def test_none_exactly_when_the_walk_finds_none(self, shape, pattern):
         cells = BLOCK_SHAPES[shape]
-        slots = refine(cells)
+        slots = refine(cells).slots
         chain = HingedChain.cyclic(len(slots), BLOCK_CHAINS[pattern])
         fold = fold_chain(chain, cells, budget=10**7)
         assert (fold is None) == (_walk(chain, slots, 10**7) is None)
@@ -351,10 +375,11 @@ class TestBlockLevels:
                     cells.append(cell)
             pattern = [(rng.choice("RPQ"), rng.choice("RPQ")) for _ in range(rng.choice((1, 2)))]
             chain = HingedChain.cyclic(4 * k, pattern)
-            slots = refine(cells)
-            blocks, _ = _fold_blocks(chain, cells, slots, 10**6)
+            glyph = refine(cells)
+            blocks, _ = _fold_blocks(chain, glyph, 10**6)
             fold = fold_chain(chain, cells, budget=10**6)
-            assert (fold is not None) == exhaustive_fold_exists(chain, [tuple(s) for s in slots])
+            assert (fold is not None) == exhaustive_fold_exists(chain,
+                                                                [tuple(s) for s in glyph.slots])
             if fold is not None:
                 assert verify_fold(chain, cells, fold)
                 assert blocks is None or blocks == fold
@@ -366,10 +391,11 @@ class TestBlockLevels:
         # blocks that a look at the cells beside the pair alone would place
         folded = 0
         for cells, chain in random_block_glyphs():
-            slots = refine(cells)
-            fold, _ = _fold_blocks(chain, cells, slots, 10**6)
-            want = plain_block_fold(chain, cells, [tuple(s) for s in slots])
-            assert (None if fold is None else fold.placements) == want, (cells, chain.hinges[:2])
+            glyph = refine(cells)
+            fold, _ = _fold_blocks(chain, glyph, 10**6)
+            want = plain_block_fold(chain, cells, [tuple(s) for s in glyph.slots])
+            assert (None if fold is None else as_pieces(glyph.slots, fold)) == want, (
+                cells, chain.hinges[:2])
             folded += fold is not None
         assert 20 <= folded <= 40
 
@@ -381,18 +407,20 @@ class TestBlockLevels:
         cells = [(0, 0, "NE", h) for h in HALVES] + [(1, 0, "NW", h) for h in HALVES] + [
             (0, 1, "NE", h) for h in HALVES]
         chain = HingedChain.cyclic(24, (("P", "Q"), ("R", "P")))
-        slots = refine(cells)
-        fold, nodes = _fold_blocks(chain, cells, slots, 10**6)
-        assert fold.placements == plain_block_fold(chain, cells, [tuple(s) for s in slots])
+        glyph = refine(cells)
+        fold, nodes = _fold_blocks(chain, glyph, 10**6)
+        assert as_pieces(glyph.slots, fold) == plain_block_fold(chain, cells,
+                                                                [tuple(s) for s in glyph.slots])
         assert verify_fold(chain, cells, fold)
         with pytest.raises(BudgetExceeded, match="at block level 1, placing block 2"):
-            _fold_blocks(chain, cells, slots, nodes - 1)
+            _fold_blocks(chain, glyph, nodes - 1)
 
     def test_walk_folds_where_blocks_cannot_on_one_budget(self):
         cells, pattern = WALK_ONLY
-        slots = refine(cells)
+        glyph = refine(cells)
+        slots = glyph.slots
         chain = HingedChain.cyclic(16, pattern)
-        assert _fold_blocks(chain, cells, slots, 10**6) == (None, 15)
+        assert _fold_blocks(chain, glyph, 10**6) == (None, 15)
         assert exhaustive_fold_exists(chain, [tuple(s) for s in slots])
         fold = fold_chain(chain, cells, budget=15 + 36)
         assert fold == _walk(chain, slots, 36) and verify_fold(chain, cells, fold)
@@ -444,8 +472,9 @@ class TestBlockLevels:
         cells = [(0, 0, "NE", "first"), (0, 0, "NE", "second"), (1, 0, "NE", "first")]
         chain = alt_chain(12)
         fold = fold_chain(chain, cells)
-        assert exhaustive_fold_exists(chain, [tuple(s) for s in refine(cells)])
-        assert fold == _walk(chain, refine(cells), DEFAULT_BUDGET)
+        slots = refine(cells).slots
+        assert exhaustive_fold_exists(chain, [tuple(s) for s in slots])
+        assert fold == _walk(chain, slots, DEFAULT_BUDGET)
         assert verify_fold(chain, cells, fold)
 
     @pytest.mark.parametrize("target,budget", [
@@ -497,9 +526,9 @@ def kernel_listing(chain, slots, a, b, j, entry_point):
 
 def assert_tables_match_the_oracle(chain, cells):
     """Every meeting cell pair, block shape and entry point of the glyph."""
-    slots = refine(cells)
+    glyph = refine(cells)
+    slots, cell_list = glyph.slots, glyph.cells
     points = [tuple(s) for s in slots]
-    cell_list = sorted(set(check_cell(c) for c in cells))
     shapes = [block_shape(chain, j) for j in range(chain.n_pieces // 8)]
     firsts = [j for j, shape in enumerate(shapes) if shapes.index(shape) == j]
     for a, b in itertools.combinations(cell_list, 2):
@@ -578,7 +607,8 @@ class TestBlockTable:
         chain = shipped["hinged"].chain
         rng = random.Random(20141019)
         for name, cells in shipped_targets(shipped).items():
-            fold, nodes = _fold_blocks(chain, cells, refine(cells, 32), 10**6)
+            glyph = refine(cells, 32)
+            fold, nodes = _fold_blocks(chain, glyph, 10**6)
             xs, ys = [c[0] for c in cells], [c[1] for c in cells]
             offsets = [(rng.randint(-99, 99), rng.randint(-99, 99)),
                        (rng.randint(-2 ** 50, 2 ** 50), rng.randint(-2 ** 50, 2 ** 50)),
@@ -587,9 +617,9 @@ class TestBlockTable:
             for dx, dy in offsets:
                 there = moved(cells, dx, dy)
                 got = fold_chain(chain, there, budget=nodes, expected_cells=32)
-                assert [(p.slot_index, p.corners) for p in got.placements] == [
-                    (p.slot_index, tuple((x + dx, y + dy) for x, y in p.corners))
-                    for p in fold.placements], (name, dx, dy)
+                assert as_pieces(refine(there, 32).slots, got) == tuple(
+                    (i, tuple((x + dx, y + dy) for x, y in corners))
+                    for i, corners in as_pieces(glyph.slots, fold)), (name, dx, dy)
                 assert verify_fold(chain, there, got, expected_cells=32)
                 with pytest.raises(BudgetExceeded):
                     fold_chain(chain, there, budget=nodes - 1, expected_cells=32)
@@ -629,7 +659,7 @@ def test_local_connectivity_check_matches_full_flood(shipped):
     rng = random.Random(20140)
     outcomes = set()
     for cells in targets:
-        slots = refine(cells, 32)
+        slots = refine(cells, 32).slots
         points = [tuple(s) for s in slots]
         near = contact_masks(slots)
         for _ in range(60):
@@ -643,27 +673,66 @@ def test_local_connectivity_check_matches_full_flood(shipped):
     assert outcomes == {True, False}
 
 
+def mutations(fold, rng):
+    """Seeded broken copies of a fold: two pieces swapped, a pose flipped, the
+    fold cut short, a slot repeated with the same or the other pose."""
+    n = len(fold)
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        swapped = list(fold)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield tuple(swapped)
+        yield fold[:i] + (fold[i] ^ 1,) + fold[i + 1:]
+        yield fold[:i]
+        yield fold[:j] + (fold[i] ^ rng.randrange(2),) + fold[j + 1:]
+
+
 class TestVerifyFold:
-    def test_swapped_pieces_break_hinges(self):
-        chain = alt_chain(8)
-        fold = fold_chain(chain, TWO_CELL)
-        placements = list(fold.placements)
-        placements[2], placements[5] = placements[5], placements[2]
-        broken = type(fold)(tuple(placements))
-        assert not verify_fold(chain, TWO_CELL, broken)
+    @pytest.mark.parametrize("case", ["127 numbers", "float", "None", "-1", "2n", "repeated slot",
+                                      "swapped pieces", "flipped pose"])
+    def test_malformed_fold_is_false(self, case):
+        # each entry a number 2 * slot + pose, each slot once, every hinge kept
+        chain = alt_chain(128)
+        fold = list(fold_chain(chain, FULL_SQUARE_4, expected_cells=32))
+        assert verify_fold(chain, FULL_SQUARE_4, tuple(fold), expected_cells=32)
+        if case == "127 numbers":
+            fold.pop()
+        elif case == "float":
+            fold[0] = float(fold[0])
+        elif case == "None":
+            fold[0] = None
+        elif case == "-1":
+            fold[0] = -1
+        elif case == "2n":
+            fold[0] = 2 * 128
+        elif case == "repeated slot":  # the other pose of piece 0's slot
+            fold[1] = fold[0] ^ 1
+        elif case == "swapped pieces":
+            fold[2], fold[5] = fold[5], fold[2]
+        else:
+            fold[3] ^= 1
+        assert verify_fold(chain, FULL_SQUARE_4, tuple(fold), expected_cells=32) is False
 
-    def test_incomplete_assignment(self):
-        chain = alt_chain(8)
-        fold = fold_chain(chain, TWO_CELL)
-        short = type(fold)(fold.placements[:-1])
-        assert not verify_fold(chain, TWO_CELL, short)
-
-    def test_repeated_slot_rejected(self):
-        chain = alt_chain(8)
-        fold = fold_chain(chain, TWO_CELL)
-        placements = list(fold.placements)
-        placements[1] = placements[0]
-        assert not verify_fold(chain, TWO_CELL, type(fold)(tuple(placements)))
+    def test_matches_the_oracle_on_broken_folds(self, shipped):
+        # 912 broken copies of the nine shipped folds and of the 29 block
+        # folds of the random glyphs; one of them is still a valid fold
+        rng = random.Random(20141020)
+        chain = shipped["hinged"].chain
+        cases = [(chain, cells, fold_chain(chain, cells, budget=10**6, expected_cells=32))
+                 for cells in shipped_targets(shipped).values()]
+        cases += [(chain, cells, _fold_blocks(chain, refine(cells), 10**6)[0])
+                  for cells, chain in random_block_glyphs()]
+        outcomes = set()
+        for chain, cells, fold in cases:
+            if fold is None:
+                continue
+            slots = refine(cells).slots
+            points = [tuple(s) for s in slots]
+            for broken in (fold, *mutations(fold, rng)):
+                want = fold_is_valid(chain, points, as_pieces(slots, broken))
+                assert verify_fold(chain, cells, broken) == want, (cells[0], broken)
+                outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestShippedGlyphs:
