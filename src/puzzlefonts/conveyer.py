@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, InvalidSpec
 from .geometry import (
-    CCW, CW, TOL, Arc, Point2, Segment, angle_of, arc_tangent_dir, cross,
-    dist, dot, element_end, element_length, element_start, hull_perimeter,
+    CCW, CW, TOL, Arc, Point2, Segment, arc_tangent_dir, cross, dist, dot,
+    element_end, element_length, element_start, hull_perimeter, normalize_angle,
     path_is_simple, point_segment_distance, sub, tangent_points,
 )
 
@@ -31,19 +31,29 @@ DEFAULT_BUDGET = 12_000_000
 FINGERPRINT_QUANTUM = 1e-6  # coordinate step of a configuration fingerprint
 
 
+class _Checked(tuple):
+    """Disk centers that `check_disk_set` has checked: a tuple of points."""
+    __slots__ = ()
+
+
 def check_disk_set(centers) -> tuple:
     """The centers as points, if finite and more than 2 + TOL apart.
 
     The strict gap is also the crossing tangent's precondition, so every
-    winding over a checked set realizes.
+    winding over a checked set realizes.  The points come back as a tuple
+    that this function returns unchanged when given it again, so a set is
+    checked once however many belts are built on it; any other input, a
+    plain tuple of the same points included, is checked in full.
     """
-    pts = tuple(Point2(float(x), float(y)) for x, y in centers)
+    if type(centers) is _Checked:
+        return centers
+    pts = _Checked(Point2(float(x), float(y)) for x, y in centers)
     for p in pts:
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise ValueError("disk center coordinates must be finite")
-    for i in range(len(pts)):
+    for i, (x, y) in enumerate(pts):
         for j in range(i + 1, len(pts)):
-            if dist(pts[i], pts[j]) <= 2.0 + TOL:
+            if math.hypot(x - pts[j].x, y - pts[j].y) <= 2.0 + TOL:
                 raise ValueError(f"disks {i} and {j} are not disjoint")
     return pts
 
@@ -59,7 +69,8 @@ def _integer(what: str, value) -> int:
 
 def _entries(winding) -> tuple:
     """The winding's (disk index, orientation) entries, each an integer."""
-    return tuple((_integer("disk index", i), _integer("orientation", o)) for i, o in winding)
+    return tuple((i if type(i) is int else _integer("disk index", i),
+                  o if type(o) is int else _integer("orientation", o)) for i, o in winding)
 
 
 def check_spec(winding, n_disks: int) -> tuple:
@@ -99,17 +110,22 @@ def compute_belt(centers, winding) -> BeltPath:
     disk is wrapped CCW and on the left when CW.  Each disk contributes one
     arc from its incoming to its outgoing tangent point, swept in its own
     orientation, followed by its outgoing tangent.  The path holds those
-    elements and the winding's disk indices as `disk_of_arc`.
+    elements and the winding's disk indices as `disk_of_arc`.  A set that
+    `check_disk_set` returned is not checked again.
     """
     disks = check_disk_set(centers)
     w = check_spec(winding, len(disks))
     segs = [Segment(*tangent_points(disks[i], disks[j], "external" if oi == oj else "internal",
                                     "right" if oi == CCW else "left"))
             for (i, oi), (j, oj) in zip(w, w[1:] + w[:1])]
+    atan2, degrees = math.atan2, math.degrees
     elements = []
     for k, (i, oi) in enumerate(w):
         c = disks[i]
-        elements += (Arc(c, 1.0, angle_of(sub(segs[k - 1].b, c)), angle_of(sub(segs[k].a, c)), oi),
+        (bx, by), (ax, ay) = segs[k - 1].b, segs[k].a
+        # angle_of(sub(p, c)), in the same float operations
+        elements += (Arc(c, 1.0, normalize_angle(degrees(atan2(by - c.y, bx - c.x))),
+                         normalize_angle(degrees(atan2(ay - c.y, ax - c.x))), oi),
                      segs[k])
     return BeltPath(tuple(elements), tuple(i for i, _ in w))
 
@@ -201,8 +217,9 @@ def iter_belts(centers, budget: int = DEFAULT_BUDGET):
     avoid every disk interior and do not cross themselves.  Each class is
     one candidate, so nothing is yielded twice.  The tangent segment between
     two consecutive entries is the same in every candidate, so whether it
-    clears the disks is checked once per call.  Raises BudgetExceeded when
-    more than `budget` candidates would be built.
+    clears the disks is checked once per call, and the disk set once: the
+    candidates' builds take the checked set and do not check it again.
+    Raises BudgetExceeded when more than `budget` candidates would be built.
     """
     disks = check_disk_set(centers)
     n = len(disks)

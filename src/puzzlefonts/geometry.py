@@ -83,12 +83,6 @@ def unit_vector(deg: float) -> Point2:
     return Point2(math.cos(r), math.sin(r))
 
 
-def rotate(v, deg: float) -> Point2:
-    r = math.radians(deg)
-    c, s = math.cos(r), math.sin(r)
-    return Point2(c * v[0] - s * v[1], s * v[0] + c * v[1])
-
-
 def tangent_points(c1, c2, kind: str, side: str) -> tuple[Point2, Point2]:
     """Touch points of a common tangent of two unit circles.
 
@@ -109,11 +103,15 @@ def tangent_points(c1, c2, kind: str, side: str) -> tuple[Point2, Point2]:
     if kind == "internal":
         if d <= 2.0 + TOL:
             raise DegenerateDisks(f"centers {c1} and {c2} too close for a crossing tangent")
-        u = Point2((c2[0] - c1[0]) / d, (c2[1] - c1[1]) / d)
-        phi = math.degrees(math.acos(2.0 / d))
-        p1 = add(c1, rotate(u, s * phi))
-        p2 = add(c2, rotate(Point2(-u.x, -u.y), s * phi))
-        return (Point2(*p1), Point2(*p2))
+        # each touch point is its center plus the unit center line turned
+        # by +-acos(2 / d) towards it, one rotation for both; the second
+        # turns -u itself, not -(turned u), so a zero keeps its sign
+        ux, uy = (c2[0] - c1[0]) / d, (c2[1] - c1[1]) / d
+        r = math.radians(s * math.degrees(math.acos(2.0 / d)))
+        cos_r, sin_r = math.cos(r), math.sin(r)
+        vx, vy = -ux, -uy
+        return (Point2(c1[0] + (cos_r * ux - sin_r * uy), c1[1] + (sin_r * ux + cos_r * uy)),
+                Point2(c2[0] + (cos_r * vx - sin_r * vy), c2[1] + (sin_r * vx + cos_r * vy)))
     raise ValueError(f"kind must be 'external' or 'internal', got {kind!r}")
 
 

@@ -122,6 +122,7 @@ class RefinedGlyph(NamedTuple):
     slots: list   # their sub-triangles, sorted: the order of placement numbers
     edges: list   # per cell, the bitmask of the cells that share an edge with it
     meets: list   # per cell, the bitmask of the cells that share a vertex with it
+    cell_slots: list  # per cell, its 4 slots in `_cell_slots` order
 
 
 def _examine(cells, expected_cells: int | None) -> tuple:
@@ -153,8 +154,9 @@ def refine(cells, expected_cells: int | None = None) -> RefinedGlyph:
     report, unique, edges, meets = _examine(cells, expected_cells)
     if not report.ok:
         raise InvalidPolyabolo(f"invalid polyabolo: {report}")
-    slots = sorted(s for cell in unique for s in _cell_slots(cell))
-    return RefinedGlyph(unique, slots, edges, meets)
+    cell_slots = [_cell_slots(cell) for cell in unique]
+    slots = sorted(s for ss in cell_slots for s in ss)
+    return RefinedGlyph(unique, slots, edges, meets, cell_slots)
 
 
 def _cell_slots(cell: Cell) -> list[Slot]:
@@ -380,9 +382,8 @@ def _fold_blocks(chain: HingedChain, glyph: RefinedGlyph, budget: int) -> tuple:
     fold is remembered and skipped when met again; each level keeps its own.
     Each block placed is one node.
     """
-    cells, slots, edges, meets = glyph
+    cells, slots, edges, meets, mine = glyph
     index = {s: i for i, s in enumerate(slots)}
-    mine = [_cell_slots(cell) for cell in cells]
     own = [[q for s in ss for q in (2 * index[s], 2 * index[s] + 1)] for ss in mine]  # cell -> placements
     cells_at = _corner_masks([v for s in ss for v in s] for ss in mine)  # slot corner -> cells there
     edge_pairs, point_pairs = [], []  # cell pairs that share an edge, or only a point, in cell order
@@ -587,10 +588,14 @@ def verify_fold(chain: HingedChain, cells, fold, expected_cells: int | None = No
 
 def render_polyabolo(cells) -> VectorScene:
     """Filled cells plus their outlines."""
+    return _draw_cells(sorted(set(check_cell(x) for x in cells)))
+
+
+def _draw_cells(cells) -> VectorScene:
+    """`render_polyabolo` of cells already checked, sorted and distinct."""
     scene = VectorScene()
-    for c in sorted(set(check_cell(x) for x in cells)):
-        tri = cell_triangle(c)
-        scene.add_polygon([tuple(map(float, v)) for v in tri], "piece")
+    for c in cells:
+        scene.add_polygon([tuple(map(float, v)) for v in cell_triangle(c)], "piece")
     return scene
 
 
@@ -613,7 +618,7 @@ def render_chain_strip(chain: HingedChain) -> VectorScene:
 def render_fold(chain: HingedChain, cells, fold) -> VectorScene:
     """Folded chain diagram: placed pieces with hinge dots."""
     glyph = refine(cells)
-    scene = render_polyabolo(glyph.cells)
+    scene = _draw_cells(glyph.cells)
     placed = _placed(glyph.slots, fold)
     for r, p, q in placed:
         scene.add_polyline([p, r, q], "chain")

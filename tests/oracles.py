@@ -2,11 +2,13 @@
 
 Everything here is deliberately written from scratch against the definitions,
 not by calling the code under test: exact rational segment intersection,
-a naive belt-winding enumerator, an exhaustive fold enumerator, a fold
+tangent touch points by rotating the center line, a naive belt-winding
+enumerator, an exhaustive fold enumerator, a fold
 check, a block fold search without cuts, a plain breadth-first search over
 slot contacts, and a layout that copies every primitive to its place.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -62,6 +64,33 @@ def polyline_is_simple_exact(points, closed: bool = False) -> bool:
             if segments_properly_interact(*segs[i], *segs[j]):
                 return False
     return True
+
+
+def tangent_points_by_rotation(c1, c2, kind: str, side: str) -> tuple:
+    """Touch points of a common tangent of two unit circles, composed from a
+    rotation and a translation per point.
+
+    External: both centers move by the unit normal of the center line, on
+    `side`.  Internal (crossing): each touch point is its center plus the
+    unit vector towards the other center turned by +-acos(2 / d) degrees,
+    each turned by its own rotation and then added to its center.
+    """
+    def rotate(v, deg):
+        r = math.radians(deg)
+        c, s = math.cos(r), math.sin(r)
+        return (c * v[0] - s * v[1], s * v[0] + c * v[1])
+
+    def add(p, q):
+        return (p[0] + q[0], p[1] + q[1])
+
+    d = math.hypot(c1[0] - c2[0], c1[1] - c2[1])
+    s = 1.0 if side == "left" else -1.0
+    if kind == "external":
+        n = (-(c2[1] - c1[1]) / d * s, (c2[0] - c1[0]) / d * s)
+        return add(c1, n), add(c2, n)
+    u = ((c2[0] - c1[0]) / d, (c2[1] - c1[1]) / d)
+    phi = math.degrees(math.acos(2.0 / d))
+    return add(c1, rotate(u, s * phi)), add(c2, rotate((-u[0], -u[1]), s * phi))
 
 
 def naive_belt_solutions(centers) -> list:

@@ -1,15 +1,17 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
 
+from puzzlefonts import fontdata
 from puzzlefonts.conveyer import (
     CCW, CW, _junctions_c1, belt_length_lower_bound, canonical_spec, check_disk_set,
     check_spec, compute_belt, fingerprint, iter_belts, solve_belt, validate_belt,
 )
 from puzzlefonts.errors import BudgetExceeded, InvalidSpec
-from puzzlefonts.geometry import TOL, Arc, arc_extent
+from puzzlefonts.geometry import TOL, Arc, Point2, arc_extent
 from oracles import naive_belt_solutions
 
 STADIUM = [(0.0, 0.0), (4.0, 0.0)]
@@ -88,6 +90,47 @@ class TestComputeBelt:
                     assert [(a.center, a.radius, a.orientation) for a in arcs] == \
                         [(centers[i], 1.0, o) for i, o in winding]
                     assert _junctions_c1(path.elements), (disks, winding)
+
+
+class TestCheckedSets:
+    def test_checked_set_passes_through(self):
+        checked = check_disk_set(TRIANGLE)
+        assert check_disk_set(checked) is checked
+        assert checked == tuple(Point2(float(x), float(y)) for x, y in TRIANGLE)
+
+    def test_other_inputs_are_checked_again(self):
+        checked = check_disk_set(TRIANGLE)
+        for same in (tuple(checked), list(checked)):
+            again = check_disk_set(same)
+            assert again == checked and again is not same
+        # points made by hand, as a parsed glyph's disks are, may still touch
+        close = (Point2(0.0, 0.0), Point2(2.0 + TOL / 2, 0.0))
+        for raw in (close, list(close)):
+            with pytest.raises(ValueError, match="disks 0 and 1 are not disjoint"):
+                check_disk_set(raw)
+            for call in (lambda d: compute_belt(d, [(0, CCW), (1, CW)]),
+                         lambda d: validate_belt(d, [(0, CCW), (1, CW)]),
+                         fingerprint, lambda d: next(iter_belts(d))):
+                with pytest.raises(ValueError, match="not disjoint"):
+                    call(raw)
+
+    def test_raw_and_checked_sets_give_the_same(self, shipped):
+        for ch, rec in sorted(shipped["conveyer"].glyphs.items()):
+            checked = check_disk_set(rec.disks)
+            assert (repr(compute_belt(checked, rec.belt))
+                    == repr(compute_belt(rec.disks, rec.belt))), ch
+            assert validate_belt(checked, rec.belt) == validate_belt(rec.disks, rec.belt), ch
+            assert fingerprint(checked) == fingerprint(rec.disks), ch
+            assert solve_belt(checked) == solve_belt(rec.disks), ch
+
+    def test_font_check_reports_the_same(self, shipped):
+        fd = shipped["conveyer"]
+        assert fontdata.validate(fd).issues == []
+        rec = fd.glyphs["F"]
+        (x, y), *rest = rec.disks
+        overlapping = dataclasses.replace(rec, disks=(Point2(x, y), Point2(x + 1.5, y), *rest[1:]))
+        bad = dataclasses.replace(fd, glyphs={**fd.glyphs, "F": overlapping})
+        assert fontdata.validate(bad).issues == ["glyph 'F': disks 0 and 1 are not disjoint"]
 
 
 class TestValidateBelt:

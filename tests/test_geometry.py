@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +7,12 @@ from hypothesis import strategies as st
 
 from puzzlefonts.errors import DegenerateDisks, DisconnectedPath
 from puzzlefonts.geometry import (
-    CCW, CW, Arc, Point2, Segment, _elements_meet, arc_contains_angle,
+    CCW, CW, TOL, Arc, Point2, Segment, _elements_meet, arc_contains_angle,
     arc_extent, arc_length, arc_start_point, arc_end_point, convex_hull, dist,
     dot, hull_perimeter, normalize_angle, path_is_simple,
     point_segment_distance, sub, tangent_points,
 )
-from oracles import polyline_is_simple_exact
+from oracles import polyline_is_simple_exact, tangent_points_by_rotation
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -56,6 +57,39 @@ class TestTangentPoints:
             dr, dperp = tangency_residuals(c, a, b)
             assert dr <= 1e-9
             assert dperp <= 1e-9
+
+    def test_matches_rotation_oracle_bit_for_bit(self):
+        # repr shows every bit, and the sign of a zero
+        rng = random.Random(27)
+        pairs = []
+        for _ in range(1_000):  # anywhere, at any angle
+            c1 = (rng.uniform(-50, 50), rng.uniform(-50, 50))
+            d, a = rng.uniform(2.0, 30.0), rng.uniform(0.0, 2 * math.pi)
+            pairs.append((c1, (c1[0] + d * math.cos(a), c1[1] + d * math.sin(a))))
+        for _ in range(600):  # axis-aligned, from centers with signed zeros
+            c1 = (rng.choice([0.0, -0.0, float(rng.randint(-9, 9))]),
+                  rng.choice([0.0, -0.0, float(rng.randint(-9, 9))]))
+            d = rng.choice([float(rng.randint(3, 12)), rng.uniform(2.0, 12.0)])
+            dx, dy = rng.choice([(d, 0.0), (-d, 0.0), (0.0, d), (0.0, -d), (d, -0.0)])
+            pairs.append((c1, (c1[0] + dx, c1[1] + dy)))
+        for _ in range(600):  # within 1e-6 of the closest a crossing tangent allows
+            c1 = (rng.uniform(-9, 9), rng.uniform(-9, 9))
+            d, a = 2.0 + TOL + rng.uniform(0.0, 1e-6), rng.uniform(0.0, 2 * math.pi)
+            pairs.append((c1, (c1[0] + d * math.cos(a), c1[1] + d * math.sin(a))))
+        for _ in range(60):  # crossing touch points level with or plumb above a center at -0.0
+            d = rng.uniform(2.5, 10.0)
+            turn = rng.choice([-1, 1]) * math.acos(2.0 / d)
+            th = rng.choice([0.0, 0.5, 1.0, 1.5]) * math.pi - turn
+            dx, dy = d * math.cos(th), d * math.sin(th)
+            # some float neighbours of this center line turn to an exact zero component
+            pairs += [((-(dx + k * math.ulp(dx)), -dy), (-0.0, -0.0)) for k in range(-10, 11)]
+        pairs = [(c1, c2) for c1, c2 in pairs if dist(c1, c2) > 2.0 + TOL]
+        assert len(pairs) >= 2_000
+        for c1, c2 in pairs:
+            for kind in ("external", "internal"):
+                for side in ("left", "right"):
+                    assert (repr(tuple(map(tuple, tangent_points(c1, c2, kind, side))))
+                            == repr(tangent_points_by_rotation(c1, c2, kind, side))), (c1, c2)
 
     def test_side_convention(self):
         # "left" means left of the directed center line

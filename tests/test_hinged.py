@@ -237,6 +237,18 @@ class TestFoldChain:
         assert verify_fold(chain, cells, fold, expected_cells=32)
         assert calls == {"check_cell": 32, "_cell_graph": 1}
 
+    def test_block_levels_split_each_cell_once(self, shipped, monkeypatch):
+        # refine splits each cell into its slots once, and the block levels
+        # read them from its record.  The first call warms `_block_table`,
+        # whose builds split their own pairs of cells
+        chain, cells = shipped["hinged"].chain, shipped["hinged"].glyphs["F"]
+        want = fold_chain(chain, cells, budget=10**6, expected_cells=32)
+        calls = []
+        monkeypatch.setattr(hinged, "_cell_slots",
+                            lambda cell, real=hinged._cell_slots: calls.append(cell) or real(cell))
+        assert fold_chain(chain, cells, budget=10**6, expected_cells=32) == want
+        assert len(calls) == 32
+
     def test_fold_leaves_no_reference_cycle(self, shipped):
         # N's block levels remember about 470 dead states, the square's
         # 24.  Allocated blocks, not traced bytes: tracemalloc makes N's
@@ -758,6 +770,19 @@ class TestRendering:
         fold = fold_chain(chain, TWO_CELL)
         scene = render_fold(chain, TWO_CELL, fold)
         assert {"piece", "chain", "hinge"} <= scene.style_classes()
+
+    def test_fold_drawing_checks_each_cell_once(self, shipped, monkeypatch):
+        # render_fold draws the cells its refine checked, as render_polyabolo
+        # draws them
+        chain, cells = shipped["hinged"].chain, shipped["hinged"].glyphs["F"]
+        fold = fold_chain(chain, cells, budget=10**6, expected_cells=32)
+        calls = []
+        monkeypatch.setattr(hinged, "check_cell",
+                            lambda cell, real=hinged.check_cell: calls.append(cell) or real(cell))
+        scene = render_fold(chain, cells, fold)
+        assert len(calls) == 32
+        pieces = [p for p in scene.primitives if p.style == "piece"]
+        assert pieces == render_polyabolo(cells).primitives
 
     def test_polyabolo_rendering(self):
         assert render_polyabolo(TWO_CELL).style_classes() == {"piece"}
