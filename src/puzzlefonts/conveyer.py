@@ -32,8 +32,13 @@ FINGERPRINT_QUANTUM = 1e-6  # coordinate step of a configuration fingerprint
 
 
 class _Checked(tuple):
-    """Disk centers that `check_disk_set` has checked: a tuple of points."""
-    __slots__ = ()
+    """Disk centers that `check_disk_set` has checked: a tuple of points.
+
+    `legs` holds the oriented tangents built on them so far, keyed by
+    (i, oi, j, oj): the tangent from disk i wrapped oi to disk j wrapped oj,
+    as (its Segment, the angle of its start about disk i, the angle of its
+    end about disk j).
+    """
 
 
 def check_disk_set(centers) -> tuple:
@@ -43,11 +48,14 @@ def check_disk_set(centers) -> tuple:
     winding over a checked set realizes.  The points come back as a tuple
     that this function returns unchanged when given it again, so a set is
     checked once however many belts are built on it; any other input, a
-    plain tuple of the same points included, is checked in full.
+    plain tuple of the same points included, is checked in full.  The tuple
+    starts with no legs: each is built by the first belt that runs along it
+    and kept as long as the tuple lives (at most 4n(n-1) of them).
     """
     if type(centers) is _Checked:
         return centers
     pts = _Checked(Point2(float(x), float(y)) for x, y in centers)
+    pts.legs = {}
     for p in pts:
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise ValueError("disk center coordinates must be finite")
@@ -111,23 +119,35 @@ def compute_belt(centers, winding) -> BeltPath:
     arc from its incoming to its outgoing tangent point, swept in its own
     orientation, followed by its outgoing tangent.  The path holds those
     elements and the winding's disk indices as `disk_of_arc`.  A set that
-    `check_disk_set` returned is not checked again.
+    `check_disk_set` returned is not checked again, and each tangent with
+    its two arc angles is taken from the set's `legs`, built there the
+    first time a belt needs it.
     """
     disks = check_disk_set(centers)
     w = check_spec(winding, len(disks))
-    segs = [Segment(*tangent_points(disks[i], disks[j], "external" if oi == oj else "internal",
-                                    "right" if oi == CCW else "left"))
-            for (i, oi), (j, oj) in zip(w, w[1:] + w[:1])]
-    atan2, degrees = math.atan2, math.degrees
+    legs = disks.legs
+    route = []
+    for (i, oi), (j, oj) in zip(w, w[1:] + w[:1]):
+        leg = legs.get((i, oi, j, oj))
+        if leg is None:
+            leg = legs[i, oi, j, oj] = _leg(disks[i], disks[j], oi, oj)
+        route.append(leg)
     elements = []
     for k, (i, oi) in enumerate(w):
-        c = disks[i]
-        (bx, by), (ax, ay) = segs[k - 1].b, segs[k].a
-        # angle_of(sub(p, c)), in the same float operations
-        elements += (Arc(c, 1.0, normalize_angle(degrees(atan2(by - c.y, bx - c.x))),
-                         normalize_angle(degrees(atan2(ay - c.y, ax - c.x))), oi),
-                     segs[k])
+        seg, start, _end = route[k]
+        elements += (Arc(disks[i], 1.0, route[k - 1][2], start, oi), seg)
     return BeltPath(tuple(elements), tuple(i for i, _ in w))
+
+
+def _leg(c, e, oc: int, oe: int) -> tuple:
+    """The tangent leaving disk c wrapped oc for disk e wrapped oe, with the
+    angles of its start about c and of its end about e."""
+    seg = Segment(*tangent_points(c, e, "external" if oc == oe else "internal",
+                                  "right" if oc == CCW else "left"))
+    (ax, ay), (bx, by) = seg
+    # angle_of(sub(p, center)), in the same float operations
+    return (seg, normalize_angle(math.degrees(math.atan2(ay - c.y, ax - c.x))),
+            normalize_angle(math.degrees(math.atan2(by - e.y, bx - e.x))))
 
 
 @dataclass(frozen=True)
@@ -218,7 +238,8 @@ def iter_belts(centers, budget: int = DEFAULT_BUDGET):
     one candidate, so nothing is yielded twice.  The tangent segment between
     two consecutive entries is the same in every candidate, so whether it
     clears the disks is checked once per call, and the disk set once: the
-    candidates' builds take the checked set and do not check it again.
+    candidates' builds take the checked set, do not check it again, and
+    share its legs, so each oriented tangent is built once per call.
     Raises BudgetExceeded when more than `budget` candidates would be built.
     """
     disks = check_disk_set(centers)
@@ -269,13 +290,21 @@ def solve_belt(centers, budget: int = DEFAULT_BUDGET) -> list[tuple]:
 
 
 def fingerprint(centers) -> tuple:
-    """Translation-normalized, sorted, quantized key of a disk configuration."""
+    """Translation-normalized, sorted, quantized key of a disk configuration.
+
+    Raises ValueError when a quantized offset overflows the float range, as
+    for disks about 1e308 apart.
+    """
     disks = check_disk_set(centers)
     min_x = min(p.x for p in disks)
     min_y = min(p.y for p in disks)
-    return tuple(sorted((round((p.x - min_x) / FINGERPRINT_QUANTUM),
-                         round((p.y - min_y) / FINGERPRINT_QUANTUM))
-                        for p in disks))
+    key = []
+    for p in disks:
+        qx, qy = (p.x - min_x) / FINGERPRINT_QUANTUM, (p.y - min_y) / FINGERPRINT_QUANTUM
+        if not (math.isfinite(qx) and math.isfinite(qy)):
+            raise ValueError("disk centers are too far apart to fingerprint")
+        key.append((round(qx), round(qy)))
+    return tuple(sorted(key))
 
 
 def belt_length_lower_bound(centers) -> float:

@@ -500,10 +500,11 @@ class _Conveyer(FontKind):
         for char, rec in sorted(fd.glyphs.items()):
             try:
                 disks = conveyer.check_disk_set(rec.disks)
+                fp = conveyer.fingerprint(disks)
             except ValueError as exc:
                 report.add(f"glyph {char!r}: {exc}")
                 continue
-            prints.setdefault(conveyer.fingerprint(disks), []).append(char)
+            prints.setdefault(fp, []).append(char)
             if rec.belt is not None:
                 try:
                     vr = conveyer.validate_belt(disks, rec.belt)

@@ -176,13 +176,16 @@ def element_length(el) -> float:
 # -- distances ----------------------------------------------------------
 
 def point_segment_distance(p, a, b) -> float:
-    ab = sub(b, a)
-    denom = dot(ab, ab)
+    # dist(p, a + t (b - a)), t the projection of p - a on b - a clamped to
+    # [0, 1]; dist(p, a) when b is within TOL of a
+    ax, ay = a[0], a[1]
+    abx, aby = b[0] - ax, b[1] - ay
+    px, py = p[0] - ax, p[1] - ay
+    denom = abx * abx + aby * aby
     if denom <= TOL * TOL:
-        return dist(p, a)
-    t = dot(sub(p, a), ab) / denom
-    t = min(1.0, max(0.0, t))
-    return dist(p, Point2(a[0] + t * ab.x, a[1] + t * ab.y))
+        return math.hypot(px, py)
+    t = min(1.0, max(0.0, (px * abx + py * aby) / denom))
+    return math.hypot(p[0] - (ax + t * abx), p[1] - (ay + t * aby))
 
 
 # -- pairwise intersection -----------------------------------------------
@@ -223,19 +226,21 @@ def _elements_meet(e1, e2) -> bool:
     if isinstance(e1, Segment) and isinstance(e2, Segment):
         a, b = e1
         c, d = e2
-        d1 = _sign(cross(sub(d, c), sub(a, c)))
-        d2 = _sign(cross(sub(d, c), sub(b, c)))
-        d3 = _sign(cross(sub(b, a), sub(c, a)))
-        d4 = _sign(cross(sub(b, a), sub(d, a)))
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = a, b, c, d
+        # each end's orientation about the other segment: d1 is cross(d - c, a - c)
+        dcx, dcy, bax, bay = dx - cx, dy - cy, bx - ax, by - ay
+        d1 = _sign(dcx * (ay - cy) - dcy * (ax - cx))
+        d2 = _sign(dcx * (by - cy) - dcy * (bx - cx))
+        d3 = _sign(bax * (cy - ay) - bay * (cx - ax))
+        d4 = _sign(bax * (dy - ay) - bay * (dx - ax))
         if d1 == d2 == d3 == d4 == 0:
             # collinear: project on the dominant axis
-            ab = sub(b, a)
-            if abs(ab.x) >= abs(ab.y):
-                lo1, hi1 = sorted((a.x, b.x))
-                lo2, hi2 = sorted((c.x, d.x))
+            if abs(bax) >= abs(bay):
+                lo1, hi1 = sorted((ax, bx))
+                lo2, hi2 = sorted((cx, dx))
             else:
-                lo1, hi1 = sorted((a.y, b.y))
-                lo2, hi2 = sorted((c.y, d.y))
+                lo1, hi1 = sorted((ay, by))
+                lo2, hi2 = sorted((cy, dy))
             return min(hi1, hi2) - max(lo1, lo2) >= -TOL
         if d1 != d2 and d3 != d4 and 0 not in (d1, d2, d3, d4):
             return True  # proper crossing

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from scratch against the definitions,
 not by calling the code under test: exact rational segment intersection,
-tangent touch points by rotating the center line, a naive belt-winding
+tangent touch points by rotating the center line, point-segment distance and
+the segment-segment meeting test composed from vector helpers, a belt built
+from all of its tangents, a naive belt-winding
 enumerator, an exhaustive fold enumerator, a fold
 check, a block fold search without cuts, a plain breadth-first search over
 slot contacts, and a layout that copies every primitive to its place.
@@ -12,7 +14,8 @@ import math
 from fractions import Fraction
 from itertools import permutations, product
 
-from puzzlefonts.conveyer import CCW, CW, canonical_spec, validate_belt
+from puzzlefonts.conveyer import CCW, CW, BeltPath, canonical_spec, validate_belt
+from puzzlefonts.geometry import TOL, Arc, Point2, Segment
 from puzzlefonts.scene import VectorScene
 
 
@@ -91,6 +94,91 @@ def tangent_points_by_rotation(c1, c2, kind: str, side: str) -> tuple:
     u = ((c2[0] - c1[0]) / d, (c2[1] - c1[1]) / d)
     phi = math.degrees(math.acos(2.0 / d))
     return add(c1, rotate(u, s * phi)), add(c2, rotate((-u[0], -u[1]), s * phi))
+
+
+def _vsub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _vdot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _vcross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _vdist(p, q):
+    return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def point_segment_distance_by_vectors(p, a, b) -> float:
+    """Distance from p to segment ab: the projection of p - a on b - a,
+    clamped to [0, 1], then the distance to that point of the segment (to a
+    when b is within TOL of it)."""
+    ab = _vsub(b, a)
+    denom = _vdot(ab, ab)
+    if denom <= TOL * TOL:
+        return _vdist(p, a)
+    t = min(1.0, max(0.0, _vdot(_vsub(p, a), ab) / denom))
+    return _vdist(p, (a[0] + t * ab[0], a[1] + t * ab[1]))
+
+
+def segments_meet_by_vectors(a, b, c, d) -> bool:
+    """Whether segments ab and cd share a point, in floats with tolerance TOL.
+
+    The four orientations of each segment's ends about the other's line,
+    each zero within TOL.  All zero: collinear, and the segments meet when
+    their spans on the dominant axis of ab overlap within TOL.  Otherwise
+    they cross properly when each pair of ends lies strictly on both sides,
+    and else meet only where an end lies within 10 TOL of the other segment.
+    """
+    def sign(x):
+        return 1 if x > TOL else -1 if x < -TOL else 0
+
+    d1 = sign(_vcross(_vsub(d, c), _vsub(a, c)))
+    d2 = sign(_vcross(_vsub(d, c), _vsub(b, c)))
+    d3 = sign(_vcross(_vsub(b, a), _vsub(c, a)))
+    d4 = sign(_vcross(_vsub(b, a), _vsub(d, a)))
+    if d1 == d2 == d3 == d4 == 0:
+        axis = 0 if abs(b[0] - a[0]) >= abs(b[1] - a[1]) else 1
+        lo1, hi1 = sorted((a[axis], b[axis]))
+        lo2, hi2 = sorted((c[axis], d[axis]))
+        return min(hi1, hi2) - max(lo1, lo2) >= -TOL
+    if d1 != d2 and d3 != d4 and 0 not in (d1, d2, d3, d4):
+        return True
+    return any(point_segment_distance_by_vectors(p, q, r) <= TOL * 10
+               for p, q, r in ((a, c, d), (b, c, d), (c, a, b), (d, a, b)))
+
+
+def belt_by_tangents(centers, winding) -> BeltPath:
+    """A winding's belt built from all of its tangents, in winding order.
+
+    Each consecutive pair of entries takes the tangent that
+    `tangent_points_by_rotation` gives: external for equal orientations,
+    crossing for opposite ones, on the right when the first disk is wrapped
+    CCW.  Each disk then gets the arc from its incoming tangent's end to its
+    outgoing tangent's start, each angle the direction of the touch point
+    from the center in degrees, folded into [0, 360).
+    """
+    def angle(p, c):
+        a = math.fmod(math.degrees(math.atan2(p[1] - c[1], p[0] - c[0])), 360.0)
+        if a < 0.0:
+            a += 360.0
+        return 0.0 if a == 360.0 else a
+
+    pts = [Point2(float(x), float(y)) for x, y in centers]
+    w = [(int(i), int(o)) for i, o in winding]
+    segs = []
+    for (i, oi), (j, oj) in zip(w, w[1:] + w[:1]):
+        a, b = tangent_points_by_rotation(pts[i], pts[j], "external" if oi == oj else "internal",
+                                          "right" if oi == CCW else "left")
+        segs.append(Segment(Point2(*a), Point2(*b)))
+    elements = []
+    for k, (i, oi) in enumerate(w):
+        elements += [Arc(pts[i], 1.0, angle(segs[k - 1].b, pts[i]), angle(segs[k].a, pts[i]), oi),
+                     segs[k]]
+    return BeltPath(tuple(elements), tuple(i for i, _ in w))
 
 
 def naive_belt_solutions(centers) -> list:

@@ -5,14 +5,14 @@ import random
 
 import pytest
 
-from puzzlefonts import fontdata
+from puzzlefonts import conveyer, fontdata
 from puzzlefonts.conveyer import (
     CCW, CW, _junctions_c1, belt_length_lower_bound, canonical_spec, check_disk_set,
     check_spec, compute_belt, fingerprint, iter_belts, solve_belt, validate_belt,
 )
 from puzzlefonts.errors import BudgetExceeded, InvalidSpec
 from puzzlefonts.geometry import TOL, Arc, Point2, arc_extent
-from oracles import naive_belt_solutions
+from oracles import belt_by_tangents, naive_belt_solutions
 
 STADIUM = [(0.0, 0.0), (4.0, 0.0)]
 TRIANGLE = [(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)]  # 3-4-5 centers, perimeter 12
@@ -92,6 +92,61 @@ class TestComputeBelt:
                     assert _junctions_c1(path.elements), (disks, winding)
 
 
+class TestLegs:
+    @pytest.mark.parametrize("letter", "LZ")
+    def test_each_leg_built_once_per_search(self, shipped, monkeypatch, letter):
+        disks = shipped["conveyer"].glyphs[letter].disks
+        n = len(disks)
+        expected = solve_belt(disks)
+        tangents, built = [], []
+        real_tangent, real_build = conveyer.tangent_points, conveyer.compute_belt
+        monkeypatch.setattr(conveyer, "tangent_points",
+                            lambda *args: tangents.append(args) or real_tangent(*args))
+        monkeypatch.setattr(conveyer, "compute_belt",
+                            lambda *args: built.append(args) or real_build(*args))
+        assert solve_belt(disks) == expected
+        assert len(built) == math.factorial(n - 1) * 2 ** (n - 1)  # every candidate still built
+        assert len(tangents) <= 4 * n * (n - 1)
+        assert len(set(tangents)) == len(tangents)  # distinct legs call with distinct arguments
+        # a checked set keeps its legs: searching it again builds none
+        before = len(tangents)
+        checked = check_disk_set(disks)
+        assert solve_belt(checked) == expected
+        assert len(tangents) - before == len(checked.legs)
+        made = len(tangents)
+        assert solve_belt(checked) == expected
+        assert len(tangents) == made
+
+    def test_matches_tangent_oracle_bit_for_bit(self, shipped):
+        # every winding up to rotation (first entry on disk 0, either way
+        # round) of the shipped letters, of sets on signed zeros and of
+        # seeded sets, half of their disks within 1e-6 of touching; repr
+        # shows every bit, and the sign of a zero
+        rng = random.Random(28)
+        sets = [rec.disks for _ch, rec in sorted(shipped["conveyer"].glyphs.items())]
+        sets += [[(-0.0, -0.0), (4.0, -0.0), (-0.0, 3.0)],
+                 [(0.0, -0.0), (-0.0, 5.0), (3.0, -0.0), (3.0, 5.0)]]
+        sets += [_near_touching_disks(rng, 2 + k % 4, 90.0 if k % 3 == 0 else 9.0)
+                 for k in range(24)]
+        belts = 0
+        for disks in sets:
+            n = len(disks)
+            windings = [list(zip((0,) + perm, orients))
+                        for perm in itertools.permutations(range(1, n))
+                        for orients in itertools.product((CCW, CW), repeat=n)]
+            # one checked set per order; plain tuples build their legs anew
+            forward, backward = check_disk_set(disks), check_disk_set(disks)
+            expected = [repr(belt_by_tangents(disks, w)) for w in windings]
+            assert [repr(compute_belt(forward, w)) for w in windings] == expected, disks
+            assert [repr(compute_belt(backward, w)) for w in reversed(windings)] \
+                == expected[::-1], disks
+            assert forward.legs == backward.legs and len(forward.legs) == 4 * n * (n - 1)
+            for w in windings[::max(1, len(windings) // 16)]:
+                assert repr(compute_belt(tuple(disks), w)) == repr(belt_by_tangents(disks, w))
+            belts += len(windings)
+        assert belts >= 10_000
+
+
 class TestCheckedSets:
     def test_checked_set_passes_through(self):
         checked = check_disk_set(TRIANGLE)
@@ -131,6 +186,13 @@ class TestCheckedSets:
         overlapping = dataclasses.replace(rec, disks=(Point2(x, y), Point2(x + 1.5, y), *rest[1:]))
         bad = dataclasses.replace(fd, glyphs={**fd.glyphs, "F": overlapping})
         assert fontdata.validate(bad).issues == ["glyph 'F': disks 0 and 1 are not disjoint"]
+
+    def test_font_check_reports_an_unfingerprintable_glyph(self, shipped):
+        fd = shipped["conveyer"]
+        far = fontdata.ConveyerRecord(disks=(Point2(1e308, 0.0), Point2(-1e308, 0.0)))
+        bad = dataclasses.replace(fd, glyphs={**fd.glyphs, "F": far})
+        assert fontdata.validate(bad).issues == [
+            "glyph 'F': disk centers are too far apart to fingerprint"]
 
 
 class TestValidateBelt:
@@ -327,6 +389,15 @@ class TestFingerprint:
 
     def test_order_independent(self):
         assert fingerprint([(0, 0), (3, 1)]) == fingerprint([(3, 1), (0, 0)])
+
+    @pytest.mark.parametrize("disks", [[(1e308, 0), (-1e308, 0)], [(1e303, 0), (0, 0)],
+                                       [(0, 0), (0, -1e303)]])
+    def test_offsets_past_the_float_range_refused(self, disks):
+        check_disk_set(disks)  # finite and disjoint
+        with pytest.raises(ValueError, match="too far apart to fingerprint"):
+            fingerprint(disks)
+        with pytest.raises(ValueError, match="too far apart to fingerprint"):
+            fingerprint(check_disk_set(disks))
 
 
 class TestShippedFont:

@@ -12,7 +12,10 @@ from puzzlefonts.geometry import (
     dot, hull_perimeter, normalize_angle, path_is_simple,
     point_segment_distance, sub, tangent_points,
 )
-from oracles import polyline_is_simple_exact, tangent_points_by_rotation
+from oracles import (
+    point_segment_distance_by_vectors, polyline_is_simple_exact, segments_meet_by_vectors,
+    tangent_points_by_rotation,
+)
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -191,6 +194,100 @@ class TestElementClassSymmetry:
     @settings(max_examples=300)
     def test_same_circle_matches_steps(self, a1, a2):
         assert _elements_meet(a1, a2) == _step_meet(a1, a2)
+
+
+def _seeded_segment_cases(rng):
+    """(p, a, b) triples and (a, b, c, d) segment pairs about the edge cases of
+    the distance and meeting tests: anywhere, on a signed-zero integer grid,
+    zero-length and shorter than TOL, collinear, sharing an end, with a point
+    within 1e-9 of a distance tolerance (1 - 1e-9 and 10 TOL), and nearly
+    collinear with an orientation within ulps of TOL."""
+    def point():
+        return (rng.uniform(-9, 9), rng.uniform(-9, 9))
+
+    def grid():
+        return (rng.choice([0.0, -0.0, float(rng.randint(-4, 4))]),
+                rng.choice([0.0, -0.0, float(rng.randint(-4, 4))]))
+
+    def off(a, b, t, gap):
+        # the point at t along ab, moved `gap` off its line
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        norm = math.hypot(dx, dy) or 1.0
+        return (a[0] + t * dx - gap * dy / norm, a[1] + t * dy + gap * dx / norm)
+
+    triples, pairs = [], []
+    for _ in range(400):
+        a = point()
+        tiny = rng.choice([0.0, rng.uniform(0.0, 1e-9), rng.uniform(1e-9, 2e-9)])
+        b = rng.choice([point(), a, (a[0] + tiny, a[1] - tiny)])
+        p = rng.choice([point(), grid(), a, b, off(a, b, rng.uniform(-0.5, 1.5),
+                        rng.choice([1.0, 10 * TOL]) + rng.uniform(-1e-9, 1e-9))])
+        triples.append((p, a, b))
+        triples.append((grid(), grid(), grid()))
+        # int tuples, as hand-made paths give them
+        triples.append(tuple((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)))
+    for _ in range(400):
+        a, b = rng.choice([(point(), point()), (grid(), grid())])
+        kind = rng.randrange(6)
+        if kind == 0:  # anywhere
+            c, d = point(), point()
+        elif kind == 1:  # collinear with ab
+            c, d = off(a, b, rng.uniform(-1, 2), 0.0), off(a, b, rng.randint(-3, 3) / 2, 0.0)
+        elif kind == 2:  # sharing an end, or an end on the other segment
+            c, d = rng.choice([a, b, off(a, b, rng.uniform(0, 1), 0.0)]), point()
+        elif kind == 3:  # zero-length
+            c = point()
+            d = rng.choice([c, (c[0] + 1e-10, c[1]), a])
+        elif kind == 4:  # an end within 1e-9 of 10 TOL from ab
+            c = off(a, b, rng.uniform(-0.1, 1.1),
+                    rng.choice([-1, 1]) * (10 * TOL + rng.uniform(-1e-9, 1e-9)))
+            d = rng.choice([point(), off(a, b, rng.uniform(0, 1), rng.uniform(-1e-9, 1e-9))])
+        else:  # on the signed-zero grid
+            c, d = grid(), grid()
+        pairs.append((a, b, c, d))
+        pairs.append((c, d, a, b))
+    for _ in range(40):
+        # cd continues ab after a gap between TOL and 10 TOL, and d leaves the
+        # line so that its orientation about ab runs ulp by ulp across TOL:
+        # all four tests zero, the segments are collinear and apart; one
+        # above TOL, b lies within 10 TOL of cd
+        a, b = point(), point()
+        length = math.dist(a, b)
+        c = off(a, b, 1.0 + 5e-9 / length, 0.0)
+        d0 = off(a, b, 2.0, TOL / length)
+        for k in range(-12, 13):
+            d = (d0[0], d0[1] + k * math.ulp(d0[1]))
+            pairs.append((a, b, c, d))
+    return triples, pairs
+
+
+class TestVectorFreeForms:
+    """point_segment_distance and the segment-segment branch of _elements_meet
+    compute in plain floats; the vector-helper forms are the reference."""
+
+    def test_point_segment_distance_bit_for_bit(self):
+        triples, _ = _seeded_segment_cases(random.Random(28))
+        assert len(triples) >= 1_200
+        for p, a, b in triples:
+            assert (repr(point_segment_distance(p, a, b))
+                    == repr(point_segment_distance_by_vectors(p, a, b))), (p, a, b)
+
+    def test_segments_meet_as_reference(self):
+        _, pairs = _seeded_segment_cases(random.Random(29))
+        met = 0
+        for a, b, c, d in pairs:
+            got = _elements_meet(Segment(Point2(*a), Point2(*b)), Segment(Point2(*c), Point2(*d)))
+            assert got == segments_meet_by_vectors(a, b, c, d), (a, b, c, d)
+            met += got
+        assert 0 < met < len(pairs)
+
+    def test_segments_meet_on_int_points(self):
+        # _poly's int coordinates go through the same arithmetic
+        rng = random.Random(30)
+        for _ in range(500):
+            a, b, c, d = (tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(4))
+            assert _elements_meet(Segment(a, b), Segment(c, d)) == \
+                segments_meet_by_vectors(a, b, c, d), (a, b, c, d)
 
 
 class TestArcs:

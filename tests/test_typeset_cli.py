@@ -272,6 +272,13 @@ class TestSolvePuzzle:
             solve_puzzle(shipped["conveyer"], bad)
         assert str(err.value) == "puzzle glyph '0': disks 0 and 1 are not disjoint"
 
+    @pytest.mark.parametrize("disks", [((1e308, 0.0), (-1e308, 0.0)), ((1e303, 0.0), (0.0, 0.0))])
+    def test_disks_past_the_fingerprint_range_are_no_solution(self, shipped, disks):
+        bad = fontdata.FontData("conveyer", 1, {"0": fontdata.ConveyerRecord(disks=disks)})
+        with pytest.raises(NoSolution) as err:
+            solve_puzzle(shipped["conveyer"], bad)
+        assert str(err.value) == "puzzle glyph '0': disk centers are too far apart to fingerprint"
+
     def test_each_configuration_searched_once(self, shipped, monkeypatch):
         from puzzlefonts import conveyer
         searched = []
@@ -407,6 +414,20 @@ class TestCli:
         assert run_cli(["validate", str(bad)]) == 1
         assert "  3:8: expected number, got 'oops'" in capsys.readouterr().out.splitlines()
         assert run_cli(["validate", str(tmp_path / "missing.pft")]) == 2
+
+    def test_far_apart_disks_exit_1_without_a_traceback(self, tmp_path, capsys):
+        puzzle = tmp_path / "far.pft"
+        puzzle.write_text("font conveyer 1\nglyph 0\ndisk 1e308 0\ndisk -1e308 0\n")
+        assert run_cli(["solve", str(puzzle)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "error: puzzle glyph '0': disk centers are too far apart to fingerprint\n")
+        assert run_cli(["validate", str(puzzle)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{puzzle}: FAIL", "  glyph '0': disk centers are too far apart to fingerprint"]
+        proc = subprocess.run([sys.executable, "-m", "puzzlefonts.cli", "solve", str(puzzle)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
 
     def test_validate_json_lines(self, tmp_path, capsys):
         bad = tmp_path / "bad.pft"
