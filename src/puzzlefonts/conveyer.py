@@ -41,6 +41,12 @@ class _Checked(tuple):
     """
 
 
+class _Winding(tuple):
+    """A winding that `iter_belts` made: disk 0 first, then a permutation of
+    the other indices, each entry an (index, CCW or CW) pair of ints."""
+    __slots__ = ()
+
+
 def check_disk_set(centers) -> tuple:
     """The centers as points, if finite and more than 2 + TOL apart.
 
@@ -82,6 +88,17 @@ def _entries(winding) -> tuple:
 
 
 def check_spec(winding, n_disks: int) -> tuple:
+    """The winding as a tuple of (disk index, orientation) int pairs.
+
+    Raises InvalidSpec unless it is non-empty, every entry is integral with
+    its index in range(n_disks) and its orientation CCW or CW, and no disk
+    comes twice in a row, cyclically.  A search's own candidate (a
+    `_Winding`, made valid for its disk set) is returned unchanged; every
+    other input is checked in full, a list or plain tuple of the same
+    entries included.
+    """
+    if type(winding) is _Winding:
+        return winding
     w = _entries(winding)
     if not w:
         raise InvalidSpec("winding is empty")
@@ -119,9 +136,10 @@ def compute_belt(centers, winding) -> BeltPath:
     arc from its incoming to its outgoing tangent point, swept in its own
     orientation, followed by its outgoing tangent.  The path holds those
     elements and the winding's disk indices as `disk_of_arc`.  A set that
-    `check_disk_set` returned is not checked again, and each tangent with
-    its two arc angles is taken from the set's `legs`, built there the
-    first time a belt needs it.
+    `check_disk_set` returned is not checked again, nor is a winding that
+    `iter_belts` made; any other set or winding is.  Each tangent with its
+    two arc angles is taken from the set's `legs`, built there the first
+    time a belt needs it.
     """
     disks = check_disk_set(centers)
     w = check_spec(winding, len(disks))
@@ -133,10 +151,11 @@ def compute_belt(centers, winding) -> BeltPath:
             leg = legs[i, oi, j, oj] = _leg(disks[i], disks[j], oi, oj)
         route.append(leg)
     elements = []
-    for k, (i, oi) in enumerate(w):
-        seg, start, _end = route[k]
-        elements += (Arc(disks[i], 1.0, route[k - 1][2], start, oi), seg)
-    return BeltPath(tuple(elements), tuple(i for i, _ in w))
+    arrive = route[-1][2]
+    for (i, oi), (seg, start, end) in zip(w, route):
+        elements += (Arc(disks[i], 1.0, arrive, start, oi), seg)
+        arrive = end
+    return BeltPath(tuple(elements), tuple([i for i, _ in w]))
 
 
 def _leg(c, e, oc: int, oe: int) -> tuple:
@@ -239,8 +258,12 @@ def iter_belts(centers, budget: int = DEFAULT_BUDGET):
     two consecutive entries is the same in every candidate, so whether it
     clears the disks is checked once per call, and the disk set once: the
     candidates' builds take the checked set, do not check it again, and
-    share its legs, so each oriented tangent is built once per call.
+    share its legs, so each oriented tangent is built once per call; each
+    candidate winding is made valid here and not checked again by its build.
     Raises BudgetExceeded when more than `budget` candidates would be built.
+    Results are reliable near the origin: the search's tolerances are
+    absolute, so a set placed far out (about 1e8 away) can lose its belts,
+    and a puzzle reader translates a set to its min corner before searching.
     """
     disks = check_disk_set(centers)
     n = len(disks)
@@ -256,6 +279,7 @@ def iter_belts(centers, budget: int = DEFAULT_BUDGET):
             winding = [(0, CCW)]
             for b, idx in enumerate(perm):
                 winding.append((idx, CCW if orient_mask & (1 << b) else CW))
+            winding = _Winding(winding)
             # validate_belt's other two clauses cannot fail here: every order
             # visits all disks, and compute_belt's tangent choice makes every
             # junction C1 (tests/test_conveyer.py pins that invariant).

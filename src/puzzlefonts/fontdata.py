@@ -530,7 +530,9 @@ class _Conveyer(FontKind):
 
         The search takes the first belt it finds: a letter needs only one.  A
         configuration is searched once per reader, however often it repeats,
-        and only after it has matched a letter.
+        and only after it has matched a letter.  It is searched moved to its
+        min corner, as its fingerprint is taken: a belt does not depend on
+        where the set sits, but the search's tolerances are absolute.
         """
         by_print: dict = {}
         for ch, rec in font_fd.glyphs.items():
@@ -539,7 +541,8 @@ class _Conveyer(FontKind):
 
         def read(rec):
             try:
-                fp = conveyer.fingerprint(rec.disks)
+                disks = conveyer.check_disk_set(rec.disks)
+                fp = conveyer.fingerprint(disks)
             except ValueError as exc:
                 raise NoSolution(str(exc)) from exc
             letters = by_print.get(fp, [])
@@ -548,7 +551,13 @@ class _Conveyer(FontKind):
             if len(letters) > 1:
                 raise AmbiguousSolution(f"matches letters {letters}")
             if fp not in has_belt:
-                has_belt[fp] = next(conveyer.iter_belts(rec.disks), None) is not None
+                min_x = min(x for x, _ in disks)
+                min_y = min(y for _, y in disks)
+                try:
+                    disks = conveyer.check_disk_set([(x - min_x, y - min_y) for x, y in disks])
+                except ValueError:  # moving rounds: disks within ulps of touching stay put
+                    pass
+                has_belt[fp] = next(conveyer.iter_belts(disks), None) is not None
             if not has_belt[fp]:
                 raise NoSolution("no valid belt exists")
             return letters[0]

@@ -198,24 +198,6 @@ def _sign(x: float) -> int:
     return 0
 
 
-def _line_circle_params(a, b, center, radius: float) -> list[float]:
-    """Parameters t of intersections of line a+t(b-a) with a circle."""
-    ab = sub(b, a)
-    ac = sub(a, center)
-    qa = dot(ab, ab)
-    if qa <= TOL * TOL:
-        return []
-    qb = 2.0 * dot(ac, ab)
-    qc = dot(ac, ac) - radius * radius
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < -TOL:
-        return []
-    if disc < 0.0:
-        disc = 0.0
-    r = math.sqrt(disc)
-    return [(-qb - r) / (2 * qa), (-qb + r) / (2 * qa)]
-
-
 def _ccw_span(arc: Arc) -> tuple[float, float]:
     """(start angle, extent) of the arc's points, swept counterclockwise."""
     return (arc.start_angle if arc.orientation == CCW else arc.end_angle), arc_extent(arc)
@@ -250,12 +232,27 @@ def _elements_meet(e1, e2) -> bool:
     if isinstance(e2, Segment):
         e1, e2 = e2, e1
     if isinstance(e1, Segment):  # a segment e1 and an arc e2
-        seg_len = dist(e1.a, e1.b)
-        t_slack = (TOL * 100) / max(seg_len, TOL)
-        for t in _line_circle_params(e1.a, e1.b, e2.center, e2.radius):
+        (ax, ay), (bx, by) = e1
+        (cx, cy), radius = e2.center, e2.radius
+        # the parameters t of the line a + t (b - a) on the arc's circle
+        abx, aby, acx, acy = bx - ax, by - ay, ax - cx, ay - cy
+        qa = abx * abx + aby * aby
+        if qa <= TOL * TOL:
+            return False
+        qb = 2.0 * (acx * abx + acy * aby)
+        qc = (acx * acx + acy * acy) - radius * radius
+        disc = qb * qb - 4.0 * qa * qc
+        if disc < -TOL:
+            return False
+        if disc < 0.0:
+            disc = 0.0
+        r = math.sqrt(disc)
+        t_slack = (TOL * 100) / max(math.hypot(abx, aby), TOL)
+        for t in ((-qb - r) / (2 * qa), (-qb + r) / (2 * qa)):
             if -t_slack <= t <= 1.0 + t_slack:
-                p = Point2(e1.a.x + t * (e1.b.x - e1.a.x), e1.a.y + t * (e1.b.y - e1.a.y))
-                if arc_contains_angle(e2, angle_of(sub(p, e2.center))):
+                px, py = ax + t * abx, ay + t * aby
+                at = normalize_angle(math.degrees(math.atan2(py - cy, px - cx)))
+                if arc_contains_angle(e2, at):
                     return True
         return False
     d = dist(e1.center, e2.center)
@@ -286,19 +283,37 @@ def _elements_meet(e1, e2) -> bool:
 def path_is_simple(path: list) -> bool:
     """True iff no two non-adjacent path elements intersect, even at one point.
 
-    Elements must chain end-to-end (within CHAIN_TOL); a closed chain makes
-    the first and last elements adjacent.  Zero-length elements (a belt
-    grazing a disk leaves a zero-extent arc) carry no geometry, so adjacency
-    is decided after dropping them: the elements on either side of a graze
-    are consecutive on the actual curve, not a self-intersection.
+    Elements must chain end-to-end (within CHAIN_TOL), which is checked on
+    every input, built belts included; a closed chain makes the first and
+    last elements adjacent.  Zero-length elements (a belt grazing a disk
+    leaves a zero-extent arc) carry no geometry, so adjacency is decided
+    after dropping them: the elements on either side of a graze are
+    consecutive on the actual curve, not a self-intersection.  One pass
+    takes each element's ends and length, in the operations of
+    `element_start`, `element_end` and `element_length`.
     """
     if not path:
         return True
-    for i in range(len(path) - 1):
-        if dist(element_end(path[i]), element_start(path[i + 1])) > CHAIN_TOL:
-            raise DisconnectedPath(f"element {i} does not chain to element {i + 1}")
-    closed = dist(element_end(path[-1]), element_start(path[0])) <= CHAIN_TOL
-    real = [el for el in path if element_length(el) > TOL]
+    real = []
+    for k, el in enumerate(path):
+        if isinstance(el, Segment):
+            (sx, sy), (ex, ey) = el
+            length = math.hypot(sx - ex, sy - ey)
+        else:
+            (cx, cy), r = el.center, el.radius
+            t = math.radians(el.start_angle)
+            sx, sy = cx + r * math.cos(t), cy + r * math.sin(t)
+            t = math.radians(el.end_angle)
+            ex, ey = cx + r * math.cos(t), cy + r * math.sin(t)
+            length = arc_length(el)
+        if not k:
+            first_x, first_y = sx, sy
+        elif math.hypot(last_x - sx, last_y - sy) > CHAIN_TOL:
+            raise DisconnectedPath(f"element {k - 1} does not chain to element {k}")
+        last_x, last_y = ex, ey
+        if length > TOL:
+            real.append(el)
+    closed = math.hypot(last_x - first_x, last_y - first_y) <= CHAIN_TOL
     n = len(real)
     for i in range(n):
         for j in range(i + 2, n):

@@ -3,8 +3,9 @@
 Everything here is deliberately written from scratch against the definitions,
 not by calling the code under test: exact rational segment intersection,
 tangent touch points by rotating the center line, point-segment distance and
-the segment-segment meeting test composed from vector helpers, a belt built
-from all of its tangents, a naive belt-winding
+the segment-segment and segment-arc meeting tests composed from vector
+helpers, path simplicity from each element's ends and length taken one at a
+time, a belt built from all of its tangents, a naive belt-winding
 enumerator, an exhaustive fold enumerator, a fold
 check, a block fold search without cuts, a plain breadth-first search over
 slot contacts, and a layout that copies every primitive to its place.
@@ -15,7 +16,11 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from puzzlefonts.conveyer import CCW, CW, BeltPath, canonical_spec, validate_belt
-from puzzlefonts.geometry import TOL, Arc, Point2, Segment
+from puzzlefonts.errors import DisconnectedPath
+from puzzlefonts.geometry import (
+    CHAIN_TOL, TOL, Arc, Point2, Segment, _elements_meet, angle_of, arc_contains_angle,
+    element_end, element_length, element_start,
+)
 from puzzlefonts.scene import VectorScene
 
 
@@ -149,6 +154,79 @@ def segments_meet_by_vectors(a, b, c, d) -> bool:
         return True
     return any(point_segment_distance_by_vectors(p, q, r) <= TOL * 10
                for p, q, r in ((a, c, d), (b, c, d), (c, a, b), (d, a, b)))
+
+
+def _line_circle_params(a, b, center, radius: float) -> list:
+    """Parameters t of the intersections of the line a + t(b - a) with a
+    circle: none when ab is within TOL of a point or the discriminant is
+    below -TOL, a double root when it is within TOL of zero."""
+    ab = _vsub(b, a)
+    ac = _vsub(a, center)
+    qa = _vdot(ab, ab)
+    if qa <= TOL * TOL:
+        return []
+    qb = 2.0 * _vdot(ac, ab)
+    qc = _vdot(ac, ac) - radius * radius
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < -TOL:
+        return []
+    if disc < 0.0:
+        disc = 0.0
+    r = math.sqrt(disc)
+    return [(-qb - r) / (2 * qa), (-qb + r) / (2 * qa)]
+
+
+def segment_meets_arc_by_vectors(seg, arc) -> bool:
+    """Whether a segment and an arc share a point: a point of the segment's
+    line on the arc's circle, within 100 TOL (in length) of the segment, whose
+    direction from the center lies on the arc's span."""
+    t_slack = (TOL * 100) / max(_vdist(seg.a, seg.b), TOL)
+    for t in _line_circle_params(seg.a, seg.b, arc.center, arc.radius):
+        if -t_slack <= t <= 1.0 + t_slack:
+            p = (seg.a[0] + t * (seg.b[0] - seg.a[0]), seg.a[1] + t * (seg.b[1] - seg.a[1]))
+            if arc_contains_angle(arc, angle_of(_vsub(p, arc.center))):
+                return True
+    return False
+
+
+def elements_meet_by_vectors(e1, e2) -> bool:
+    """The pair test of `path_is_simple_by_elements`: the vector-helper forms
+    above for segment pairs and segment-arc pairs, the library's own
+    circle-circle test for two arcs."""
+    if isinstance(e1, Segment) and isinstance(e2, Segment):
+        return segments_meet_by_vectors(e1.a, e1.b, e2.a, e2.b)
+    if isinstance(e1, Segment):
+        return segment_meets_arc_by_vectors(e1, e2)
+    if isinstance(e2, Segment):
+        return segment_meets_arc_by_vectors(e2, e1)
+    return _elements_meet(e1, e2)
+
+
+def path_is_simple_by_elements(path) -> bool:
+    """Path simplicity, each element's ends and length taken one at a time.
+
+    First every consecutive pair must chain within CHAIN_TOL (else
+    DisconnectedPath names the first that does not); the path is closed
+    when its last element ends within CHAIN_TOL of the first one's start.
+    Elements of length TOL or less are dropped, then no two elements that
+    are not next to each other (the first and last are, on a closed path)
+    may meet.
+    """
+    if not path:
+        return True
+    for i in range(len(path) - 1):
+        if _vdist(element_end(path[i]), element_start(path[i + 1])) > CHAIN_TOL:
+            raise DisconnectedPath(f"element {i} does not chain to element {i + 1}")
+    closed = _vdist(element_end(path[-1]), element_start(path[0])) <= CHAIN_TOL
+    real = [el for el in path if element_length(el) > TOL]
+    n = len(real)
+    for i in range(n):
+        for j in range(i + 2, n):
+            if closed and i == 0 and j == n - 1:
+                continue
+            if elements_meet_by_vectors(real[i], real[j]):
+                return False
+    return True
 
 
 def belt_by_tangents(centers, winding) -> BeltPath:

@@ -92,6 +92,42 @@ class TestComputeBelt:
                     assert _junctions_c1(path.elements), (disks, winding)
 
 
+class TestSearchWindings:
+    def test_search_winding_passes_through(self):
+        w = conveyer._Winding([(0, CCW), (2, CW), (1, CCW)])
+        assert check_spec(w, 3) is w
+        assert repr(compute_belt(TRIANGLE, w)) == repr(compute_belt(TRIANGLE, list(w)))
+
+    @pytest.mark.parametrize("winding", [
+        [], [(0, CCW)], [(0, CCW), (0, CW)], [(0, CCW), (1, CW), (0, CCW)], [(0, CCW), (3, CW)],
+        [(0, CCW), (-1, CW)], [(0, 2), (1, CW)], [(0, 0), (1, CW)], [(0, 1.5), (1, CW)],
+        [(0, CCW), ("1", CW)], [(0, CCW), (None, CW)],
+    ])
+    def test_other_windings_are_checked_in_full(self, winding):
+        with pytest.raises(InvalidSpec) as expected:
+            check_spec(winding, 3)
+        for form in (list(winding), tuple(winding)):
+            with pytest.raises(InvalidSpec) as err:
+                compute_belt(TRIANGLE, form)
+            assert str(err.value) == str(expected.value)
+
+    def test_search_checks_no_winding_again(self, shipped, monkeypatch):
+        disks = shipped["conveyer"].glyphs["L"].disks
+        expected = solve_belt(disks)
+        entries, built = [], []
+        real_entries, real_build = conveyer._entries, conveyer.compute_belt
+        monkeypatch.setattr(conveyer, "_entries",
+                            lambda w: entries.append(w) or real_entries(w))
+        monkeypatch.setattr(conveyer, "compute_belt",
+                            lambda *args: built.append(args) or real_build(*args))
+        assert solve_belt(disks) == expected
+        assert len(built) == 48  # every candidate is still built
+        assert len(entries) == len(expected) == 2  # canonical_spec, once per belt found
+        for _disks, w in built:  # each candidate is one check_spec would pass
+            assert type(w) is conveyer._Winding
+            assert check_spec(list(w), len(disks)) == w
+
+
 class TestLegs:
     @pytest.mark.parametrize("letter", "LZ")
     def test_each_leg_built_once_per_search(self, shipped, monkeypatch, letter):

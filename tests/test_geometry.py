@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,14 +8,14 @@ from hypothesis import strategies as st
 
 from puzzlefonts.errors import DegenerateDisks, DisconnectedPath
 from puzzlefonts.geometry import (
-    CCW, CW, TOL, Arc, Point2, Segment, _elements_meet, arc_contains_angle,
+    CCW, CHAIN_TOL, CW, TOL, Arc, Point2, Segment, _elements_meet, arc_contains_angle,
     arc_extent, arc_length, arc_start_point, arc_end_point, convex_hull, dist,
     dot, hull_perimeter, normalize_angle, path_is_simple,
     point_segment_distance, sub, tangent_points,
 )
 from oracles import (
-    point_segment_distance_by_vectors, polyline_is_simple_exact, segments_meet_by_vectors,
-    tangent_points_by_rotation,
+    path_is_simple_by_elements, point_segment_distance_by_vectors, polyline_is_simple_exact,
+    segment_meets_arc_by_vectors, segments_meet_by_vectors, tangent_points_by_rotation,
 )
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -288,6 +289,147 @@ class TestVectorFreeForms:
             a, b, c, d = (tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(4))
             assert _elements_meet(Segment(a, b), Segment(c, d)) == \
                 segments_meet_by_vectors(a, b, c, d), (a, b, c, d)
+
+
+def _seeded_segment_arc_cases(rng):
+    """(segment, arc) pairs about the edge cases of the segment-arc test:
+    lines tangent to the circle within 1e-9, circle points at t within a
+    millionth of -t_slack and of 1 + t_slack, zero-length and sub-TOL
+    segments, zero-extent (grazing) arcs, and signed zeros."""
+    def center():
+        return Point2(rng.choice([0.0, -0.0, rng.uniform(-5, 5)]),
+                      rng.choice([0.0, -0.0, rng.uniform(-5, 5)]))
+
+    cases = []
+    for k in range(3_000):
+        c, r = center(), rng.choice([1.0, 1.0, rng.uniform(0.5, 3.0)])
+        theta = rng.uniform(0.0, 2 * math.pi)
+        ux, uy = math.cos(theta), math.sin(theta)
+        on = (c.x + r * ux, c.y + r * uy)
+        kind = k % 6
+        if kind == 0:  # tangent within 1e-9, touching inside the segment or past an end
+            s1, s2 = rng.uniform(-3.0, 1.0), rng.uniform(-1.0, 3.0)
+            # or with the discriminant 4 |ab|^2 (r^2 - off^2) about -TOL or in (-TOL, 0)
+            f = rng.choice([1 - 1e-3, 1 + 1e-3, rng.uniform(0.0, 1.0)])
+            off = rng.choice([r + rng.uniform(-1e-9, 1e-9),
+                              math.sqrt(r * r + TOL * f / (4 * (s2 - s1) ** 2))])
+            p = (c.x + off * ux, c.y + off * uy)
+            a, b = (p[0] - uy * s1, p[1] + ux * s1), (p[0] - uy * s2, p[1] + ux * s2)
+        elif kind in (1, 2):  # the circle point at t just past -t_slack or 1 + t_slack
+            length = rng.uniform(0.1, 4.0)
+            phi = rng.uniform(0.0, 2 * math.pi)
+            dx, dy = length * math.cos(phi), length * math.sin(phi)
+            t = (TOL * 100) / length * rng.choice([1 - 1e-6, 1.0, 1 + 1e-6])
+            t = -t if kind == 1 else 1.0 + t
+            a = (on[0] - t * dx, on[1] - t * dy)
+            b = (a[0] + dx, a[1] + dy)
+        elif kind == 3:  # zero-length or within TOL of it
+            a = on
+            b = rng.choice([a, (a[0] + 1e-10, a[1]), (a[0], a[1] - 2e-9), (a[0] + 1e-9, a[1])])
+        elif kind == 4:  # anywhere
+            a, b = ((rng.uniform(-6, 6), rng.uniform(-6, 6)) for _ in range(2))
+        else:  # signed-zero grid about a unit circle on the origin
+            c, r = Point2(rng.choice([0.0, -0.0]), rng.choice([0.0, -0.0])), 1.0
+            a, b = ((rng.choice([0.0, -0.0, float(rng.randint(-2, 2))]),
+                     rng.choice([0.0, -0.0, float(rng.randint(-2, 2))])) for _ in range(2))
+        at = math.degrees(math.atan2(on[1] - c.y, on[0] - c.x)) % 360.0
+        start = rng.choice([at, at - 10.0, at + 1e-7, rng.uniform(0.0, 360.0), 0.0, -0.0]) % 360.0
+        end = rng.choice([start, at, at + 10.0, rng.uniform(0.0, 360.0)]) % 360.0
+        cases.append((Segment(Point2(*a), Point2(*b)),
+                      Arc(c, r, start, end, rng.choice([CCW, CW]))))
+    return cases
+
+
+def _verdict(check, path):
+    try:
+        return repr(check(path))
+    except DisconnectedPath as exc:
+        return f"DisconnectedPath: {exc}"
+
+
+def _seeded_paths(rng):
+    """Closed belts on seeded disk sets, collinear ones with grazing arcs
+    among them, each also with one element's end moved by a gap a millionth
+    either side of CHAIN_TOL; and closed polylines on a signed-zero grid,
+    some with such gaps."""
+    from puzzlefonts.conveyer import compute_belt
+    paths = []
+    for k in range(60):
+        n = 3 + k % 3
+        if k % 4 == 0:  # collinear: the hull belt grazes the middle disks
+            disks = [(4.0 * i, 0.0) for i in range(n)]
+        else:
+            disks = []
+            while len(disks) < n:
+                cand = (rng.uniform(0, 9), rng.uniform(0, 9))
+                if all(math.dist(cand, p) > 2.05 for p in disks):
+                    disks.append(cand)
+        order = [0] + rng.sample(range(1, n), n - 1)
+        belt = list(compute_belt(disks, [(i, rng.choice([CCW, CW])) for i in order]).elements)
+        paths.append(belt)
+        for _ in range(4):
+            at = rng.randrange(len(belt))
+            el = belt[at]
+            gap = CHAIN_TOL * rng.choice([1 - 1e-6, 1 + 1e-6, 0.5, 2.0])
+            if isinstance(el, Segment):
+                moved = Segment(el.a, Point2(el.b.x + gap, el.b.y))
+            else:  # a unit arc: its end moves by a chord of about gap
+                moved = el._replace(end_angle=el.end_angle + math.degrees(gap))
+            paths.append(belt[:at] + [moved] + belt[at + 1:])
+    for k in range(600):
+        pts = [(rng.choice([0.0, -0.0, float(rng.randint(-3, 3)), rng.uniform(-3, 3)]),
+                rng.choice([0.0, -0.0, float(rng.randint(-3, 3)), rng.uniform(-3, 3)]))
+               for _ in range(rng.randint(2, 8))]
+        pts.append(pts[0])
+        path = [Segment(Point2(*a), Point2(*b)) for a, b in zip(pts, pts[1:])]
+        if k % 3 == 0:
+            at = rng.randrange(len(path))
+            gap = CHAIN_TOL * rng.choice([1 - 1e-6, 1 + 1e-6])
+            path[at] = Segment(Point2(path[at].a.x + gap, path[at].a.y), path[at].b)
+        paths.append(path)
+    return paths
+
+
+class TestSegmentArcAndPathForms:
+    """The segment-arc branch of _elements_meet and path_is_simple compute in
+    plain floats, one pass over the elements; the forms built on vector
+    helpers and on element_start, element_end and element_length are the
+    reference."""
+
+    def test_segment_arc_as_reference(self):
+        met = 0
+        for seg, arc in _seeded_segment_arc_cases(random.Random(29)):
+            expected = segment_meets_arc_by_vectors(seg, arc)
+            assert _elements_meet(seg, arc) == expected, (seg, arc)
+            assert _elements_meet(arc, seg) == expected, (seg, arc)
+            met += expected
+        assert 500 < met < 2_500
+
+    def test_path_is_simple_as_reference(self):
+        verdicts = {}
+        for path in _seeded_paths(random.Random(30)):
+            expected = _verdict(path_is_simple_by_elements, path)
+            assert _verdict(path_is_simple, path) == expected, path
+            verdicts[expected.split(":")[0]] = verdicts.get(expected.split(":")[0], 0) + 1
+        assert set(verdicts) == {"True", "False", "DisconnectedPath"}, verdicts
+
+    def test_every_winding_of_the_letters_as_reference(self, shipped):
+        # far out, at (1e10, 1e10), the belts of L and Z do not chain within
+        # CHAIN_TOL, so the chain check is not redundant on built belts
+        from puzzlefonts.conveyer import compute_belt
+        letters = [rec.disks for _ch, rec in sorted(shipped["conveyer"].glyphs.items())]
+        far = [[(x + 1e10, y + 1e10) for x, y in shipped["conveyer"].glyphs[ch].disks]
+               for ch in "LZ"]
+        disconnected = 0
+        for disks in letters + far:
+            n = len(disks)
+            for perm in itertools.permutations(range(1, n)):
+                for orients in itertools.product((CCW, CW), repeat=n):
+                    path = compute_belt(disks, list(zip((0,) + perm, orients))).elements
+                    expected = _verdict(path_is_simple_by_elements, path)
+                    assert _verdict(path_is_simple, path) == expected, (disks, perm, orients)
+                    disconnected += expected.startswith("DisconnectedPath")
+        assert disconnected > 0
 
 
 class TestArcs:

@@ -161,6 +161,13 @@ def _disks(*disks):
     return fontdata.ConveyerRecord(disks=disks)
 
 
+def _moved_puzzle(puzzle, offset):
+    """The puzzle with every disk moved by (offset, offset)."""
+    return fontdata.FontData(puzzle.font_id, puzzle.version, {
+        key: _disks(*((x + offset, y + offset) for x, y in rec.disks))
+        for key, rec in puzzle.glyphs.items()})
+
+
 def _shifted_twin(shipped):
     """A conveyer font whose J is its I moved: one configuration, two letters."""
     rec = shipped["conveyer"].glyphs["I"]
@@ -288,6 +295,44 @@ class TestSolvePuzzle:
         puzzle = typeset(shipped["conveyer"], "OTO", "puzzle").puzzle_data
         assert solve_puzzle(shipped["conveyer"], puzzle).text == "OTO"
         assert len(searched) == 2
+
+    @pytest.mark.parametrize("offset", [1e8, 1e9])
+    def test_puzzle_far_from_the_origin_decodes(self, shipped, offset):
+        # the search's tolerances are absolute: searched where they sit, F,
+        # T, U and Z have no belt
+        font = shipped["conveyer"]
+        puzzle = typeset(font, "FILNOTUZ", "puzzle").puzzle_data
+        assert solve_puzzle(font, _moved_puzzle(puzzle, offset)).text == "FILNOTUZ"
+
+    def test_puzzle_too_far_out_to_match_is_no_solution(self, shipped):
+        # at 1e10 a coordinate's ulp is past the fingerprint quantum
+        font = shipped["conveyer"]
+        puzzle = typeset(font, "FILNOTUZ", "puzzle").puzzle_data
+        with pytest.raises(NoSolution) as err:
+            solve_puzzle(font, _moved_puzzle(puzzle, 1e10))
+        assert str(err.value) == "puzzle glyph '0': configuration matches no letter"
+
+    def test_shipped_letters_searched_as_they_are(self, shipped, monkeypatch):
+        # their min corner is (0, 0), so moving them there changes no bit
+        from puzzlefonts import conveyer
+        searched = []
+        real = conveyer.iter_belts
+        monkeypatch.setattr(conveyer, "iter_belts",
+                            lambda disks: searched.append(disks) or real(disks))
+        puzzle = typeset(shipped["conveyer"], "FILNOTUZ", "puzzle").puzzle_data
+        assert solve_puzzle(shipped["conveyer"], puzzle).text == "FILNOTUZ"
+        assert [repr(tuple(d)) for d in searched] == \
+            [repr(tuple(rec.disks)) for _key, rec in sorted(puzzle.glyphs.items())]
+
+    def test_disks_that_touch_once_moved_are_searched_where_they_are(self, shipped):
+        # 1 and 2 are 2 + TOL apart plus an ulp, and moving rounds that away
+        from puzzlefonts.conveyer import check_disk_set
+        disks = ((-0.41174908989607967, 0.0), (2.4660180792803144, 5.0), (4.466018080280315, 5.0))
+        with pytest.raises(ValueError, match="disks 1 and 2 are not disjoint"):
+            check_disk_set([(x - disks[0][0], y) for x, y in disks])
+        font = fontdata.FontData("conveyer", 1, {"A": fontdata.ConveyerRecord(disks=disks)})
+        puzzle = fontdata.FontData("conveyer", 1, {"0": fontdata.ConveyerRecord(disks=disks)})
+        assert solve_puzzle(font, puzzle).text == "A"
 
     @pytest.mark.parametrize("letter", "FILNOTUZ")
     def test_reordered_disks_same_solution_sheet(self, shipped, letter):
