@@ -48,7 +48,8 @@ class _Winding(tuple):
 
 
 def check_disk_set(centers) -> tuple:
-    """The centers as points, if finite and more than 2 + TOL apart.
+    """The centers as points, if finite, more than 2 + TOL apart and no pair
+    so far apart that its distance overflows (every belt on it would be nan).
 
     The strict gap is also the crossing tangent's precondition, so every
     winding over a checked set realizes.  The points come back as a tuple
@@ -67,8 +68,11 @@ def check_disk_set(centers) -> tuple:
             raise ValueError("disk center coordinates must be finite")
     for i, (x, y) in enumerate(pts):
         for j in range(i + 1, len(pts)):
-            if math.hypot(x - pts[j].x, y - pts[j].y) <= 2.0 + TOL:
+            d = math.hypot(x - pts[j].x, y - pts[j].y)
+            if d <= 2.0 + TOL:
                 raise ValueError(f"disks {i} and {j} are not disjoint")
+            if d == math.inf:
+                raise ValueError(f"disks {i} and {j} are too far apart: their distance overflows")
     return pts
 
 

@@ -372,7 +372,9 @@ class FontKind:
     render(fd, text, variant, seed)
                                 yield (scene, puzzle record or None) for
                                 each piece `typeset` lays out; layout only
-                                reads a scene, so one may be yielded twice
+                                reads a scene, so one may be yielded twice,
+                                and a piece that depends only on its letter
+                                is built once per call (`once_per_letter`)
     reader(font_fd)             read(record) -> letter of one puzzle glyph,
                                 or NoSolution, AmbiguousSolution, NotAChain;
                                 None for the kinds without a machine solver
@@ -383,6 +385,19 @@ class FontKind:
 
     keywords: dict = {}
     reader = None
+
+    @staticmethod
+    def once_per_letter(text, build):
+        """Yield build(ch) for each letter of text, built once per distinct letter.
+
+        A repeated letter gets the same objects again, so layout boxes its
+        scene once; nothing is kept after the call.
+        """
+        built: dict = {}
+        for ch in text:
+            if ch not in built:
+                built[ch] = build(ch)
+            yield built[ch]
 
 
 def linkage_font_of(fd: FontData) -> linkage.LinkageFont:
@@ -437,12 +452,13 @@ class _Linkage(FontKind):
 
     def render(self, fd, text, variant, seed):
         font = linkage_font_of(fd)
-        for pos, ch in enumerate(text):
-            if variant == "puzzle":
-                glyph = font.random_puzzle_glyph(ch, seed * 1_000 + pos)
-                yield _linkage_scene(glyph), LinkageRecord(vertices=glyph.vertices)
-            else:
-                yield _linkage_scene(font.canonical_glyph(ch)), None
+        if variant == "solved":
+            yield from self.once_per_letter(
+                text, lambda ch: (_linkage_scene(font.canonical_glyph(ch)), None))
+            return
+        for pos, ch in enumerate(text):  # each position draws its own random state
+            glyph = font.random_puzzle_glyph(ch, seed * 1_000 + pos)
+            yield _linkage_scene(glyph), LinkageRecord(vertices=glyph.vertices)
 
     def reader(self, font_fd):
         """Measure a chain's joint angles and look the sequence up."""
@@ -518,12 +534,12 @@ class _Conveyer(FontKind):
                 report.add(f"glyphs {chars} share a disk configuration fingerprint")
 
     def render(self, fd, text, variant, seed):
-        for ch in text:
+        def build(ch):
             rec = fd.glyphs[ch]
             if variant == "puzzle":
-                yield _conveyer_scene(rec.disks, None), ConveyerRecord(disks=rec.disks)
-            else:
-                yield _conveyer_scene(rec.disks, rec.belt), None
+                return _conveyer_scene(rec.disks, None), ConveyerRecord(disks=rec.disks)
+            return _conveyer_scene(rec.disks, rec.belt), None
+        return self.once_per_letter(text, build)
 
     def reader(self, font_fd):
         """Match a disk configuration's fingerprint to a letter, then search its belt.
@@ -589,8 +605,8 @@ class _Maze(FontKind):
 
     def render(self, fd, text, variant, seed):
         if variant == "solved":
-            for ch in text:
-                yield maze.render_maze_2d(fd.glyphs[ch]), None
+            yield from self.once_per_letter(
+                text, lambda ch: (maze.render_maze_2d(fd.glyphs[ch]), None))
         elif text:
             # crease patterns glue into one sheet instead of spacing apart
             sheet = maze.generate_crease_pattern(fd.glyphs[text[0]], 1)
@@ -647,8 +663,8 @@ class _Hinged(FontKind):
             for _ch in text:
                 yield strip, None
         else:
-            for ch in text:
-                yield hinged.render_polyabolo(fd.glyphs[ch]), None
+            yield from self.once_per_letter(
+                text, lambda ch: (hinged.render_polyabolo(fd.glyphs[ch]), None))
 
 
 class _Cane(FontKind):
@@ -691,12 +707,12 @@ class _Cane(FontKind):
                 report.add(f"cane glyphs {chars} are indistinguishable")
 
     def render(self, fd, text, variant, seed):
-        for ch in text:
+        def build(ch):
             rec = fd.glyphs[ch]
             if variant == "puzzle":
-                yield cane.render_side(rec.cross_section, rec.twist), None
-            else:
-                yield cane.render_top(rec.cross_section), None
+                return cane.render_side(rec.cross_section, rec.twist), None
+            return cane.render_top(rec.cross_section), None
+        return self.once_per_letter(text, build)
 
 
 KINDS = {

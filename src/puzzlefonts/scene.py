@@ -6,7 +6,11 @@ decoupled from per-font styling.  Each primitive maps, bounds and writes
 itself; polygons are always filled.  Placing a scene is an offset, not a
 copy: `translated` keeps the primitives as they are and records the offset,
 which `bounds` and `emit_svg` apply to each stored coordinate, so a laid-out
-scene's primitives hold glyph-local coordinates.  `emit_svg` passes one
+scene's primitives hold glyph-local coordinates.  Placing also keeps what
+`bounds` needs of each run, so a placed run is boxed once however often it
+is moved: the box of each group of polylines or polygons, taken unmoved and
+moved by the offset when read, and each group of circles or arcs, which is
+boxed where it is drawn.  `emit_svg` passes one
 pixel frame to every primitive's `svg_element(frame, dx, dy)`.  Emission is
 byte-deterministic: every number is written in the one format `_COORD`
 (6 decimals, with -0 written 0.000000), fixed attribute order, no
@@ -92,10 +96,12 @@ def check_style(style: str) -> str:
 # `svg_element(frame, dx, dy)` writes one in the emitter's pixel frame
 # (min_x, max_y, margin, scale), where x goes to ((x + dx) - min_x + margin) *
 # scale and y to (max_y - (y + dy) + margin) * scale, each number in the one
-# format `_COORD`; each class's `group_box(prims, dx, dy)` gives the bounding
-# box of a run of its own primitives.  Both move coordinates in the order
-# `mapped(1.0, dx, dy)` does (the point or center first, then +- r or r * cos),
-# so what they give is bit for bit what the mapped copies would give.
+# format `_COORD`.  A group of primitives of one class is boxed in two steps,
+# so that a placed run can keep the first: the class's `keep_box(prims)` gives
+# what the group keeps, and `kept_box(kept, dx, dy)` the group's bounding box
+# moved by (dx, dy).  Both move coordinates in the order `mapped(1.0, dx, dy)`
+# does (the point or center first, then +- r or r * cos), so what they give is
+# bit for bit what the mapped copies would give.
 
 
 def _box(points) -> tuple:
@@ -103,11 +109,22 @@ def _box(points) -> tuple:
     return (min(xs), min(ys), max(xs), max(ys))
 
 
+def _keep(run) -> list:
+    """(class, kept) for each group of one class in a run of primitives."""
+    return [(kind, kind.keep_box(list(group))) for kind, group in groupby(run, type)]
+
+
 class _BoxPoints:
     """Bounded by the moved points that `box_points(dx, dy)` gives."""
 
     @staticmethod
-    def group_box(prims, dx: float, dy: float) -> tuple:
+    def keep_box(prims) -> list:
+        # (cx + dx) - r may differ from (cx - r) + dx, so these are boxed
+        # where they are drawn
+        return prims
+
+    @staticmethod
+    def kept_box(prims, dx: float, dy: float) -> tuple:
         return _box([p for prim in prims for p in prim.box_points(dx, dy)])
 
 
@@ -120,10 +137,14 @@ class Polyline:
         return type(self)(tuple([Point2(x * s + dx, y * s + dy) for x, y in self.points]), self.style)
 
     @staticmethod
-    def group_box(lines, dx: float, dy: float) -> tuple:
+    def keep_box(lines) -> tuple:
+        return _box([p for line in lines for p in line.points])
+
+    @staticmethod
+    def kept_box(box, dx: float, dy: float) -> tuple:
         # rounding is monotone, so moving the extremes gives the extremes of
         # the moved points without moving every point
-        min_x, min_y, max_x, max_y = _box([p for line in lines for p in line.points])
+        min_x, min_y, max_x, max_y = box
         return (min_x + dx, min_y + dy, max_x + dx, max_y + dy)
 
     def _svg_points(self, frame: tuple, dx: float, dy: float) -> str:
@@ -212,8 +233,10 @@ class ArcShape(_BoxPoints):
 @dataclass
 class VectorScene:
     primitives: list = field(default_factory=list)
-    # one (end, dx, dy) per placed run: primitives[previous end:end] are drawn
-    # moved by (dx, dy); primitives after the last end are drawn where they are
+    # one (end, dx, dy, kept) per placed run: primitives[previous end:end] are
+    # drawn moved by (dx, dy), and kept is `_keep` of them; primitives after
+    # the last end are drawn where they are.  A placed run is changed only by
+    # these methods, which append after it, so what it keeps stays right.
     offsets: list = field(default_factory=list, init=False)
 
     def add_polyline(self, points, style: str) -> None:
@@ -232,23 +255,29 @@ class VectorScene:
         """Append `other`'s primitives, each keeping its offset."""
         if other.offsets:
             base = len(self.primitives)
-            if base > (self.offsets[-1][0] if self.offsets else 0):
-                self.offsets.append((base, 0.0, 0.0))  # the unplaced tail stays put
-            self.offsets += [(base + end, dx, dy) for end, dx, dy in other.offsets]
+            self.offsets = self._placed_runs()  # the unplaced tail stays put
+            self.offsets += [(base + end, dx, dy, kept) for end, dx, dy, kept in other.offsets]
         self.primitives += other.primitives
 
     def translated(self, dx: float, dy: float) -> "VectorScene":
-        """The scene moved by (dx, dy): the same primitives, with the offset recorded."""
-        out = VectorScene()
-        for run_dx, run_dy, run in self.runs():
-            out.primitives += run
-            out.offsets.append((len(out.primitives), run_dx + dx, run_dy + dy))
+        """The scene moved by (dx, dy): the same primitives, with the offset recorded
+        and each run's group boxes kept (see `_keep`)."""
+        out = VectorScene(list(self.primitives))
+        out.offsets = [(end, run_dx + dx, run_dy + dy, kept)
+                       for end, run_dx, run_dy, kept in self._placed_runs()]
         return out
+
+    def _placed_runs(self) -> list:
+        """`offsets`, with the unplaced tail (if any) as a run placed at (0, 0)."""
+        start = self.offsets[-1][0] if self.offsets else 0
+        if start == len(self.primitives):
+            return self.offsets
+        return self.offsets + [(len(self.primitives), 0.0, 0.0, _keep(self.primitives[start:]))]
 
     def runs(self):
         """Each run of primitives in draw order, as (dx, dy, primitives)."""
         start = 0
-        for end, dx, dy in self.offsets:
+        for end, dx, dy, _kept in self.offsets:
             yield dx, dy, self.primitives[start:end]
             start = end
         if start < len(self.primitives):
@@ -259,8 +288,8 @@ class VectorScene:
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(min_x, min_y, max_x, max_y) over all primitives, as drawn."""
-        boxes = [kind.group_box(group, dx, dy)
-                 for dx, dy, run in self.runs() for kind, group in groupby(run, type)]
+        boxes = [kind.kept_box(box, dx, dy)
+                 for _end, dx, dy, kept in self._placed_runs() for kind, box in kept]
         if not boxes:
             return (0.0, 0.0, 0.0, 0.0)
         min_xs, min_ys, max_xs, max_ys = zip(*boxes)

@@ -9,6 +9,10 @@ letter; this module lays the pieces left to right, and the gap after a piece
 is `spacing` times its width.  Placing a piece records its offset instead of
 copying its primitives, so a laid-out scene's primitives keep glyph-local
 coordinates (see `scene`); only a scale other than 1 maps them to new ones.
+A kind builds a repeated letter's scene once per call and yields that scene
+again, and layout boxes each scene object once per call; the laid-out scene
+is then boxed (by `emit_svg`, say) from the group boxes that layout kept.
+Nothing is kept from one call to the next.
 
 This module alone knows the puzzle file's glyph keys: `0`-`9`, `a`-`z`, then
 CJK ideographs from U+4E00, so the sorted keys give the text's order.
@@ -28,14 +32,25 @@ DEFAULT_SPACING = 0.5
 
 
 def _lay_out(scenes, spacing: float) -> VectorScene:
-    """Place glyph scenes left to right, each with its lowest point on y = 0."""
+    """Place glyph scenes left to right, each with its lowest point on y = 0.
+
+    A scene object that comes again is boxed once: it is placed at (0, 0)
+    once, which keeps its group boxes, and that placed scene is moved for
+    every piece.
+    """
     out = VectorScene()
+    # id(scene) -> (scene, placed at (0, 0), its bounds) for this call; holding
+    # the scene keeps its id from being reused
+    placed: dict = {}
     cursor = 0.0
     for scene in scenes:
         if not math.isfinite(cursor):
             raise ValueError(f"spacing {spacing!r} places glyphs beyond the float range")
-        min_x, min_y, max_x, _max_y = scene.bounds()
-        out.extend(scene.translated(cursor - min_x, -min_y))
+        if id(scene) not in placed:
+            at_origin = scene.translated(0.0, 0.0)
+            placed[id(scene)] = scene, at_origin, at_origin.bounds()
+        _scene, at_origin, (min_x, min_y, max_x, _max_y) = placed[id(scene)]
+        out.extend(at_origin.translated(cursor - min_x, -min_y))
         cursor += max(max_x - min_x, 0.5) * (1.0 + spacing)
     return out
 

@@ -72,6 +72,17 @@ class TestComputeBelt:
         with pytest.raises(ValueError):
             check_disk_set([(0, 0), (2.0 + TOL, 0)])
 
+    @pytest.mark.parametrize("build", [
+        check_disk_set,
+        lambda disks: compute_belt(disks, [(0, CCW), (1, CW)]),
+        lambda disks: validate_belt(disks, [(0, CCW), (1, CCW)]),
+        solve_belt,
+    ], ids=["check_disk_set", "compute_belt", "validate_belt", "solve_belt"])
+    def test_distance_past_the_float_range_refused(self, build):
+        # each center is finite, but their distance is not: every belt would be nan
+        with pytest.raises(ValueError, match="^disks 0 and 1 are too far apart: their distance overflows$"):
+            build([(1e308, 0), (-1e308, 0)])
+
     def test_every_winding_taut_and_arcs_its_disks(self):
         # solve_belt skips validate_belt's visits_all and taut clauses, and
         # _avoids_interiors skips the arcs (each rides its own unit circle),
@@ -225,7 +236,7 @@ class TestCheckedSets:
 
     def test_font_check_reports_an_unfingerprintable_glyph(self, shipped):
         fd = shipped["conveyer"]
-        far = fontdata.ConveyerRecord(disks=(Point2(1e308, 0.0), Point2(-1e308, 0.0)))
+        far = fontdata.ConveyerRecord(disks=(Point2(1e308, 0.0), Point2(-1e307, 0.0)))
         bad = dataclasses.replace(fd, glyphs={**fd.glyphs, "F": far})
         assert fontdata.validate(bad).issues == [
             "glyph 'F': disk centers are too far apart to fingerprint"]
@@ -426,7 +437,7 @@ class TestFingerprint:
     def test_order_independent(self):
         assert fingerprint([(0, 0), (3, 1)]) == fingerprint([(3, 1), (0, 0)])
 
-    @pytest.mark.parametrize("disks", [[(1e308, 0), (-1e308, 0)], [(1e303, 0), (0, 0)],
+    @pytest.mark.parametrize("disks", [[(1e308, 0), (-1e307, 0)], [(1e303, 0), (0, 0)],
                                        [(0, 0), (0, -1e303)]])
     def test_offsets_past_the_float_range_refused(self, disks):
         check_disk_set(disks)  # finite and disjoint

@@ -66,6 +66,63 @@ class TestTypeset:
         typeset(shipped["hinged"], "FILNOTUZ", "puzzle")
         assert len(built) == 1
 
+    def test_cane_side_view_built_once_per_distinct_letter(self, shipped, monkeypatch):
+        from puzzlefonts import cane
+        built = []
+        real = cane.render_side
+        monkeypatch.setattr(cane, "render_side", lambda *args: built.append(args) or real(*args))
+        typeset(shipped["cane"], "FIFTIFZZ", "puzzle")
+        assert len(built) == 4
+
+    @pytest.mark.parametrize("font, variant, boxed", [
+        (font, variant, {("linkage", "puzzle"): 8, ("maze", "puzzle"): 1,
+                         ("hinged", "puzzle"): 1}.get((font, variant), 4))
+        for font in fontdata.FONT_IDS for variant in ("solved", "puzzle")])
+    def test_each_distinct_glyph_scene_boxed_once(self, shipped, monkeypatch, font, variant, boxed):
+        # a linkage puzzle draws each position afresh; a maze puzzle is one
+        # glued sheet, and a hinged puzzle one chain for every letter
+        runs = []
+        real = scene._keep
+        monkeypatch.setattr(scene, "_keep", lambda run: runs.append(run) or real(run))
+        sheet = typeset(shipped[font], "FIFTIFZZ", variant, seed=5).scene
+        emit_svg(sheet)  # boxed from what layout kept
+        assert len(runs) == boxed
+        pieces = list(fontdata.kind_of(font).render(shipped[font], "FIFTIFZZ", variant, 5))
+        assert len({id(piece) for piece, _ in pieces}) == boxed
+
+    @pytest.mark.parametrize("font", fontdata.FONT_IDS)
+    @pytest.mark.parametrize("variant", ["solved", "puzzle"])
+    def test_kept_boxes_match_copied_primitives_bit_for_bit(self, shipped, font, variant):
+        # a laid-out scene is boxed from the group boxes that layout kept; a
+        # scaled one is boxed afresh
+        rng = random.Random(f"kept:{font}:{variant}")
+        lengths = iter([1, 16, 9, 4, 12, 2, 16, 7, 13])
+        for spacing in (0.1, 0.5, 2.0):
+            for scale in (1.0, 0.5, 2.0):
+                text = "".join(rng.choice("FILNOTUZ") for _ in range(next(lengths)))
+                seed = rng.randrange(2 ** 31)
+                got = typeset(shipped[font], text, variant, seed, spacing, scale).scene
+                glyphs = [s for s, _ in fontdata.kind_of(font).render(shipped[font], text, variant, seed)]
+                want = copied_layout(glyphs, spacing, scale)
+                assert [v.hex() for v in got.bounds()] == [v.hex() for v in want.bounds()], \
+                    (text, spacing, scale)
+
+    def test_kept_boxes_stay_right_after_more_is_added(self, shipped):
+        def copied(s):
+            return scene.VectorScene([p.mapped(1.0, dx, dy) for dx, dy, run in s.runs() for p in run])
+
+        sheet = typeset(shipped["cane"], "FIFZ", "puzzle").scene
+        min_x, min_y, max_x, max_y = sheet.bounds()
+        sheet.add_polyline([(max_x + 1.0, max_y + 2.0), (max_x + 3.0, min_y - 1.0)], "guide")
+        assert sheet.bounds() == copied(sheet).bounds() == (min_x, min_y - 1.0, max_x + 3.0, max_y + 2.0)
+        more = typeset(shipped["conveyer"], "UNU", "solved").scene.translated(-50.0, 7.5)
+        sheet.extend(more)
+        sheet.add_circle((0.0, -20.0), 0.5, "guide")
+        sheet.extend(more.translated(0.25, 0.0))
+        assert sheet.bounds() == copied(sheet).bounds()
+        assert sheet.bounds()[0] < min_x - 40.0 and sheet.bounds()[1] == -20.5
+        assert emit_svg(sheet) == emit_svg(copied(sheet))
+
     def test_maze_puzzle_composes_single_sheet(self, shipped):
         scene = typeset(shipped["maze"], "FUN", "puzzle").scene
         # one composed boundary rectangle, not three spaced glyphs
@@ -279,7 +336,7 @@ class TestSolvePuzzle:
             solve_puzzle(shipped["conveyer"], bad)
         assert str(err.value) == "puzzle glyph '0': disks 0 and 1 are not disjoint"
 
-    @pytest.mark.parametrize("disks", [((1e308, 0.0), (-1e308, 0.0)), ((1e303, 0.0), (0.0, 0.0))])
+    @pytest.mark.parametrize("disks", [((1e308, 0.0), (-1e307, 0.0)), ((1e303, 0.0), (0.0, 0.0))])
     def test_disks_past_the_fingerprint_range_are_no_solution(self, shipped, disks):
         bad = fontdata.FontData("conveyer", 1, {"0": fontdata.ConveyerRecord(disks=disks)})
         with pytest.raises(NoSolution) as err:
@@ -466,10 +523,10 @@ class TestCli:
         assert run_cli(["solve", str(puzzle)]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err == (
-            "error: puzzle glyph '0': disk centers are too far apart to fingerprint\n")
+            "error: puzzle glyph '0': disks 0 and 1 are too far apart: their distance overflows\n")
         assert run_cli(["validate", str(puzzle)]) == 1
         assert capsys.readouterr().out.splitlines() == [
-            f"{puzzle}: FAIL", "  glyph '0': disk centers are too far apart to fingerprint"]
+            f"{puzzle}: FAIL", "  glyph '0': disks 0 and 1 are too far apart: their distance overflows"]
         proc = subprocess.run([sys.executable, "-m", "puzzlefonts.cli", "solve", str(puzzle)],
                               capture_output=True, text=True)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr
