@@ -11,10 +11,11 @@ scene's primitives hold glyph-local coordinates.  Placing also keeps what
 is moved: the box of each group of polylines or polygons, taken unmoved and
 moved by the offset when read, and each group of circles or arcs, which is
 boxed where it is drawn.  `emit_svg` passes one
-pixel frame to every primitive's `svg_element(frame, dx, dy)`.  Emission is
-byte-deterministic: every number is written in the one format `_COORD`
-(6 decimals, with -0 written 0.000000), fixed attribute order, no
-timestamps.
+pixel frame to every primitive's `svg_element(frame, dx, dy)`; it holds two
+dicts, one per axis, that live for the call, so each distinct moved
+coordinate is formatted once per call.  Emission is byte-deterministic:
+every number is written in the one format `_COORD` (6 decimals, with -0
+written 0.000000), fixed attribute order, no timestamps.
 """
 
 from __future__ import annotations
@@ -57,19 +58,36 @@ _COORD = "%.6f"  # the one number format; a value that rounds to -0 is written 0
 
 
 def _non_finite(text: str) -> ValueError:
-    """The error for formatted numbers that hold a nan or inf.
-
-    A formatted finite number has no letter n, so the writer tests a whole
-    formatted text once instead of testing each number.
-    """
+    """The error for a number, or the page bounds, that holds a nan or inf."""
     return ValueError(f"refusing to write a non-finite coordinate: {text!r}")
 
 
 def _fmt(value: float) -> str:
     text = _COORD % value
-    if "n" in text:
+    if "n" in text:  # a formatted finite number has no letter n
         raise _non_finite(text)
     return "0.000000" if text == "-0.000000" else text
+
+
+class _Texts(dict):
+    """Moved coordinate -> its page text, formatted the first time it is met.
+
+    One per axis, living for one `emit_svg` call.  `pixel(v)` is the page
+    number of the moved coordinate v = x + dx, and ((x + dx) - min_x + m) * s
+    is (v - min_x + m) * s, so each text is the `_fmt` of the number a writer
+    that formats in place computes.  Keys equal as floats give equal texts:
+    the only equal keys that differ are 0.0 and -0.0, for which v - min_x (or
+    max_y - v) differs at most in the sign of a zero, and adding the nonzero
+    MARGIN maps both to the same number.  A nan or inf is never stored:
+    `_fmt` refuses it at each lookup.
+    """
+
+    def __init__(self, pixel):
+        self.pixel = pixel
+
+    def __missing__(self, v: float) -> str:
+        text = self[v] = _fmt(self.pixel(v))
+        return text
 
 
 def _paint(color: str, width: float, dash: str | None, fill: str) -> tuple[str, str]:
@@ -90,14 +108,22 @@ def check_style(style: str) -> str:
     return style
 
 
+def _points(points, shape: str, style: str) -> tuple:
+    """The points of a polyline or polygon, which has at least one (a box needs one)."""
+    points = tuple(Point2(*p) for p in points)
+    if not points:
+        raise ValueError(f"refusing an empty {shape} of style {style!r}")
+    return points
+
+
 # Each primitive is the one place that knows its shape.  `mapped(s, dx, dy)` is
 # the one affine map of the library: every point p goes to (p.x * s + dx,
 # p.y * s + dy) and every radius r to r * s.  For primitives moved by (dx, dy),
 # `svg_element(frame, dx, dy)` writes one in the emitter's pixel frame
-# (min_x, max_y, margin, scale), where x goes to ((x + dx) - min_x + margin) *
-# scale and y to (max_y - (y + dy) + margin) * scale, each number in the one
-# format `_COORD`.  A group of primitives of one class is boxed in two steps,
-# so that a placed run can keep the first: the class's `keep_box(prims)` gives
+# (x_texts, y_texts, scale), whose `_Texts` give the text of a moved x at
+# (x - min_x + margin) * scale and of a moved y at (max_y - y + margin) *
+# scale, each number in the one format `_COORD`.  A group of primitives of
+# one class is boxed in two steps, so that a placed run can keep the first: the class's `keep_box(prims)` gives
 # what the group keeps, and `kept_box(kept, dx, dy)` the group's bounding box
 # moved by (dx, dy).  Both move coordinates in the order `mapped(1.0, dx, dy)`
 # does (the point or center first, then +- r or r * cos), so what they give is
@@ -148,16 +174,8 @@ class Polyline:
         return (min_x + dx, min_y + dy, max_x + dx, max_y + dy)
 
     def _svg_points(self, frame: tuple, dx: float, dy: float) -> str:
-        min_x, max_y, m, s = frame
-        coords = []
-        for x, y in self.points:
-            coords += (((x + dx) - min_x + m) * s, (max_y - (y + dy) + m) * s)
-        text = " ".join([_COORD + "," + _COORD] * len(self.points)) % tuple(coords)
-        if "n" in text:
-            raise _non_finite(text)
-        # a "-" only ever starts a number, so this rewrites just the numbers
-        # that round to -0
-        return text.replace("-0.000000", "0.000000")
+        xs, ys, _s = frame
+        return " ".join([f"{xs[x + dx]},{ys[y + dy]}" for x, y in self.points])
 
     def svg_element(self, frame: tuple, dx: float, dy: float) -> str:
         return (f'<polyline points="{self._svg_points(frame, dx, dy)}" fill="none" '
@@ -190,11 +208,10 @@ class Circle(_BoxPoints):
         return ((cx - r, cy - r), (cx + r, cy + r))
 
     def svg_element(self, frame: tuple, dx: float, dy: float) -> str:
-        min_x, max_y, m, s = frame
+        xs, ys, s = frame
         cx, cy = self.center
-        x, y = ((cx + dx) - min_x + m) * s, (max_y - (cy + dy) + m) * s
         fill, stroke = _PAINT[self.style]
-        return (f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(self.radius * s)}" '
+        return (f'<circle cx="{xs[cx + dx]}" cy="{ys[cy + dy]}" r="{_fmt(self.radius * s)}" '
                 f'fill="{fill if self.filled else "none"}" {stroke}/>\n')
 
 
@@ -216,7 +233,7 @@ class ArcShape(_BoxPoints):
         return [point_on_circle(center, a.radius, ang) for ang in probes]
 
     def svg_element(self, frame: tuple, dx: float, dy: float) -> str:
-        min_x, max_y, m, s = frame
+        xs, ys, s = frame
         a = self.arc
         center = (a.center.x + dx, a.center.y + dy)
         p0 = point_on_circle(center, a.radius, a.start_angle)
@@ -224,9 +241,8 @@ class ArcShape(_BoxPoints):
         large = 1 if arc_extent(a) > 180.0 else 0
         sweep = 0 if a.orientation == CCW else 1  # y-flip inverts handedness
         r = _fmt(a.radius * s)
-        return (f'<path d="M {_fmt((p0.x - min_x + m) * s)} {_fmt((max_y - p0.y + m) * s)} '
-                f'A {r} {r} 0 {large} {sweep} '
-                f'{_fmt((p1.x - min_x + m) * s)} {_fmt((max_y - p1.y + m) * s)}" '
+        return (f'<path d="M {xs[p0.x]} {ys[p0.y]} A {r} {r} 0 {large} {sweep} '
+                f'{xs[p1.x]} {ys[p1.y]}" '
                 f'fill="none" {_PAINT[self.style][1]}/>\n')
 
 
@@ -240,7 +256,7 @@ class VectorScene:
     offsets: list = field(default_factory=list, init=False)
 
     def add_polyline(self, points, style: str) -> None:
-        self.primitives.append(Polyline(tuple(Point2(*p) for p in points), check_style(style)))
+        self.primitives.append(Polyline(_points(points, "polyline", style), check_style(style)))
 
     def add_circle(self, center, radius: float, style: str, filled: bool = False) -> None:
         self.primitives.append(Circle(Point2(*center), float(radius), check_style(style), filled))
@@ -249,7 +265,7 @@ class VectorScene:
         self.primitives.append(ArcShape(arc, check_style(style)))
 
     def add_polygon(self, points, style: str) -> None:
-        self.primitives.append(Polygon(tuple(Point2(*p) for p in points), check_style(style)))
+        self.primitives.append(Polygon(_points(points, "polygon", style), check_style(style)))
 
     def extend(self, other: "VectorScene") -> None:
         """Append `other`'s primitives, each keeping its offset."""
@@ -322,7 +338,9 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
         raise _non_finite(f"bounds {min_x!r}, {min_y!r}, {max_x!r}, {max_y!r}")
     if not (math.isfinite(width) and math.isfinite(height)):
         raise ValueError(f"the drawing is too large to write: page {width!r} x {height!r}")
-    frame = (min_x, max_y, m, s)  # y is flipped: the SVG y axis points down
+    # each distinct moved coordinate is formatted once per call; y is flipped,
+    # since the SVG y axis points down
+    frame = (_Texts(lambda x: (x - min_x + m) * s), _Texts(lambda y: (max_y - y + m) * s), s)
 
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
              f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

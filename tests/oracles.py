@@ -8,20 +8,22 @@ helpers, path simplicity from each element's ends and length taken one at a
 time, a belt built from all of its tangents, a naive belt-winding
 enumerator, an exhaustive fold enumerator, a fold
 check, a block fold search without cuts, a plain breadth-first search over
-slot contacts, and a layout that copies every primitive to its place.
+slot contacts, a layout that copies every primitive to its place, and an SVG
+writer that formats every number where it is written.
 """
 
 import math
 from fractions import Fraction
 from itertools import permutations, product
 
+from puzzlefonts import scene as scene_mod
 from puzzlefonts.conveyer import CCW, CW, BeltPath, canonical_spec, validate_belt
 from puzzlefonts.errors import DisconnectedPath
 from puzzlefonts.geometry import (
     CHAIN_TOL, TOL, Arc, Point2, Segment, _elements_meet, angle_of, arc_contains_angle,
-    element_end, element_length, element_start,
+    arc_extent, element_end, element_length, element_start, point_on_circle,
 )
-from puzzlefonts.scene import VectorScene
+from puzzlefonts.scene import ArcShape, Circle, Polygon, Polyline, VectorScene
 
 
 def segments_properly_interact(a, b, c, d) -> bool:
@@ -489,3 +491,77 @@ def copied_layout(scenes, spacing: float, scale: float = 1.0) -> VectorScene:
     if scale != 1.0:
         placed = [prim.mapped(scale, 0.0, 0.0) for prim in placed]
     return VectorScene(placed)
+
+
+def svg_by_primitive(scene: VectorScene) -> str:
+    """`emit_svg`'s document for a non-empty scene, every number formatted where it is written.
+
+    The reference for the writer's per-call texts: a polyline or polygon
+    formats all its points with one `%` on a joined `_COORD` template, tests
+    the whole text for a letter n (only a nan or inf formats with one) and
+    rewrites each number that rounds to -0; the page, circles and arcs format
+    each number alone.  It reads `_COORD`, `MARGIN` and `SCALE` when called,
+    so a test that patches them patches both writers, and takes the page from
+    the scene's own `bounds()`.
+    """
+    coord, m, s = scene_mod._COORD, scene_mod.MARGIN, scene_mod.SCALE
+
+    def non_finite(text):
+        return ValueError(f"refusing to write a non-finite coordinate: {text!r}")
+
+    def fmt(value):
+        text = coord % value
+        if "n" in text:
+            raise non_finite(text)
+        return "0.000000" if text == "-0.000000" else text
+
+    def page(x, y):
+        return fmt((x - min_x + m) * s), fmt((max_y - y + m) * s)
+
+    def points(prim, dx, dy):
+        coords = []
+        for x, y in prim.points:
+            coords += (((x + dx) - min_x + m) * s, (max_y - (y + dy) + m) * s)
+        text = " ".join([coord + "," + coord] * len(prim.points)) % tuple(coords)
+        if "n" in text:
+            raise non_finite(text)
+        return text.replace("-0.000000", "0.000000")
+
+    def element(prim, dx, dy):
+        fill, stroke = scene_mod._PAINT[prim.style]
+        if isinstance(prim, Polygon):
+            return (f'<polygon points="{points(prim, dx, dy)}" fill="{fill}" '
+                    f'fill-opacity="0.55" {stroke}/>\n')
+        if isinstance(prim, Polyline):
+            return f'<polyline points="{points(prim, dx, dy)}" fill="none" {stroke}/>\n'
+        if isinstance(prim, Circle):
+            cx, cy = page(prim.center.x + dx, prim.center.y + dy)
+            return (f'<circle cx="{cx}" cy="{cy}" r="{fmt(prim.radius * s)}" '
+                    f'fill="{fill if prim.filled else "none"}" {stroke}/>\n')
+        assert isinstance(prim, ArcShape)
+        a = prim.arc
+        center = (a.center.x + dx, a.center.y + dy)
+        x0, y0 = page(*point_on_circle(center, a.radius, a.start_angle))
+        x1, y1 = page(*point_on_circle(center, a.radius, a.end_angle))
+        large = 1 if arc_extent(a) > 180.0 else 0
+        sweep = 0 if a.orientation == CCW else 1
+        r = fmt(a.radius * s)
+        return (f'<path d="M {x0} {y0} A {r} {r} 0 {large} {sweep} {x1} {y1}" '
+                f'fill="none" {stroke}/>\n')
+
+    min_x, min_y, max_x, max_y = scene.bounds()
+    width = (max_x - min_x + 2 * m) * s
+    height = (max_y - min_y + 2 * m) * s
+    if math.isnan(width) or math.isnan(height):
+        raise non_finite(f"bounds {min_x!r}, {min_y!r}, {max_x!r}, {max_y!r}")
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"the drawing is too large to write: page {width!r} x {height!r}")
+    w, h = fmt(width), fmt(height)
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n',
+             f'<rect x="0" y="0" width="{w}" height="{h}" fill="{scene_mod.BACKGROUND}" '
+             f'stroke="none"/>\n']
+    parts += [element(prim, dx, dy) for dx, dy, run in scene.runs() for prim in run]
+    parts.append("</svg>\n")
+    return "".join(parts)

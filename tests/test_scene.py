@@ -1,12 +1,16 @@
 import math
+import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from puzzlefonts import scene
+from oracles import svg_by_primitive
+from puzzlefonts import fontdata, scene
 from puzzlefonts.errors import EmptyScene
 from puzzlefonts.geometry import CCW, CW, Arc, Point2
 from puzzlefonts.scene import SvgConfig, VectorScene, emit_svg
+from puzzlefonts.typeset import typeset
 
 
 def scene_with_bits():
@@ -57,12 +61,28 @@ def test_unknown_style_rejected():
         s.add_circle((0, 0), 1.0, "plaid")
 
 
+@pytest.mark.parametrize("add", [VectorScene.add_polyline, VectorScene.add_polygon],
+                         ids=["polyline", "polygon"])
+@pytest.mark.parametrize("points", [[], iter(())], ids=["list", "iterator"])
+def test_empty_point_list_is_refused(add, points):
+    # a polyline or polygon with no points has no box
+    s = VectorScene()
+    s.add_circle((0, 0), 1.0, "disk")
+    with pytest.raises(ValueError, match=r"^refusing an empty poly\w+ of style 'boundary'$"):
+        add(s, points, "boundary")
+    assert len(s.primitives) == 1
+    emit_svg(s)
+
+
+_NOT_FINITE = "^refusing to write a non-finite coordinate: "
+
+
 def test_nan_point_is_refused_not_written():
     # min and max skip a nan after the first point, so the page stays finite
     s = VectorScene()
     s.add_polyline([(0, 0), (float("nan"), 1)], "chain")
     assert not any(map(math.isnan, s.bounds()))
-    with pytest.raises(ValueError, match="^refusing to write a non-finite coordinate: "):
+    with pytest.raises(ValueError, match=_NOT_FINITE):
         emit_svg(s)
 
 
@@ -71,20 +91,27 @@ def test_nan_in_the_first_point_is_refused_as_a_coordinate():
     # is then nan, not infinite: the drawing is not too large
     s = VectorScene()
     s.add_polyline([(float("nan"), 0), (0, 1)], "chain")
-    with pytest.raises(ValueError, match="^refusing to write a non-finite coordinate: "):
+    with pytest.raises(ValueError, match=_NOT_FINITE):
         emit_svg(s)
 
 
-@pytest.mark.parametrize("add", [
-    lambda s: s.add_polygon([(0, 0), (1, 0), (1, float("inf"))], "piece"),
-    lambda s: s.add_circle((float("nan"), 0), 1.0, "disk"),
-    lambda s: s.add_circle((0, 0), float("nan"), "disk"),
-    lambda s: s.add_arc(Arc(Point2(float("nan"), 0), 1.0, 0.0, 90.0, CCW), "belt"),
-], ids=["inf polygon point", "nan circle center", "nan radius", "nan arc center"])
-def test_non_finite_primitive_after_finite_ones_is_refused(add):
+@pytest.mark.parametrize("add, message", [
+    # an inf widens the page to infinity, which is refused before any
+    # coordinate is written
+    (lambda s: s.add_polygon([(0, 0), (1, 0), (1, float("inf"))], "piece"),
+     "^the drawing is too large to write: "),
+    (lambda s: s.add_polygon([(1, 0), (float("nan"), 1)], "piece"), _NOT_FINITE),
+    (lambda s: s.add_polyline([(2, 2), (0, float("nan"))], "chain"), _NOT_FINITE),
+    (lambda s: s.add_circle((float("nan"), 0), 1.0, "disk"), _NOT_FINITE),
+    (lambda s: s.add_circle((0, 0), float("nan"), "disk"), _NOT_FINITE),
+    (lambda s: s.add_arc(Arc(Point2(float("nan"), 0), 1.0, 0.0, 90.0, CCW), "belt"), _NOT_FINITE),
+], ids=["inf polygon point", "nan x polygon", "nan y polyline", "nan circle center",
+        "nan radius", "nan arc center"])
+def test_non_finite_primitive_after_finite_ones_is_refused(add, message):
+    # every other coordinate of the last primitive was written before it
     s = scene_with_bits()
     add(s)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         emit_svg(s)
 
 
@@ -207,3 +234,136 @@ def test_bounds_cover_cw_arc_across_zero():
     assert min_x == pytest.approx(2.0)              # the 300 degree end
     assert max_y == pytest.approx(3.0)              # the 30 degree start
     assert min_y == pytest.approx(2.0 - 3 ** 0.5)   # the 300 degree end
+
+
+# The writer formats each distinct moved coordinate once per `emit_svg` call.
+# `svg_by_primitive` formats every number where it is written; the two must
+# agree byte for byte, at 6 decimals and at full precision ("%r").
+_PRECISIONS = pytest.mark.parametrize("coord", ["%.6f", "%r"], ids=["6-decimals", "repr"])
+
+
+def assert_writes_oracle(s):
+    svg = emit_svg(s)
+    assert svg == svg_by_primitive(s)
+    return svg
+
+
+def written_numbers(svg: str) -> list:
+    """Every number of the points and circle centers written, in order."""
+    return [v for text in re.findall(r'(?:points|cx|cy)="([^"]*)"', svg) for v in re.split("[ ,]", text)]
+
+
+@pytest.mark.parametrize("variant", ["solved", "puzzle"])
+@pytest.mark.parametrize("font", fontdata.FONT_IDS)
+def test_typeset_scenes_write_the_oracle(shipped, font, variant):
+    rng = random.Random(f"writer:{font}:{variant}")
+    lengths = iter([1, 16, rng.randint(2, 15), rng.randint(2, 15)])
+    for spacing in (-0.5, 0.0, 0.5, 2.0):
+        scale = rng.choice((0.5, 1.0, 2.0))
+        text = "".join(rng.choice("FILNOTUZ") for _ in range(next(lengths)))
+        result = typeset(shipped[font], text, variant, rng.randrange(2 ** 31), spacing, scale)
+        assert emit_svg(result.scene) == svg_by_primitive(result.scene), (text, spacing, scale)
+
+
+@_PRECISIONS
+def test_signed_zeros_at_signed_zero_offsets(coord, monkeypatch):
+    monkeypatch.setattr(scene, "_COORD", coord)
+    g = VectorScene()
+    g.add_polyline([(0.0, -0.0), (-0.0, 0.0), (1.0, -0.0), (-0.0, 1.0)], "chain")
+    g.add_polygon([(-0.0, -0.0), (0.5, 0.0), (0.0, 0.5)], "piece")
+    g.add_arc(Arc(Point2(0.0, -0.0), 0.5, 0.0, 90.0, CCW), "belt")
+    for circled in (False, True):  # a page corner at a signed zero, then not
+        if circled:
+            g.add_circle((-0.0, 0.0), 0.25, "disk")
+        s = VectorScene()
+        for dx, dy in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]:
+            s.extend(g.translated(dx, dy))
+        s.extend(g)  # and an unplaced tail
+        assert (s.bounds()[:2] == (0.0, 0.0)) is not circled
+        assert "-0.0" not in assert_writes_oracle(s)
+
+
+def test_pixels_just_below_zero_are_written_unsigned(monkeypatch):
+    # as in test_negative_zero_written_unsigned: margin -20 and scale 1 put x
+    # at x - 20 and y at 10 - y on a [0, 30] x [0, 30] page
+    monkeypatch.setattr(scene, "MARGIN", -20.0)
+    monkeypatch.setattr(scene, "SCALE", 1.0)
+    below = [20.0 - 4.999e-7, 20.0 - 4e-7, 20.0 - 1e-9, math.nextafter(20.0, 0.0)]
+    s = VectorScene()
+    s.add_polyline(_FRAME, "guide")
+    s.add_polyline([(x, 30.0 - x) for x in below], "chain")
+    s.add_polygon([(x, 30.0 - x) for x in reversed(below)], "piece")
+    s.add_circle((below[1], 30.0 - below[1]), 1.0, "disk")
+    pixels = [(x - 0.0 - 20.0) * 1.0 for x in below]
+    assert all(-5e-7 < v < 0 for v in pixels)
+    svg = assert_writes_oracle(s)
+    assert written_numbers(svg)[4:] == ["0.000000"] * (4 * len(below) + 2)
+
+
+@_PRECISIONS
+def test_one_coordinate_from_different_offsets(coord, monkeypatch):
+    monkeypatch.setattr(scene, "_COORD", coord)
+    assert 0.1 + 0.2 == 0.30000000000000004
+
+    def line(*points):
+        g = VectorScene()
+        g.add_polyline(points, "chain")
+        return g
+
+    s = line((0.0, 0.0), (2.0, 2.0))
+    # each run reaches the moved point (0.75, 0.30000000000000004)
+    s.extend(line((0.5, 0.1)).translated(0.25, 0.2))
+    s.extend(line((0.25, 0.2)).translated(0.5, 0.1))
+    s.extend(line((1.0, 0.30000000000000004)).translated(-0.25, 0.0))
+    s.add_polyline([(0.75, 0.1 + 0.2)], "chain")
+    numbers = written_numbers(assert_writes_oracle(s))
+    assert numbers[4:] == numbers[4:6] * 4
+
+
+@_PRECISIONS
+def test_values_one_ulp_apart(coord, monkeypatch):
+    monkeypatch.setattr(scene, "_COORD", coord)
+    up = math.nextafter(1.0, 2.0)
+    s = VectorScene()
+    # 1.0 is the page's corner, so up - min_x is exact and the page keeps
+    # 1.0 and up apart
+    s.add_polyline([(1.0, 1.0), (up, up), (1.0, up), (up, 1.0), (2.0, 2.0)], "chain")
+    s.extend(s.translated(up - 1.0, 0.0))
+    numbers = written_numbers(assert_writes_oracle(s))
+    if coord == "%r":
+        assert numbers[0] != numbers[2] and numbers[1] != numbers[3]
+
+
+@_PRECISIONS
+def test_one_scene_placed_in_several_runs(coord, monkeypatch):
+    monkeypatch.setattr(scene, "_COORD", coord)
+    glyph = scene_with_bits()
+    glyph.add_arc(Arc(Point2(1, 2), 2.0, 30.0, 300.0, CW), "belt")
+    s = VectorScene()
+    for dx, dy in [(0.0, 0.0), (3.0, 0.0), (-2.5, 1e-7), (1 / 3, -2 / 3), (3.0, 0.0)]:
+        s.extend(glyph.translated(dx, dy))
+    assert_writes_oracle(s)
+
+
+def test_a_coordinate_text_is_formatted_only_if_finite():
+    # an inf coordinate widens the page to infinity, which is refused before
+    # any coordinate is written, so the texts meet one only directly
+    texts = scene._Texts(lambda v: v * 2.0)
+    assert texts[1.0] == "2.000000"
+    for bad in (math.inf, -math.inf, math.nan):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=_NOT_FINITE):
+                texts[bad]
+    assert texts == {1.0: "2.000000"}
+
+
+def test_calls_in_a_row_do_not_share_texts():
+    # the same moved coordinate lies elsewhere on each page
+    a = VectorScene()
+    a.add_polyline([(0, 0), (1, 1)], "chain")
+    a.add_circle((1, 1), 0.5, "disk")
+    b = VectorScene()
+    b.add_polyline([(-1, -2), (0, 0), (1, 1)], "chain")
+    b.add_arc(Arc(Point2(0, 0), 1.0, 0.0, 90.0, CCW), "belt")
+    for s in (a, b, a.translated(0.5, 0.0), a):
+        assert_writes_oracle(s)
