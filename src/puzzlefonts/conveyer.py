@@ -29,6 +29,10 @@ from .geometry import (
 DEFAULT_BUDGET = 12_000_000
 
 FINGERPRINT_QUANTUM = 1e-6  # coordinate step of a configuration fingerprint
+# The belt checks' tolerances: absolute distances for unit disks, in the set's frame.
+CLEARANCE_TOL = 1e-9     # how far a tangent segment may reach into a disk
+JUNCTION_GAP_TOL = 1e-7  # how far one element's end may be from the next one's start
+TURN_TOL = 1e-9          # how far from 0 the cross product of a junction's headings may be
 
 
 class _Checked(tuple):
@@ -48,24 +52,28 @@ class _Winding(tuple):
 
 
 def check_disk_set(centers) -> tuple:
-    """The centers as points, if finite, more than 2 + TOL apart and no pair
-    so far apart that its distance overflows (every belt on it would be nan).
+    """The centers in the set's frame, if finite, more than 2 + TOL apart and
+    no pair so far apart that its distance overflows (every belt would be nan).
 
-    The strict gap is also the crossing tangent's precondition, so every
-    winding over a checked set realizes.  The points come back as a tuple
-    that this function returns unchanged when given it again, so a set is
-    checked once however many belts are built on it; any other input, a
-    plain tuple of the same points included, is checked in full.  The tuple
-    starts with no legs: each is built by the first belt that runs along it
-    and kept as long as the tuple lives (at most 4n(n-1) of them).
+    The frame is the set moved to its min corner, (min x, min y) subtracted
+    once; every belt check judges it, the gap here included, so no belt
+    depends on where its set sits.  The strict gap is also the crossing
+    tangent's precondition, so every winding over a checked set realizes.
+    The points come back as a tuple that this function returns unchanged
+    when given it again, so a set is checked once however many belts are
+    built on it; any other input, a plain tuple of the same points included,
+    is checked in full.  The tuple starts with no legs: each is built by the
+    first belt that runs along it and kept as long as the tuple lives (at
+    most 4n(n-1) of them).
     """
     if type(centers) is _Checked:
         return centers
-    pts = _Checked(Point2(float(x), float(y)) for x, y in centers)
+    given = [(float(x), float(y)) for x, y in centers]
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in given):
+        raise ValueError("disk center coordinates must be finite")
+    min_x, min_y = map(min, zip(*given)) if given else (0.0, 0.0)
+    pts = _Checked(Point2(x - min_x, y - min_y) for x, y in given)
     pts.legs = {}
-    for p in pts:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise ValueError("disk center coordinates must be finite")
     for i, (x, y) in enumerate(pts):
         for j in range(i + 1, len(pts)):
             d = math.hypot(x - pts[j].x, y - pts[j].y)
@@ -139,11 +147,11 @@ def compute_belt(centers, winding) -> BeltPath:
     disk is wrapped CCW and on the left when CW.  Each disk contributes one
     arc from its incoming to its outgoing tangent point, swept in its own
     orientation, followed by its outgoing tangent.  The path holds those
-    elements and the winding's disk indices as `disk_of_arc`.  A set that
-    `check_disk_set` returned is not checked again, nor is a winding that
-    `iter_belts` made; any other set or winding is.  Each tangent with its
-    two arc angles is taken from the set's `legs`, built there the first
-    time a belt needs it.
+    elements, in the set's frame (see `check_disk_set`), and the winding's
+    disk indices as `disk_of_arc`.  A set that `check_disk_set` returned is
+    not checked again, nor is a winding that `iter_belts` made; any other
+    set or winding is.  Each tangent with its two arc angles is taken from
+    the set's `legs`, built there the first time a belt needs it.
     """
     disks = check_disk_set(centers)
     w = check_spec(winding, len(disks))
@@ -195,21 +203,18 @@ def _heading(el, at_end: bool) -> Point2:
 
 
 def _junctions_c1(elements) -> bool:
-    n = len(elements)
-    for k in range(n):
-        e1 = elements[k]
-        e2 = elements[(k + 1) % n]
-        if dist(element_end(e1), element_start(e2)) > 1e-7:
+    for e1, e2 in zip(elements, elements[1:] + elements[:1]):
+        if dist(element_end(e1), element_start(e2)) > JUNCTION_GAP_TOL:
             return False
         d1, d2 = _heading(e1, True), _heading(e2, False)
-        if abs(cross(d1, d2)) > 1e-9 or dot(d1, d2) <= 0.0:
+        if abs(cross(d1, d2)) > TURN_TOL or dot(d1, d2) <= 0.0:
             return False
     return True
 
 
 def _clears(disks, seg) -> bool:
     """The segment enters no disk; tangency contacts do not count."""
-    return all(point_segment_distance(c, seg.a, seg.b) >= 1.0 - 1e-9 for c in disks)
+    return all(point_segment_distance(c, seg.a, seg.b) >= 1.0 - CLEARANCE_TOL for c in disks)
 
 
 def _avoids_interiors(disks, elements) -> bool:
@@ -240,15 +245,8 @@ def canonical_spec(winding) -> tuple:
     backwards).
     """
     w = _entries(winding)
-    n = len(w)
-    best = None
     rev = tuple((i, -o) for i, o in reversed(w))
-    for cand in (w, rev):
-        for r in range(n):
-            rot = cand[r:] + cand[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
+    return min((cand[r:] + cand[:r] for cand in (w, rev) for r in range(len(w))), default=None)
 
 
 def iter_belts(centers, budget: int = DEFAULT_BUDGET):
@@ -265,9 +263,6 @@ def iter_belts(centers, budget: int = DEFAULT_BUDGET):
     share its legs, so each oriented tangent is built once per call; each
     candidate winding is made valid here and not checked again by its build.
     Raises BudgetExceeded when more than `budget` candidates would be built.
-    Results are reliable near the origin: the search's tolerances are
-    absolute, so a set placed far out (about 1e8 away) can lose its belts,
-    and a puzzle reader translates a set to its min corner before searching.
     """
     disks = check_disk_set(centers)
     n = len(disks)
@@ -318,17 +313,14 @@ def solve_belt(centers, budget: int = DEFAULT_BUDGET) -> list[tuple]:
 
 
 def fingerprint(centers) -> tuple:
-    """Translation-normalized, sorted, quantized key of a disk configuration.
+    """Sorted, quantized key of a disk configuration: its frame's points.
 
-    Raises ValueError when a quantized offset overflows the float range, as
-    for disks about 1e308 apart.
+    Raises ValueError when a quantized coordinate overflows the float range,
+    as for disks more than about 1e302 apart.
     """
-    disks = check_disk_set(centers)
-    min_x = min(p.x for p in disks)
-    min_y = min(p.y for p in disks)
     key = []
-    for p in disks:
-        qx, qy = (p.x - min_x) / FINGERPRINT_QUANTUM, (p.y - min_y) / FINGERPRINT_QUANTUM
+    for p in check_disk_set(centers):
+        qx, qy = p.x / FINGERPRINT_QUANTUM, p.y / FINGERPRINT_QUANTUM
         if not (math.isfinite(qx) and math.isfinite(qy)):
             raise ValueError("disk centers are too far apart to fingerprint")
         key.append((round(qx), round(qy)))

@@ -472,7 +472,9 @@ class _Linkage(FontKind):
 
 
 def _conveyer_scene(disks, belt) -> VectorScene:
-    """The disks, and the belt of `belt` around them unless it is None."""
+    """The disks; with a belt, the belt too, and both drawn in the set's frame."""
+    if belt is not None:
+        disks = conveyer.check_disk_set(disks)
     scene = VectorScene()
     for c in disks:
         scene.add_circle(c, 1.0, "disk", filled=True)
@@ -546,13 +548,16 @@ class _Conveyer(FontKind):
 
         The search takes the first belt it finds: a letter needs only one.  A
         configuration is searched once per reader, however often it repeats,
-        and only after it has matched a letter.  It is searched moved to its
-        min corner, as its fingerprint is taken: a belt does not depend on
-        where the set sits, but the search's tolerances are absolute.
+        and only after it has matched a letter.  A font glyph that is not a
+        valid disk set raises ValueError, naming the glyph.
         """
         by_print: dict = {}
-        for ch, rec in font_fd.glyphs.items():
-            by_print.setdefault(conveyer.fingerprint(rec.disks), []).append(ch)
+        for ch, rec in sorted(font_fd.glyphs.items()):
+            try:
+                fp = conveyer.fingerprint(rec.disks)
+            except ValueError as exc:
+                raise ValueError(f"font glyph {ch!r}: {exc}") from exc
+            by_print.setdefault(fp, []).append(ch)
         has_belt: dict = {}
 
         def read(rec):
@@ -567,12 +572,6 @@ class _Conveyer(FontKind):
             if len(letters) > 1:
                 raise AmbiguousSolution(f"matches letters {letters}")
             if fp not in has_belt:
-                min_x = min(x for x, _ in disks)
-                min_y = min(y for _, y in disks)
-                try:
-                    disks = conveyer.check_disk_set([(x - min_x, y - min_y) for x, y in disks])
-                except ValueError:  # moving rounds: disks within ulps of touching stay put
-                    pass
                 has_belt[fp] = next(conveyer.iter_belts(disks), None) is not None
             if not has_belt[fp]:
                 raise NoSolution("no valid belt exists")

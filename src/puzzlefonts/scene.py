@@ -259,7 +259,10 @@ class VectorScene:
         self.primitives.append(Polyline(_points(points, "polyline", style), check_style(style)))
 
     def add_circle(self, center, radius: float, style: str, filled: bool = False) -> None:
-        self.primitives.append(Circle(Point2(*center), float(radius), check_style(style), filled))
+        radius = float(radius)
+        if radius < 0.0:
+            raise ValueError(f"refusing a circle of style {style!r} with negative radius {radius!r}")
+        self.primitives.append(Circle(Point2(*center), radius, check_style(style), filled))
 
     def add_arc(self, arc: Arc, style: str) -> None:
         self.primitives.append(ArcShape(arc, check_style(style)))

@@ -168,11 +168,13 @@ class TestLegs:
         # every winding up to rotation (first entry on disk 0, either way
         # round) of the shipped letters, of sets on signed zeros and of
         # seeded sets, half of their disks within 1e-6 of touching; repr
-        # shows every bit, and the sign of a zero
+        # shows every bit, and the sign of a zero.  The oracle is given the
+        # set's frame; the second signed-zero set keeps x = -0.0 there
         rng = random.Random(28)
         sets = [rec.disks for _ch, rec in sorted(shipped["conveyer"].glyphs.items())]
         sets += [[(-0.0, -0.0), (4.0, -0.0), (-0.0, 3.0)],
                  [(0.0, -0.0), (-0.0, 5.0), (3.0, -0.0), (3.0, 5.0)]]
+        assert repr(check_disk_set(sets[-1])[1].x) == "-0.0"
         sets += [_near_touching_disks(rng, 2 + k % 4, 90.0 if k % 3 == 0 else 9.0)
                  for k in range(24)]
         belts = 0
@@ -183,13 +185,14 @@ class TestLegs:
                         for orients in itertools.product((CCW, CW), repeat=n)]
             # one checked set per order; plain tuples build their legs anew
             forward, backward = check_disk_set(disks), check_disk_set(disks)
-            expected = [repr(belt_by_tangents(disks, w)) for w in windings]
+            frame = tuple(forward)
+            expected = [repr(belt_by_tangents(frame, w)) for w in windings]
             assert [repr(compute_belt(forward, w)) for w in windings] == expected, disks
             assert [repr(compute_belt(backward, w)) for w in reversed(windings)] \
                 == expected[::-1], disks
             assert forward.legs == backward.legs and len(forward.legs) == 4 * n * (n - 1)
             for w in windings[::max(1, len(windings) // 16)]:
-                assert repr(compute_belt(tuple(disks), w)) == repr(belt_by_tangents(disks, w))
+                assert repr(compute_belt(tuple(disks), w)) == repr(belt_by_tangents(frame, w))
             belts += len(windings)
         assert belts >= 10_000
 
@@ -423,6 +426,52 @@ class TestCanonicalization:
         a = canonical_spec([(0, CCW), (1, CCW), (2, CCW)])
         b = canonical_spec([(0, CCW), (1, CW), (2, CCW)])
         assert a != b
+
+
+_FAR = [sign * d for d in (1e6, 1e8, 1e10, 1e12) for sign in (1, -1)]
+
+
+def _moved(disks, d):
+    return [(x + d, y + d) for x, y in disks]
+
+
+def _belts_or_refusal(disks):
+    try:
+        return solve_belt(disks)
+    except ValueError as exc:  # only check_disk_set's refusal
+        assert str(exc).endswith("are not disjoint"), exc
+        return str(exc)
+
+
+class TestFrame:
+    """A set is judged in its frame, so its belts do not depend on where it sits."""
+
+    @pytest.mark.parametrize("d", _FAR)
+    def test_letters_moved_far_keep_their_belts(self, shipped, d):
+        for ch, rec in sorted(shipped["conveyer"].glyphs.items()):
+            moved = _moved(rec.disks, d)
+            assert solve_belt(moved) == solve_belt(rec.disks), ch
+            assert validate_belt(moved, rec.belt).all_ok, ch
+
+    def test_seeded_sets_moved_far_match_themselves_moved_back(self):
+        # each set is compared with itself moved back to its min corner, so
+        # rounding in the move does not count; a near-touching set that the
+        # move rounds into touching is refused on both sides alike
+        rng = random.Random(33)
+        searched = 0
+        for i, d in enumerate(_FAR):
+            for j, n in enumerate((2, 3, 4, 5) * 3 + (6, 2)):
+                near = (i + j) % 2 == 0
+                disks = _near_touching_disks(rng, n, 9.0) if near else _random_disjoint_disks(rng, n)
+                moved = _moved(disks, d)
+                min_x, min_y = min(x for x, _ in moved), min(y for _, y in moved)
+                got = _belts_or_refusal(moved)
+                assert got == _belts_or_refusal([(x - min_x, y - min_y) for x, y in moved]), moved
+                if isinstance(got, str):
+                    assert near and abs(d) >= 1e8, (moved, got)
+                else:
+                    searched += 1
+        assert searched >= 100
 
 
 class TestFingerprint:

@@ -414,22 +414,26 @@ class TestSegmentArcAndPathForms:
         assert set(verdicts) == {"True", "False", "DisconnectedPath"}, verdicts
 
     def test_every_winding_of_the_letters_as_reference(self, shipped):
-        # far out, at (1e10, 1e10), the belts of L and Z do not chain within
-        # CHAIN_TOL, so the chain check is not redundant on built belts
+        # L and Z moved to (1e10, 1e10) are judged in their own frame, so
+        # their belts chain there and get the verdicts they get at the origin
         from puzzlefonts.conveyer import compute_belt
-        letters = [rec.disks for _ch, rec in sorted(shipped["conveyer"].glyphs.items())]
-        far = [[(x + 1e10, y + 1e10) for x, y in shipped["conveyer"].glyphs[ch].disks]
-               for ch in "LZ"]
-        disconnected = 0
-        for disks in letters + far:
+        glyphs = shipped["conveyer"].glyphs
+        sets = {ch: rec.disks for ch, rec in sorted(glyphs.items())}
+        sets.update({"far " + ch: [(x + 1e10, y + 1e10) for x, y in glyphs[ch].disks]
+                     for ch in "LZ"})
+        verdicts = {}
+        for name, disks in sets.items():
             n = len(disks)
+            verdicts[name] = []
             for perm in itertools.permutations(range(1, n)):
                 for orients in itertools.product((CCW, CW), repeat=n):
                     path = compute_belt(disks, list(zip((0,) + perm, orients))).elements
                     expected = _verdict(path_is_simple_by_elements, path)
                     assert _verdict(path_is_simple, path) == expected, (disks, perm, orients)
-                    disconnected += expected.startswith("DisconnectedPath")
-        assert disconnected > 0
+                    verdicts[name].append(expected)
+        for ch in "LZ":
+            assert verdicts["far " + ch] == verdicts[ch]
+            assert not any(v.startswith("DisconnectedPath") for v in verdicts["far " + ch])
 
 
 class TestArcs:

@@ -74,6 +74,19 @@ def test_empty_point_list_is_refused(add, points):
     emit_svg(s)
 
 
+@pytest.mark.parametrize("radius", [-1.0, -1e-300, float("-inf")])
+def test_negative_radius_is_refused(radius):
+    # SVG has no circle of negative radius; a zero one of either sign is drawn
+    s = VectorScene()
+    with pytest.raises(ValueError, match=r"^refusing a circle of style 'disk' with negative radius "):
+        s.add_circle((0, 0), radius, "disk")
+    assert s.primitives == []
+    s.add_circle((0, 0), 0.0, "disk")
+    s.add_circle((1, 0), -0.0, "disk")
+    assert [c.radius for c in s.primitives] == [0.0, -0.0]
+    assert emit_svg(s).count(' r="0.000000"') == 2
+
+
 _NOT_FINITE = "^refusing to write a non-finite coordinate: "
 
 

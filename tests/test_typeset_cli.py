@@ -381,15 +381,28 @@ class TestSolvePuzzle:
         assert [repr(tuple(d)) for d in searched] == \
             [repr(tuple(rec.disks)) for _key, rec in sorted(puzzle.glyphs.items())]
 
-    def test_disks_that_touch_once_moved_are_searched_where_they_are(self, shipped):
-        # 1 and 2 are 2 + TOL apart plus an ulp, and moving rounds that away
+    def test_disks_that_touch_in_their_frame_are_refused_alike(self, shipped):
+        # 1 and 2 are 2 + TOL apart plus an ulp, and the move to the frame
+        # rounds that away: the check, validation and the reader all refuse it
         from puzzlefonts.conveyer import check_disk_set
         disks = ((-0.41174908989607967, 0.0), (2.4660180792803144, 5.0), (4.466018080280315, 5.0))
-        with pytest.raises(ValueError, match="disks 1 and 2 are not disjoint"):
-            check_disk_set([(x - disks[0][0], y) for x, y in disks])
+        with pytest.raises(ValueError, match="^disks 1 and 2 are not disjoint$"):
+            check_disk_set(disks)
         font = fontdata.FontData("conveyer", 1, {"A": fontdata.ConveyerRecord(disks=disks)})
+        assert fontdata.validate(font).issues == ["glyph 'A': disks 1 and 2 are not disjoint"]
         puzzle = fontdata.FontData("conveyer", 1, {"0": fontdata.ConveyerRecord(disks=disks)})
-        assert solve_puzzle(font, puzzle).text == "A"
+        with pytest.raises(ValueError, match="^font glyph 'A': disks 1 and 2 are not disjoint$"):
+            solve_puzzle(font, puzzle)
+
+    def test_bad_font_glyph_is_named_not_the_puzzle(self, shipped):
+        # the font's glyphs are fingerprinted in sorted order; B is never reached
+        font = fontdata.FontData("conveyer", 1, {
+            "A": _disks((0.0, 0.0), (1.0, 0.0)), "B": _disks((0.0, 0.0), (0.5, 0.0)),
+            "I": shipped["conveyer"].glyphs["I"]})
+        puzzle = typeset(shipped["conveyer"], "I", "puzzle").puzzle_data
+        with pytest.raises(ValueError) as err:
+            solve_puzzle(font, puzzle)
+        assert str(err.value) == "font glyph 'A': disks 0 and 1 are not disjoint"
 
     @pytest.mark.parametrize("letter", "FILNOTUZ")
     def test_reordered_disks_same_solution_sheet(self, shipped, letter):
@@ -530,6 +543,37 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "puzzlefonts.cli", "solve", str(puzzle)],
                               capture_output=True, text=True)
         assert proc.returncode == 1 and "Traceback" not in proc.stderr
+
+    def test_bad_font_glyph_exit_1_naming_the_glyph(self, tmp_path, capsys):
+        fonts = tmp_path / "fonts"
+        fonts.mkdir()
+        (fonts / "conveyer.pft").write_text("font conveyer 1\nglyph A\ndisk 0 0\ndisk 1 0\n")
+        puzzle = tmp_path / "p.pft"
+        puzzle.write_text("font conveyer 1\nglyph 0\ndisk 0 0\ndisk 0 4\n")
+        assert run_cli(["solve", str(puzzle), "--font-dir", str(fonts)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: font glyph 'A': disks 0 and 1 are not disjoint\n"
+
+    def test_font_and_puzzle_moved_far_validate_and_solve(self, tmp_path, capsys):
+        # every disk line of the shipped font and of a FILNOTUZ puzzle moved
+        # by 1e8, as the CI step writes them
+        def moved(text):
+            return "".join("disk %r %r\n" % tuple(float(v) + 1e8 for v in line.split()[1:])
+                           if line.startswith("disk ") else line
+                           for line in text.splitlines(keepends=True))
+        fonts = tmp_path / "fonts"
+        fonts.mkdir()
+        font = fonts / "conveyer.pft"
+        font.write_text(moved(fontdata.find_font_file("conveyer").read_text()))
+        assert "disk 100000000.0 100000000.0\n" in font.read_text()
+        assert run_cli(["validate", str(font)]) == 0
+        assert capsys.readouterr().out == f"{font}: ok\n"
+        puzzle, far = tmp_path / "p.pft", tmp_path / "far8.pft"
+        assert run_cli(["typeset", "FILNOTUZ", "--font", "conveyer", "--variant", "puzzle",
+                        "--out", str(tmp_path / "p.svg"), "--puzzle-out", str(puzzle)]) == 0
+        far.write_text(moved(puzzle.read_text()))
+        assert run_cli(["solve", str(far), "--font-dir", str(fonts)]) == 0
+        assert capsys.readouterr().out == "FILNOTUZ\n"
 
     def test_validate_json_lines(self, tmp_path, capsys):
         bad = tmp_path / "bad.pft"
