@@ -261,21 +261,24 @@ def stays_connected(near, free: int, removed: int) -> bool:
     return not reach & ~_flood(near, free, reach & -reach, reach)
 
 
-def _fillable(meets, partners, free: int) -> bool:
+def _fillable(meets, partners, free: int, removed: int) -> bool:
     """Whether every component of the `free` cells under `partners` has an
     even number of cells and the cells are one component under `meets`.
 
-    Every pair of partners meets, so one component under `partners` is one
-    under `meets` too, and only two or more need the second flood.
+    `free | removed` must pass and `removed` be two partners.  Then only
+    their component changes: each of its pieces holds a free partner of
+    theirs, and each flood stops once it has every one not yet reached; the
+    last piece is even if the others are.  Under `meets` two pieces are
+    disconnected; else `stays_connected` answers the second question.
     """
-    rest, parts = free, 0
-    while rest:
-        part = _flood(partners, rest, rest & -rest, rest)
-        if part.bit_count() & 1:
+    low = removed & -removed
+    reach = (partners[low.bit_length() - 1] | partners[(removed ^ low).bit_length() - 1]) & free
+    while reach:
+        piece = _flood(partners, free, reach & -reach, reach)
+        reach &= ~piece
+        if reach and (partners is meets or piece.bit_count() & 1):
             return False
-        rest ^= part
-        parts += 1
-    return parts < 2 or _flood(meets, free, free & -free, free) == free
+    return partners is meets or stays_connected(meets, free, removed)
 
 
 class _Stop(Exception):
@@ -293,9 +296,11 @@ def fold_chain(chain: HingedChain, cells, budget: int = DEFAULT_BUDGET,
     a point, edge pairs first.  A level cuts a pair that leaves free cells
     no blocks could fill: a component of odd size under the level's pairing
     (each block fills one pair), or parts that share no vertex (consecutive
-    blocks meet at a vertex or at the midpoint of a shared edge).  When
-    neither level folds, or the chain's length is not a multiple of 8, the
-    walk that places one piece per node (`_walk`) searches the whole space.
+    blocks meet at a vertex or at the midpoint of a shared edge).  The free
+    cells before the pair passed, so the cut is decided from theirs, by
+    floods around the pair alone.  When neither level folds, or the chain's
+    length is not a multiple of 8, the walk that places one piece per node
+    (`_walk`) searches the whole space.
     One budget counts the blocks placed and the walk's nodes.  Every stage
     is a fixed-order search whose outcome the budget does not steer, so
     every budget that reaches a fold returns the same one.  A fold is a
@@ -377,7 +382,9 @@ def _fold_blocks(chain: HingedChain, glyph: RefinedGlyph, budget: int) -> tuple:
     (once per set of cells used): later blocks fill them pair by pair, so
     no component under the level's pairing may be odd, and each block meets
     the next at a slot corner, a vertex or shared edge midpoint of both, so
-    they must stay connected through shared vertices.  A (cells used, exit
+    they must stay connected through shared vertices.  The cut is decided
+    from the parent's free set, which passed (as does the whole glyph: it
+    is edge-connected, with an even number of cells).  A (cells used, exit
     point) state fixes the rest of the search, so one whose subtree held no
     fold is remembered and skipped when met again; each level keeps its own.
     Each block placed is one node.
@@ -415,7 +422,11 @@ def _fold_blocks(chain: HingedChain, glyph: RefinedGlyph, budget: int) -> tuple:
             if used & mask:
                 continue
             now = used | mask
-            if not fillable(full ^ now):
+            free = full ^ now
+            ok = fillable.get(free)
+            if ok is None:
+                ok = fillable[free] = _fillable(meets, partners, free, mask)
+            if not ok:
                 continue
             start = None if entry is None else (entry[0] - x, entry[1] - y)
             for end, block in _block_table(shape, block_shape, start):
@@ -439,7 +450,7 @@ def _fold_blocks(chain: HingedChain, glyph: RefinedGlyph, budget: int) -> tuple:
                                                     (edge_pairs + point_pairs, meets)), 1):
             touching: dict = {}  # entry point -> the level's pairs with a cell there
             dead: set = set()  # states whose subtree held no fold
-            fillable = functools.cache(functools.partial(_fillable, meets, partners))
+            fillable: dict = {}  # cells left free -> whether `_fillable` passed them
             if extend(0, 0, None):
                 return tuple(qs[i] for qs, block in placed for i in block), nodes
         return None, nodes

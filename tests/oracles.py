@@ -8,7 +8,8 @@ helpers, path simplicity from each element's ends and length taken one at a
 time, a belt built from all of its tangents, a naive belt-winding
 enumerator, an exhaustive fold enumerator, a fold
 check, a block fold search without cuts, a plain breadth-first search over
-slot contacts, a layout that copies every primitive to its place, and an SVG
+slot contacts, a check of the free cells a block search leaves from the whole
+set, a layout that copies every primitive to its place, and an SVG
 writer that formats every number where it is written.
 """
 
@@ -472,6 +473,33 @@ def slots_connected(slots_points, members) -> bool:
                     seen.add(j)
                     queue.append(j)
     return seen == members
+
+
+def fillable_from_scratch(meets, partners, free) -> bool:
+    """Whether later blocks could still fill the `free` cells, from the whole set.
+
+    `meets` and `partners` hold one bitmask of neighbour cells per cell and
+    `free` is a bitmask of cells.  Every component of the free cells under
+    `partners` must hold an even number of cells, and the free cells must be
+    one component under `meets` (no free cells count as one).
+    """
+    members = {i for i in range(len(meets)) if free >> i & 1}
+
+    def components(adjacent):
+        left, found = set(members), []
+        while left:
+            seen, queue = set(), [min(left)]
+            while queue:
+                i = queue.pop()
+                if i not in seen:
+                    seen.add(i)
+                    queue += [j for j in left if adjacent[i] >> j & 1]
+            found.append(seen)
+            left -= seen
+        return found
+
+    return (all(len(part) % 2 == 0 for part in components(partners))
+            and len(components(meets)) <= 1)
 
 
 def copied_layout(scenes, spacing: float, scale: float = 1.0) -> VectorScene:

@@ -15,8 +15,8 @@ from puzzlefonts.hinged import (
     verify_fold,
 )
 from oracles import (
-    block_folds, cell_placements, cell_vertices, exhaustive_fold_exists, fold_is_valid,
-    plain_block_fold, slots_connected,
+    block_folds, cell_placements, cell_vertices, exhaustive_fold_exists, fillable_from_scratch,
+    fold_is_valid, plain_block_fold, slots_connected,
 )
 
 ALT = (("Q", "P"), ("R", "P"))
@@ -410,6 +410,38 @@ class TestBlockLevels:
                 cells, chain.hinges[:2])
             folded += fold is not None
         assert 20 <= folded <= 40
+
+    def test_cut_from_the_parent_matches_the_whole_set(self, shipped, monkeypatch):
+        # `_fillable` checks each new free set from its parent's, around the
+        # pair just placed; the oracle checks the whole set, and the parent
+        # must pass it, as the incremental check assumes
+        calls, check = [], hinged._fillable
+
+        def recorded(meets, partners, free, removed):
+            answer = check(meets, partners, free, removed)
+            calls.append((meets, partners, free, removed, answer))
+            return answer
+
+        monkeypatch.setattr(hinged, "_fillable", recorded)
+        chain = shipped["hinged"].chain
+        cases = [(chain, refine(cells, 32)) for cells in shipped_targets(shipped).values()]
+        cases += [(chain, refine(cells)) for cells, chain in random_block_glyphs()]
+        cases += [(HingedChain.cyclic(4 * len(BLOCK_SHAPES[shape]), BLOCK_CHAINS[pattern]),
+                   refine(BLOCK_SHAPES[shape]))
+                  for shape in sorted(BLOCK_SHAPES) for pattern in sorted(BLOCK_CHAINS)]
+        outcomes = set()
+        for chain, glyph in cases:
+            calls.clear()
+            _fold_blocks(chain, glyph, 10**6)
+            for meets, partners, free, removed, answer in calls:
+                assert meets is glyph.meets and partners in (glyph.edges, glyph.meets)
+                a, b = (i for i in range(len(meets)) if removed >> i & 1)
+                assert not free & removed and partners[a] >> b & 1
+                assert fillable_from_scratch(meets, partners, free | removed)
+                assert answer == fillable_from_scratch(meets, partners, free), (
+                    glyph.cells, free, removed)
+                outcomes.add((partners is meets, answer))
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_level_1_blocks_may_meet_at_a_shared_vertex_only(self):
         # an L of three squares, folded at level 1 corner square first: the

@@ -355,8 +355,8 @@ class TestSolvePuzzle:
 
     @pytest.mark.parametrize("offset", [1e8, 1e9])
     def test_puzzle_far_from_the_origin_decodes(self, shipped, offset):
-        # the search's tolerances are absolute: searched where they sit, F,
-        # T, U and Z have no belt
+        # every conveyer check reads the set's own frame, so a moved puzzle
+        # decodes like the unmoved one
         font = shipped["conveyer"]
         puzzle = typeset(font, "FILNOTUZ", "puzzle").puzzle_data
         assert solve_puzzle(font, _moved_puzzle(puzzle, offset)).text == "FILNOTUZ"
