@@ -26,6 +26,13 @@ STRAND_STYLES = ("strand_a", "strand_b", "strand_c", "strand_d", "strand_e", "st
 MAX_LENGTH = 64.0  # side views take length * samples_per_unit samples per strand
 
 
+def _finite(record, *names) -> None:
+    """Refuse a nan or inf field; a range check compares false against a nan."""
+    for name in names:
+        if not math.isfinite(getattr(record, name)):
+            raise FieldError(name, f"{name} must be finite, got {getattr(record, name)!r}")
+
+
 @dataclass(frozen=True)
 class Subcane:
     rho: float     # radial offset of the strand center, in [0, 1)
@@ -34,6 +41,7 @@ class Subcane:
     color: str     # one of STRAND_STYLES
 
     def __post_init__(self):
+        _finite(self, "rho", "phi", "radius")
         if not 0.0 <= self.rho < 1.0:
             raise FieldError("rho", f"rho must be in [0, 1), got {self.rho}")
         if self.radius <= 0.0:
@@ -60,6 +68,7 @@ class TwistParams:
     length: float  # cane length, > 0
 
     def __post_init__(self):
+        _finite(self, "omega", "length")
         if self.omega < 0.0:
             raise FieldError("omega", "twist rate must be >= 0")
         if self.length <= 0.0:

@@ -13,7 +13,10 @@ moved by the offset when read, and each group of circles or arcs, which is
 boxed where it is drawn.  `emit_svg` passes one
 pixel frame to every primitive's `svg_element(frame, dx, dy)`; it holds two
 dicts, one per axis, that live for the call, so each distinct moved
-coordinate is formatted once per call.  Emission is byte-deterministic:
+coordinate is formatted once per call.  A run placed more than once (its
+kept boxes shared) and holding no arc is written once per call and dy, with
+a slot for each x; each placement fills only those slots, with one `%`.
+Emission is byte-deterministic:
 every number is written in the one format `_COORD` (6 decimals, with -0
 written 0.000000), fixed attribute order, no timestamps.
 """
@@ -21,6 +24,7 @@ written 0.000000), fixed attribute order, no timestamps.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -315,13 +319,23 @@ class VectorScene:
         return (min(min_xs), min(min_ys), max(max_xs), max(max_ys))
 
 
+class _Slots(list):
+    """An x table that records each x asked for and writes a `%s` slot for it
+    (no other text the writer produces holds a `%`)."""
+
+    def __getitem__(self, x: float) -> str:
+        self.append(x)
+        return "%s"
+
+
 @dataclass(frozen=True)
 class SvgConfig:
     allow_empty: bool = False
 
 
 def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
-    """Serialize a scene to an SVG 1.1 document (byte-deterministic)."""
+    """Serialize a scene to an SVG 1.1 document (byte-deterministic), writing
+    a run placed more than once from one template per call and dy."""
     if not scene.primitives:
         if not config.allow_empty:
             raise EmptyScene("refusing to emit an empty scene")
@@ -343,7 +357,8 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
         raise ValueError(f"the drawing is too large to write: page {width!r} x {height!r}")
     # each distinct moved coordinate is formatted once per call; y is flipped,
     # since the SVG y axis points down
-    frame = (_Texts(lambda x: (x - min_x + m) * s), _Texts(lambda y: (max_y - y + m) * s), s)
+    xs, ys = _Texts(lambda x: (x - min_x + m) * s), _Texts(lambda y: (max_y - y + m) * s)
+    frame = (xs, ys, s)
 
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n'
              f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -351,6 +366,23 @@ def emit_svg(scene: VectorScene, config: SvgConfig = SvgConfig()) -> str:
              f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n',
              f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
              f'fill="{BACKGROUND}" stroke="none"/>\n']
-    parts += [prim.svg_element(frame, dx, dy) for dx, dy, run in scene.runs() for prim in run]
+    # runs sharing a kept object draw the same primitives, so one placed more
+    # than once is written once per dy at dx = -0.0 (x + -0.0 is x bit for
+    # bit), with a slot per x that each placement fills with the text of x + dx.
+    # Not one with an arc: its end x (cx + dx) + r cos(a) is not (cx + r cos(a)) + dx.
+    placed = Counter([id(kept) for _end, _dx, _dy, kept in scene.offsets if ArcShape not in dict(kept)])
+    templates, start = {}, 0
+    for end, dx, dy, kept in scene.offsets:
+        run, start, key = scene.primitives[start:end], end, (id(kept), dy)
+        if placed[id(kept)] < 2:
+            parts += [prim.svg_element(frame, dx, dy) for prim in run]
+            continue
+        if key not in templates:
+            slots = _Slots()
+            templates[key] = "".join([prim.svg_element((slots, ys, s), -0.0, dy) for prim in run]), slots
+        form, slots = templates[key]
+        parts.append(form % tuple([xs[x + dx] for x in slots]))
+    # the unplaced tail, which `bounds` has boxed, occurs once
+    parts += [prim.svg_element(frame, 0.0, 0.0) for prim in scene.primitives[start:]]
     parts.append("</svg>\n")
     return "".join(parts)

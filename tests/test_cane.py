@@ -6,6 +6,7 @@ from puzzlefonts.cane import (
     MAX_LENGTH, CaneCrossSection, Subcane, TwistParams, render_side, render_top,
     side_view_samples, strand_x,
 )
+from puzzlefonts.errors import FieldError
 from puzzlefonts.scene import Circle, Polygon
 
 
@@ -21,6 +22,12 @@ class TestInvariants:
             Subcane(1.0, 0.0, 0.1, "strand_a")
         with pytest.raises(ValueError):
             Subcane(0.5, 0.0, -0.1, "strand_a")
+        for bad in (math.nan, math.inf, -math.inf):
+            for field, fields in [("rho", (bad, 0.0, 0.1)), ("phi", (0.5, bad, 0.1)),
+                                  ("radius", (0.5, 0.0, bad))]:
+                with pytest.raises(FieldError, match="must be finite") as err:
+                    Subcane(*fields, "strand_a")
+                assert err.value.field == field
 
     def test_twist_params(self):
         with pytest.raises(ValueError):
@@ -30,6 +37,11 @@ class TestInvariants:
         TwistParams(0.5, MAX_LENGTH)
         with pytest.raises(ValueError, match="at most"):
             TwistParams(0.5, MAX_LENGTH * 1.01)
+        for bad in (math.nan, math.inf, -math.inf):
+            for field, fields in [("omega", (bad, 2.0)), ("length", (0.5, bad))]:
+                with pytest.raises(FieldError, match="must be finite") as err:
+                    TwistParams(*fields)
+                assert err.value.field == field
 
 
 class TestTopView:

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
@@ -108,6 +109,19 @@ def test_nan_in_the_first_point_is_refused_as_a_coordinate():
         emit_svg(s)
 
 
+def place_again_at_nan(s):
+    # a run without arcs placed twice, then at dx = nan: the page stays
+    # finite (min and max skip a nan after the first box), and the last
+    # placement fills its template's x slots with nan
+    glyph = VectorScene()
+    glyph.add_polygon([(0, 0), (1, 0), (0.5, 1)], "piece")
+    glyph.add_circle((0.5, 0.5), 0.25, "disk")
+    glyph = glyph.translated(0.0, 0.0)
+    for dx in (0.0, 2.0, math.nan):
+        s.extend(glyph.translated(dx, 0.0))
+    assert all(map(math.isfinite, s.bounds()))
+
+
 @pytest.mark.parametrize("add, message", [
     # an inf widens the page to infinity, which is refused before any
     # coordinate is written
@@ -118,14 +132,22 @@ def test_nan_in_the_first_point_is_refused_as_a_coordinate():
     (lambda s: s.add_circle((float("nan"), 0), 1.0, "disk"), _NOT_FINITE),
     (lambda s: s.add_circle((0, 0), float("nan"), "disk"), _NOT_FINITE),
     (lambda s: s.add_arc(Arc(Point2(float("nan"), 0), 1.0, 0.0, 90.0, CCW), "belt"), _NOT_FINITE),
+    (place_again_at_nan, _NOT_FINITE),
 ], ids=["inf polygon point", "nan x polygon", "nan y polyline", "nan circle center",
-        "nan radius", "nan arc center"])
+        "nan radius", "nan arc center", "repeated run at nan dx"])
 def test_non_finite_primitive_after_finite_ones_is_refused(add, message):
-    # every other coordinate of the last primitive was written before it
+    # every other coordinate of the last primitive was written before it;
+    # the message is that of the mapped copy, which holds no offsets
     s = scene_with_bits()
     add(s)
-    with pytest.raises(ValueError, match=message):
+    copied = VectorScene([p.mapped(1.0, dx, dy) for dx, dy, run in s.runs() for p in run])
+    with pytest.raises(ValueError, match=message) as placed:
         emit_svg(s)
+    with pytest.raises(ValueError, match=message) as mapped:
+        emit_svg(copied)
+    assert str(placed.value) == str(mapped.value)
+    with pytest.raises(ValueError, match=message):
+        svg_by_primitive(s)
 
 
 def test_bounds_cover_arc_extremes():
@@ -278,6 +300,43 @@ def test_typeset_scenes_write_the_oracle(shipped, font, variant):
         assert emit_svg(result.scene) == svg_by_primitive(result.scene), (text, spacing, scale)
 
 
+@pytest.fixture
+def element_calls(monkeypatch):
+    """Calls of `Polygon.svg_element` and `Circle.svg_element`, by class."""
+    calls = Counter()
+    for kind in (scene.Polygon, scene.Circle):
+        def counted(prim, *args, _kind=kind, _write=kind.svg_element):
+            calls[_kind] += 1
+            return _write(prim, *args)
+        monkeypatch.setattr(kind, "svg_element", counted)
+    return calls
+
+
+def drawn(s, *kinds):
+    return Counter(type(prim) for prim in s.primitives if type(prim) in kinds)
+
+
+@pytest.mark.parametrize("font, text, once", [
+    # each of 8 letters twice: each distinct side view is written once
+    ("cane", "FILNOTUZ" "ZUTONLIF", "FILNOTUZ"),
+    # one chain strip for every letter
+    ("hinged", "F", "F"), ("hinged", "FILNOTUZ", "F"), ("hinged", "ZZZZZZZZZZZZZZZZ", "F"),
+    # seeded per position, so no run is placed twice
+    ("linkage", "FIFIZZ", None),
+], ids=["cane-puzzle", "hinged-puzzle-1", "hinged-puzzle-8", "hinged-puzzle-16",
+        "linkage-puzzle"])
+def test_a_run_placed_again_is_written_once_per_call(shipped, element_calls, font, text, once):
+    s = typeset(shipped[font], text, "puzzle").scene
+    svg = emit_svg(s)
+    calls = dict(element_calls)
+    assert svg == svg_by_primitive(s)
+    kinds = (scene.Polygon, scene.Circle)
+    want = drawn(s if once is None else typeset(shipped[font], once, "puzzle").scene, *kinds)
+    assert calls == want and sum(want.values()) > 0
+    if font == "hinged":
+        assert calls == {scene.Polygon: 128, scene.Circle: 127}
+
+
 @_PRECISIONS
 def test_signed_zeros_at_signed_zero_offsets(coord, monkeypatch):
     monkeypatch.setattr(scene, "_COORD", coord)
@@ -292,6 +351,11 @@ def test_signed_zeros_at_signed_zero_offsets(coord, monkeypatch):
         for dx, dy in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]:
             s.extend(g.translated(dx, dy))
         s.extend(g)  # and an unplaced tail
+        # and a run without arcs placed at each signed zero, x + -0.0 being
+        # x, so that each placement is written from one template
+        flat = VectorScene(g.primitives[:2]).translated(-0.0, -0.0)
+        for dx, dy in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]:
+            s.extend(flat.translated(dx, dy))
         assert (s.bounds()[:2] == (0.0, 0.0)) is not circled
         assert "-0.0" not in assert_writes_oracle(s)
 
@@ -358,6 +422,27 @@ def test_one_scene_placed_in_several_runs(coord, monkeypatch):
     assert_writes_oracle(s)
 
 
+@_PRECISIONS
+@pytest.mark.parametrize("arcs", [False, True], ids=["without-arcs", "with-arcs"])
+def test_a_placed_glyph_placed_again_at_several_offsets(coord, arcs, element_calls, monkeypatch):
+    # a glyph placed first keeps one group box object for all its runs, so
+    # without arcs it is written once per dy (here two), and with an arc
+    # primitive by primitive
+    monkeypatch.setattr(scene, "_COORD", coord)
+    glyph = scene_with_bits()
+    glyph.add_polyline([(1 / 3, 0.1), (0.7, 2 / 3)], "guide")
+    if not arcs:
+        glyph = VectorScene([p for p in glyph.primitives if not isinstance(p, scene.ArcShape)])
+    glyph = glyph.translated(0.1, 0.0)
+    s = VectorScene()
+    offsets = [(0.0, 0.0), (3.0, 0.0), (-2.5, 1e-7), (1 / 3, 1e-7), (3.0, 0.0), (0.7, 1e-7), (-1e-9, 0.0)]
+    for dx, dy in offsets:
+        s.extend(glyph.translated(dx, dy))
+    svg = emit_svg(s)
+    assert dict(element_calls) == {scene.Polygon: 7 if arcs else 2, scene.Circle: 7 if arcs else 2}
+    assert svg == svg_by_primitive(s)
+
+
 def test_a_coordinate_text_is_formatted_only_if_finite():
     # an inf coordinate widens the page to infinity, which is refused before
     # any coordinate is written, so the texts meet one only directly
@@ -378,5 +463,13 @@ def test_calls_in_a_row_do_not_share_texts():
     b = VectorScene()
     b.add_polyline([(-1, -2), (0, 0), (1, 1)], "chain")
     b.add_arc(Arc(Point2(0, 0), 1.0, 0.0, 90.0, CCW), "belt")
-    for s in (a, b, a.translated(0.5, 0.0), a):
+    # and a scene placed twice, then again on a taller page: a template
+    # written for one call would bake the first page's y texts
+    twice, at_origin = VectorScene(), a.translated(0.0, 0.0)
+    for dx in (0.0, 2.0):
+        twice.extend(at_origin.translated(dx, 0.0))
+    taller = VectorScene()
+    taller.extend(twice)
+    taller.add_polyline([(0, 0), (0, 3)], "guide")
+    for s in (a, b, a.translated(0.5, 0.0), twice, taller, a, twice):
         assert_writes_oracle(s)
