@@ -23,7 +23,8 @@ from .geometry import Point2
 from .scene import Polygon, VectorScene, check_style
 
 STRAND_STYLES = ("strand_a", "strand_b", "strand_c", "strand_d", "strand_e", "strand_f")
-MAX_LENGTH = 64.0  # side views take length * samples_per_unit samples per strand
+SAMPLES_PER_UNIT = 64  # side-view samples per unit of cane length, per strand
+MAX_LENGTH = 64.0  # side views take length * SAMPLES_PER_UNIT samples per strand
 
 
 def _finite(record, *names) -> None:
@@ -55,11 +56,6 @@ class Subcane:
 @dataclass(frozen=True)
 class CaneCrossSection:
     subcanes: tuple
-
-    @staticmethod
-    def of(rows) -> "CaneCrossSection":
-        return CaneCrossSection(tuple(Subcane(float(r), float(p), float(rr), c)
-                                      for r, p, rr, c in rows))
 
 
 @dataclass(frozen=True)
@@ -93,13 +89,10 @@ def render_top(cs: CaneCrossSection) -> VectorScene:
     return scene
 
 
-def side_view_samples(cs: CaneCrossSection, twist: TwistParams,
-                      samples_per_unit: int = 64) -> list:
+def side_view_samples(cs: CaneCrossSection, twist: TwistParams) -> list:
     """Sampled strand data: per strand, a list of (t, x, depth)."""
-    if samples_per_unit < 8:
-        raise ValueError("samples_per_unit must be at least 8")
     length = twist.length
-    n = max(1, int(round(length * samples_per_unit)))
+    n = max(1, int(round(length * SAMPLES_PER_UNIT)))
     turn = 2.0 * math.pi * twist.omega
     out = []
     for sub in cs.subcanes:
@@ -113,14 +106,13 @@ def side_view_samples(cs: CaneCrossSection, twist: TwistParams,
     return out
 
 
-def render_side(cs: CaneCrossSection, twist: TwistParams,
-                samples_per_unit: int = 64) -> VectorScene:
+def render_side(cs: CaneCrossSection, twist: TwistParams) -> VectorScene:
     """Orthographic side view: silhouettes x(t) +- r, painter-sorted per segment.
 
     The vertical axis of the scene is the cane length; the envelope is the
     pair of lines x = -1 and x = +1.
     """
-    sampled = side_view_samples(cs, twist, samples_per_unit)
+    sampled = side_view_samples(cs, twist)
     scene = VectorScene()
     scene.add_polyline([(-1.0, 0.0), (-1.0, twist.length)], "envelope")
     scene.add_polyline([(1.0, 0.0), (1.0, twist.length)], "envelope")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, InvalidSpec
 from .geometry import (
     CCW, CW, TOL, Arc, Point2, Segment, arc_tangent_dir, cross, dist, dot,
-    element_end, element_length, element_start, hull_perimeter, normalize_angle,
+    element_end, element_length, element_start, normalize_angle,
     path_is_simple, point_segment_distance, sub, tangent_points,
 )
 
@@ -326,7 +326,3 @@ def fingerprint(centers) -> tuple:
         key.append((round(qx), round(qy)))
     return tuple(sorted(key))
 
-
-def belt_length_lower_bound(centers) -> float:
-    """Any valid belt is at least as long as the hull perimeter of centers."""
-    return hull_perimeter(centers)

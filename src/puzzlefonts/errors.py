@@ -41,10 +41,6 @@ class BudgetExceeded(PuzzleFontError):
     """Search ran out of its node budget before finishing."""
 
 
-class Unsupported(PuzzleFontError):
-    """Parameter outside the supported range."""
-
-
 class InterfaceMismatch(PuzzleFontError):
     """Crease-pattern boundary interfaces disagree; carries the first delta."""
 

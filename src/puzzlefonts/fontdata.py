@@ -608,9 +608,9 @@ class _Maze(FontKind):
                 text, lambda ch: (maze.render_maze_2d(fd.glyphs[ch]), None))
         elif text:
             # crease patterns glue into one sheet instead of spacing apart
-            sheet = maze.generate_crease_pattern(fd.glyphs[text[0]], 1)
+            sheet = maze.generate_crease_pattern(fd.glyphs[text[0]])
             for ch in text[1:]:
-                sheet = maze.compose(sheet, maze.generate_crease_pattern(fd.glyphs[ch], 1), "right")
+                sheet = maze.compose(sheet, maze.generate_crease_pattern(fd.glyphs[ch]))
             yield maze.render_crease_pattern(sheet), None
 
 
@@ -666,6 +666,12 @@ class _Hinged(FontKind):
                 text, lambda ch: (hinged.render_polyabolo(fd.glyphs[ch]), None))
 
 
+# A puzzle side view draws length * cane.SAMPLES_PER_UNIT quads per subcane, up
+# to 4,096 each at cane.MAX_LENGTH; the shipped glyphs have at most 6, so refuse
+# more than 16.
+MAX_GLYPH_SUBCANES = 16
+
+
 class _Cane(FontKind):
     keywords = {
         "subcane": Line("rho phi r color", (_number, _number, _number, _strand), "subcanes",
@@ -677,7 +683,11 @@ class _Cane(FontKind):
     def record(self, payload):
         if "twist" not in payload:
             raise ValueError("is missing its 'twist' line")
-        return CaneRecord(CaneCrossSection(tuple(payload.get("subcanes", ()))), payload["twist"])
+        subcanes = tuple(payload.get("subcanes", ()))
+        if len(subcanes) > MAX_GLYPH_SUBCANES:
+            raise ValueError(
+                f"has {len(subcanes)} subcanes, more than the {MAX_GLYPH_SUBCANES} allowed")
+        return CaneRecord(CaneCrossSection(subcanes), payload["twist"])
 
     def lines(self, rec):
         return [f"subcane {_num_text(s.rho)} {_num_text(s.phi)} {_num_text(s.radius)} {s.color}"

@@ -189,10 +189,6 @@ class HingedChain:
                 raise ValueError(f"hinge corners must be in {CORNERS}, got {(ex, en)}")
 
     @staticmethod
-    def uniform(n_pieces: int, exit_corner: str = "Q", entry_corner: str = "P") -> "HingedChain":
-        return HingedChain(n_pieces, tuple((exit_corner, entry_corner) for _ in range(n_pieces - 1)))
-
-    @staticmethod
     def cyclic(n_pieces: int, pattern) -> "HingedChain":
         """Hinges repeat the given (exit, entry) pattern cyclically."""
         pats = tuple(tuple(p) for p in pattern)

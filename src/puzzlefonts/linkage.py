@@ -17,6 +17,7 @@ from .errors import AmbiguousSolution, NoSolution, NotAChain, UnknownLetter
 from .geometry import Point2, add, angle_of, dist, dot, sub, unit_vector
 
 ANGLE_ATOL = 1e-6  # degrees; realization round-trips are far tighter
+BAR_SPREAD = 0.06  # bar units between drawn copies of a bar that overlaps another
 
 LEFT = "L"
 RIGHT = "R"
@@ -55,8 +56,8 @@ def check_choices(choices) -> tuple:
     return ch
 
 
-def realize(seq, choices, origin=(0.0, 0.0), heading: float = 0.0) -> LinkageGlyph:
-    """Place the chain: first bar starts at `origin` along `heading`.
+def realize(seq, choices) -> LinkageGlyph:
+    """Place the chain: the first bar runs from the origin along +x.
 
     At joint i the interior angle equals seq[i]; choice 'L' puts the convex
     side on the left of the walking direction (a clockwise turn would put it
@@ -65,8 +66,8 @@ def realize(seq, choices, origin=(0.0, 0.0), heading: float = 0.0) -> LinkageGly
     """
     seq = check_angle_sequence(seq)
     ch = check_choices(choices)
-    verts = [Point2(*origin)]
-    h = float(heading)
+    verts = [Point2(0.0, 0.0)]
+    h = 0.0
     verts.append(add(verts[0], unit_vector(h)))
     for theta, c in zip(seq, ch):
         turn = 180.0 - theta
@@ -114,8 +115,8 @@ def _canonical_vertices(vertices) -> tuple:
     return tuple(Point2(c * p.x - s * p.y, s * p.x + c * p.y) for p in moved)
 
 
-def _quantize(vertices, q: float = 1e-7) -> tuple:
-    return tuple((round(p.x / q), round(p.y / q)) for p in vertices)
+def _quantize(vertices) -> tuple:
+    return tuple((round(p.x / 1e-7), round(p.y / 1e-7)) for p in vertices)
 
 
 def glyph_signature(glyph: LinkageGlyph) -> tuple:
@@ -197,11 +198,11 @@ class LinkageFont:
         return bad
 
 
-def spread_overlapping_bars(vertices, offset: float = 0.06) -> list[tuple]:
+def spread_overlapping_bars(vertices) -> list[tuple]:
     """Nudge exactly-overlapping collinear bars apart for display only.
 
     Geometry stays coincident in the glyph itself; rendering shifts the k-th
-    bar occupying the same span sideways by k * offset.
+    bar occupying the same span sideways by k * BAR_SPREAD.
     """
     seen: dict = {}
     bars = []
@@ -215,6 +216,6 @@ def spread_overlapping_bars(vertices, offset: float = 0.06) -> list[tuple]:
         else:
             d = sub(b, a)
             length = math.hypot(*d) or 1.0
-            nx, ny = -d.y / length * offset * k, d.x / length * offset * k
+            nx, ny = -d.y / length * BAR_SPREAD * k, d.x / length * BAR_SPREAD * k
             bars.append((Point2(a.x + nx, a.y + ny), Point2(b.x + nx, b.y + ny)))
     return bars

@@ -1,14 +1,15 @@
 """Origami-maze font: grid mazes and their crease patterns.
 
-A maze is a 2D grid graph of unit wall edges.  Its crease pattern lives on a
-paper rectangle scale_factor(h) times the maze bounding box.  The generator
-lays every crease as a full-height pleat line inside the band of a lattice
-column (vertical walls) or inside the owning cell-strip (horizontal walls,
-whose row index sets the pleat spread), so crease endpoints only ever touch
-the top and bottom paper edges.  That keeps the left/right boundary
-interfaces empty, which is what lets any two same-height glyph patterns be
-glued seamlessly, and it makes every interior vertex trivially pass the
-local flat-foldability conditions the checker enforces.
+A maze is a 2D grid graph of unit wall edges, extruded to height 1.  Its
+crease pattern lives on a paper rectangle PAPER_SCALE = 3 times the maze
+bounding box.  The generator lays every crease as a full-height pleat line
+inside the band of a lattice column (vertical walls) or inside the owning
+cell-strip (horizontal walls, whose row index sets the pleat spread), so
+crease endpoints only ever touch the top and bottom paper edges.  That
+keeps the left/right boundary interfaces empty, which is what lets any two
+same-height glyph patterns be glued side by side, and it makes every
+interior vertex trivially pass the local flat-foldability conditions the
+checker enforces.
 
 The checker itself is general: it handles arbitrary axis-parallel and 45
 degree crease sets, merging collinear same-assignment creases before vertex
@@ -21,12 +22,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InterfaceMismatch, Unsupported
+from .errors import InterfaceMismatch
 from .geometry import point_segment_distance
 from .scene import VectorScene
 
 MOUNTAIN = "M"
 VALLEY = "V"
+
+PAPER_SCALE = 3    # paper per maze unit, each way: 1 tunnel unit plus 2 of wall (height 1)
 
 _PTOL = 1e-7       # incidence tolerance for crease vertices, paper units
 _ANG_ATOL = 1e-6   # degrees, Kawasaki sector sums
@@ -65,16 +68,6 @@ class GridMaze:
         return sorted(self.walls)
 
 
-def scale_factor(extrusion_height: int) -> int:
-    """Per-side paper-to-footprint ratio: 1 tunnel unit plus 2h of wall."""
-    h = int(extrusion_height)
-    if h < 1:
-        raise ValueError("extrusion height must be >= 1")
-    if h > 2:
-        raise Unsupported("extrusion heights above 2 are not supported")
-    return 2 * h + 1
-
-
 @dataclass(frozen=True)
 class CreasePattern:
     paper_width: float
@@ -90,46 +83,37 @@ def _make_crease(x1, y1, x2, y2, assignment) -> tuple:
     return (a[0], a[1], b[0], b[1], assignment)
 
 
-def _column_pleat_positions(col: int, width: int, h: int) -> list[float]:
-    """X positions of the 2h pleat creases in a lattice column band."""
-    s = 2 * h + 1
+def _column_pleat_positions(col: int, width: int) -> tuple:
+    """X positions of the 2 pleat creases in a lattice column band."""
     if col == 0:
-        return [Fraction(k, s) for k in range(1, 2 * h + 1)]
+        return (Fraction(1, 3), Fraction(2, 3))
     if col == width:
-        return [s * width - Fraction(k, s) for k in range(2 * h, 0, -1)]
-    return [s * col + Fraction(2 * k - 1, 2) for k in range(-h + 1, h + 1)]
+        return (PAPER_SCALE * width - Fraction(2, 3), PAPER_SCALE * width - Fraction(1, 3))
+    return (PAPER_SCALE * col - Fraction(1, 2), PAPER_SCALE * col + Fraction(1, 2))
 
 
-def generate_crease_pattern(maze: GridMaze, extrusion_height: int = 1) -> CreasePattern:
-    """Deterministic crease pattern for a maze at the given extrusion height.
+def generate_crease_pattern(maze: GridMaze) -> CreasePattern:
+    """Deterministic crease pattern for a maze.
 
     Vertical walls contribute their column's band pleat; a horizontal wall
     contributes a pleat pair centered in its own cell strip whose spread
     encodes the wall's row.  An empty maze yields no creases.
     """
-    h = int(extrusion_height)
-    s = scale_factor(h)
-    W = s * maze.width
-    H = s * maze.height
+    H = float(PAPER_SCALE * maze.height)
     creases = set()
 
-    def add_pleat_column(xs) -> None:
-        for k, x in enumerate(sorted(xs)):
-            assign = VALLEY if k % 2 == 0 else MOUNTAIN
-            creases.add(_make_crease(float(x), 0.0, float(x), float(H), assign))
+    def add_pleat(lo, hi) -> None:
+        creases.add(_make_crease(float(lo), 0.0, float(lo), H, VALLEY))
+        creases.add(_make_crease(float(hi), 0.0, float(hi), H, MOUNTAIN))
 
     for (x1, y1), (x2, y2) in maze.sorted_walls():
         if x1 == x2:  # vertical wall on lattice line x = x1
-            add_pleat_column(_column_pleat_positions(x1, maze.width, h))
+            add_pleat(*_column_pleat_positions(x1, maze.width))
         else:         # horizontal wall from (x1, y) to (x1+1, y)
-            xc = Fraction(s * (2 * x1 + 1), 2)
-            u = Fraction(y1 + 1, maze.height + 2)
-            xs = []
-            for k in range(1, h + 1):
-                off = u * Fraction(9 * k, 10 * h)
-                xs.extend((xc - off, xc + off))
-            add_pleat_column(xs)
-    return CreasePattern(float(W), float(H), frozenset(creases))
+            xc = Fraction(PAPER_SCALE * (2 * x1 + 1), 2)
+            off = Fraction(9 * (y1 + 1), 10 * (maze.height + 2))
+            add_pleat(xc - off, xc + off)
+    return CreasePattern(float(PAPER_SCALE * maze.width), H, frozenset(creases))
 
 
 # -- local flat-foldability -------------------------------------------------
@@ -269,57 +253,36 @@ def check_flat_foldability_local(cp: CreasePattern) -> FoldabilityReport:
 
 # -- composition ------------------------------------------------------------
 
-_EDGES = {  # edge: (axis of the coordinate that is fixed on it, whether it is the far side)
-    "left": (0, False), "right": (0, True), "bottom": (1, False), "top": (1, True),
-}
 _INTERFACE_QUANTUM = 1e-6  # paper units per step of a seam coordinate
 
 
 def edge_interface(cp: CreasePattern, which: str) -> tuple:
-    """Multiset of (coordinate, assignment) of crease endpoints on one edge.
+    """Multiset of (y, assignment) of crease endpoints on the left or right edge.
 
-    `which` is "left", "right", "top" or "bottom"; matching seam interfaces
-    are the precondition for composing two patterns.
+    Matching seam interfaces are the precondition for composing two patterns.
     """
-    if which not in _EDGES:
-        raise ValueError(f"edge must be 'left', 'right', 'top' or 'bottom', got {which!r}")
-    axis, far = _EDGES[which]
-    at = (cp.paper_width, cp.paper_height)[axis] if far else 0.0
-    return tuple(sorted((round(p[1 - axis] / _INTERFACE_QUANTUM), a)
-                        for (x1, y1, x2, y2, a) in cp.creases for p in ((x1, y1), (x2, y2))
-                        if abs(p[axis] - at) <= _PTOL))
+    if which not in ("left", "right"):
+        raise ValueError(f"edge must be 'left' or 'right', got {which!r}")
+    at = cp.paper_width if which == "right" else 0.0
+    return tuple(sorted((round(y / _INTERFACE_QUANTUM), a)
+                        for (x1, y1, x2, y2, a) in cp.creases for x, y in ((x1, y1), (x2, y2))
+                        if abs(x - at) <= _PTOL))
 
 
-_SEAMS = {  # side: (the paper extent both patterns share, cp_a's seam edge, cp_b's)
-    "right": ("height", "right", "left"), "below": ("width", "bottom", "top"),
-}
-
-
-def _shifted(creases, dx: float, dy: float) -> frozenset:
-    return frozenset(_make_crease(x1 + dx, y1 + dy, x2 + dx, y2 + dy, a)
-                     for (x1, y1, x2, y2, a) in creases)
-
-
-def compose(cp_a: CreasePattern, cp_b: CreasePattern, side: str = "right") -> CreasePattern:
-    """Glue cp_b onto cp_a's right (or below); boundary interfaces must match."""
-    if side not in _SEAMS:
-        raise ValueError(f"side must be 'right' or 'below', got {side!r}")
-    extent, edge_a, edge_b = _SEAMS[side]
-    size_a, size_b = getattr(cp_a, "paper_" + extent), getattr(cp_b, "paper_" + extent)
-    if abs(size_a - size_b) > _PTOL:
-        raise InterfaceMismatch(f"paper {extent}s differ: {size_a} vs {size_b}")
-    ia = edge_interface(cp_a, edge_a)
-    ib = edge_interface(cp_b, edge_b)
+def compose(cp_a: CreasePattern, cp_b: CreasePattern) -> CreasePattern:
+    """Glue cp_b onto cp_a's right; paper heights and seam interfaces must match."""
+    if abs(cp_a.paper_height - cp_b.paper_height) > _PTOL:
+        raise InterfaceMismatch(f"paper heights differ: {cp_a.paper_height} vs {cp_b.paper_height}")
+    ia = edge_interface(cp_a, "right")
+    ib = edge_interface(cp_b, "left")
     if ia != ib:
         delta = sorted(set(ia).symmetric_difference(ib))
         raise InterfaceMismatch(f"seam interfaces disagree near {delta[0]}")
-    if side == "right":
-        w, hgt = cp_a.paper_width + cp_b.paper_width, cp_a.paper_height
-        creases_a, dx = cp_a.creases, cp_a.paper_width
-    else:  # lift cp_a above cp_b
-        w, hgt = cp_a.paper_width, cp_a.paper_height + cp_b.paper_height
-        creases_a, dx = _shifted(cp_a.creases, 0.0, cp_b.paper_height), 0.0
-    return CreasePattern(float(w), float(hgt), frozenset(creases_a) | _shifted(cp_b.creases, dx, 0.0))
+    dx = cp_a.paper_width
+    shifted = frozenset(_make_crease(x1 + dx, y1, x2 + dx, y2, a)
+                        for (x1, y1, x2, y2, a) in cp_b.creases)
+    return CreasePattern(float(dx + cp_b.paper_width), float(cp_a.paper_height),
+                         frozenset(cp_a.creases) | shifted)
 
 
 # -- rendering ---------------------------------------------------------------

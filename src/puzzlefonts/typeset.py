@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AmbiguousSolution, NoSolution, NotAChain, PuzzleFontError, UnknownCharacter
-# linkage_font_of is re-exported for callers of this module
-from .fontdata import FontData, kind_of, linkage_font_of  # noqa: F401
+from .fontdata import FontData, kind_of
 from .scene import VectorScene
 
 DEFAULT_SPACING = 0.5

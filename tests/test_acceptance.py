@@ -17,11 +17,13 @@ from puzzlefonts.conveyer import (
 from puzzlefonts.hinged import fold_chain, refine, render_fold, validate_polyabolo, verify_fold
 from puzzlefonts.linkage import all_choices, enumerate_glyphs, realize
 from puzzlefonts.maze import (
-    check_flat_foldability_local, compose, generate_crease_pattern, scale_factor,
+    PAPER_SCALE, check_flat_foldability_local, compose, generate_crease_pattern,
 )
-from puzzlefonts.cane import CaneCrossSection, TwistParams, side_view_samples, strand_x
+from puzzlefonts.cane import CaneCrossSection, Subcane, TwistParams, side_view_samples, strand_x
+from puzzlefonts.fontdata import linkage_font_of
+from puzzlefonts.geometry import hull_perimeter
 from puzzlefonts.scene import Polygon, SvgConfig, emit_svg
-from puzzlefonts.typeset import linkage_font_of, solve_puzzle, typeset
+from puzzlefonts.typeset import solve_puzzle, typeset
 from oracles import naive_belt_solutions
 from test_golden import FOLD
 
@@ -70,10 +72,9 @@ def test_criterion_04_conveyer_geometry(shipped):
     triangle = [(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)]
     path3 = compute_belt(triangle, [(0, 1), (1, 1), (2, 1)])
     assert abs(path3.total_length - (12 + 2 * math.pi)) < 1e-9
-    from puzzlefonts.conveyer import belt_length_lower_bound
     checked = 0
     for disks in (stadium, triangle, *(rec.disks for rec in shipped["conveyer"].glyphs.values())):
-        bound = belt_length_lower_bound(disks)
+        bound = hull_perimeter(disks)
         for spec in solve_belt(disks):
             assert validate_belt(disks, spec).all_ok
             assert compute_belt(disks, spec).total_length >= bound - 1e-9
@@ -111,7 +112,7 @@ def test_criterion_06_conveyer_font_uniqueness(shipped):
 
 
 def test_criterion_07_maze_scale_law():
-    assert scale_factor(1) == 3
+    assert PAPER_SCALE == 3
     rng = random.Random(71)
     for _ in range(20):
         w, h = rng.randint(1, 6), rng.randint(1, 6)
@@ -123,23 +124,23 @@ def test_criterion_07_maze_scale_law():
                 if y < h and rng.random() < 0.35:
                     edges.append((x, y, x, y + 1))
         from puzzlefonts.maze import GridMaze
-        cp = generate_crease_pattern(GridMaze.from_edges(w, h, edges), 1)
+        cp = generate_crease_pattern(GridMaze.from_edges(w, h, edges))
         assert (cp.paper_width, cp.paper_height) == (3 * w, 3 * h)
-    _report(7, "scale_factor(1)=3 and 3x dimension law on 20 random mazes")
+    _report(7, "PAPER_SCALE=3 and 3x dimension law on 20 random mazes")
 
 
 def test_criterion_08_maze_local_foldability(shipped):
     t0 = time.perf_counter()
     pats = {}
     for ch, maze in sorted(shipped["maze"].glyphs.items()):
-        cp = generate_crease_pattern(maze, 1)
+        cp = generate_crease_pattern(maze)
         rep = check_flat_foldability_local(cp)
         assert rep.all_ok, (ch, rep.failures())
         pats[ch] = cp
     pairs = 0
     for a in pats:
         for b in pats:
-            out = compose(pats[a], pats[b], "right")
+            out = compose(pats[a], pats[b])
             assert check_flat_foldability_local(out).all_ok, (a, b)
             pairs += 1
     elapsed = time.perf_counter() - t0
@@ -180,7 +181,7 @@ def test_criterion_10_cane_properties(shipped):
         for strand in rows:
             xs = {round(x, 12) for _, x, _ in strand}
             assert len(xs) <= 1, f"{ch}: zero twist must be straight"
-    section = CaneCrossSection.of([(0.6, 33.0, 0.2, "strand_a")])
+    section = CaneCrossSection((Subcane(0.6, 33.0, 0.2, "strand_a"),))
     for omega in (0.25, 0.5, 1.0):
         period = 1.0 / omega
         for t in (0.0, 0.2, 0.9, 1.4):

@@ -11,7 +11,8 @@ from puzzlefonts.scene import Circle, Polygon
 
 
 def cs(*rows):
-    return CaneCrossSection.of(rows)
+    return CaneCrossSection(tuple(Subcane(float(r), float(p), float(rr), c)
+                                  for r, p, rr, c in rows))
 
 
 class TestInvariants:
@@ -87,7 +88,7 @@ class TestSideView:
     def test_two_full_periods(self):
         # omega = 0.5, L = 4: exactly two repeats of the sampled curve
         section = cs((0.6, 0.0, 0.12, "strand_a"))
-        rows = side_view_samples(section, TwistParams(0.5, 4.0), samples_per_unit=16)[0]
+        rows = side_view_samples(section, TwistParams(0.5, 4.0))[0]
         half = len(rows) // 2
         first = [x for _, x, _ in rows[:half]]
         second = [x for _, x, _ in rows[half:2 * half]]
@@ -110,14 +111,10 @@ class TestSideView:
             assert t0 == 0.0
             assert x0 == pytest.approx(sub.rho * math.cos(math.radians(sub.phi)), abs=1e-12)
 
-    def test_min_sampling_enforced(self):
-        with pytest.raises(ValueError):
-            side_view_samples(cs(), TwistParams(0.5, 2.0), samples_per_unit=4)
-
     def test_depth_sorting_far_drawn_first(self):
         # strand at depth -rho (phi=270) must be painted before depth +rho (phi=90)
         section = cs((0.5, 270.0, 0.1, "strand_a"), (0.5, 90.0, 0.1, "strand_b"))
-        scene = render_side(section, TwistParams(0.0, 1.0), samples_per_unit=8)
+        scene = render_side(section, TwistParams(0.0, 1.0))
         polys = [p for p in scene.primitives if isinstance(p, Polygon)]
         first_b = min(i for i, p in enumerate(polys) if p.style == "strand_b")
         last_a = max(i for i, p in enumerate(polys) if p.style == "strand_a")

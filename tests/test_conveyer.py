@@ -7,11 +7,11 @@ import pytest
 
 from puzzlefonts import conveyer, fontdata
 from puzzlefonts.conveyer import (
-    CCW, CW, _junctions_c1, belt_length_lower_bound, canonical_spec, check_disk_set,
+    CCW, CW, _junctions_c1, canonical_spec, check_disk_set,
     check_spec, compute_belt, fingerprint, iter_belts, solve_belt, validate_belt,
 )
 from puzzlefonts.errors import BudgetExceeded, InvalidSpec
-from puzzlefonts.geometry import TOL, Arc, Point2, arc_extent
+from puzzlefonts.geometry import TOL, Arc, Point2, arc_extent, hull_perimeter
 from oracles import belt_by_tangents, naive_belt_solutions
 
 STADIUM = [(0.0, 0.0), (4.0, 0.0)]
@@ -319,7 +319,7 @@ class TestSolver:
     def test_length_lower_bound(self):
         for spec in solve_belt(TRIANGLE):
             path = compute_belt(TRIANGLE, spec)
-            assert path.total_length >= belt_length_lower_bound(TRIANGLE) - 1e-9
+            assert path.total_length >= hull_perimeter(TRIANGLE) - 1e-9
 
     def test_matches_naive_oracle_on_random_sets(self):
         rng = random.Random(20240811)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from puzzlefonts import fontdata
 from puzzlefonts.conveyer import CCW, CW
-from puzzlefonts.scene import emit_svg
+from puzzlefonts.scene import Polygon, emit_svg
 from puzzlefonts.typeset import typeset
 
 LINKAGE_FUN = """\
@@ -195,6 +195,23 @@ class TestParse:
         assert fd is None
         assert [(d.line, d.column) for d in diags] == [(2, 1)]
         assert f"glyph 'A': has {n} disks" in diags[0].message
+
+    def test_glyph_subcanes_bounded(self):
+        # each subcane costs length * SAMPLES_PER_UNIT quads in the puzzle
+        # side view, so a glyph with more subcanes than the bound is refused
+        def cane_glyph(n):
+            return "font cane 1\nglyph A\n" + "".join(
+                f"subcane 0.5 {360 * k / n} 0.1 strand_a\n" for k in range(n)) + "twist 1 64\n"
+        n = fontdata.MAX_GLYPH_SUBCANES
+        assert n == 16
+        fd, diags = fontdata.parse(cane_glyph(n))
+        assert not diags
+        quads = [p for p in typeset(fd, "A", "puzzle").scene.primitives if isinstance(p, Polygon)]
+        assert len(quads) <= n * 4096
+        fd, diags = fontdata.parse(cane_glyph(n + 1))
+        assert fd is None
+        assert [(d.line, d.column) for d in diags] == [(2, 1)]
+        assert f"glyph 'A': has {n + 1} subcanes, more than the {n} allowed" in diags[0].message
 
     @pytest.mark.parametrize("lines", [
         "angles 90 0 90 90 0\n" + "".join(f"vertex {k} 0\n" for k in range(7)),

@@ -202,12 +202,12 @@ class TestFoldChain:
 
     def test_uniform_acute_chain_is_proven_impossible(self):
         # acute-only hinges cannot reach the corner/center slot pairs
-        chain = HingedChain.uniform(8, "Q", "P")
+        chain = HingedChain.cyclic(8, [("Q", "P")])
         assert fold_chain(chain, TWO_CELL) is None
 
     def test_impossible_hinge_labels_exhaust(self):
         # R-R hinges in one cell: all four R corners sit at distinct points
-        chain = HingedChain.uniform(4, "R", "R")
+        chain = HingedChain.cyclic(4, [("R", "R")])
         assert fold_chain(chain, [(0, 0, "NE", "first")]) is None
 
     def test_budget_exceeded_is_distinguished(self):
@@ -312,7 +312,7 @@ class TestSearchIsPinned:
     def test_smallest_exhausting_budget(self):
         # a dead state met again costs only the node that reached it, so the
         # proof that this chain has no fold counts only the nodes it walks
-        chain = HingedChain.uniform(16, "R", "P")
+        chain = HingedChain.cyclic(16, [("R", "P")])
         slots = refine(square_cells(2, 1)).slots
         assert _walk(chain, slots, 7_688) is None
         with pytest.raises(BudgetExceeded):
@@ -481,7 +481,7 @@ class TestBlockLevels:
         if case == "blocks fold":
             chain, cells = alt_chain(16), square_cells(2, 1)
         elif case == "walk exhausts":
-            chain, cells = HingedChain.uniform(16, "R", "P"), square_cells(2, 1)
+            chain, cells = HingedChain.cyclic(16, [("R", "P")]), square_cells(2, 1)
         elif case == "blocks run out":
             budget = 10
         elif case == "walk runs out":

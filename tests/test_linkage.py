@@ -35,7 +35,7 @@ class TestEncode:
 
 class TestRealize:
     def test_straight_chain(self):
-        g = realize([180] * 5, "LLLLL", origin=(0, 0), heading=0.0)
+        g = realize([180] * 5, "LLLLL")
         assert g.vertices == tuple(Point2(float(i), 0.0) for i in range(7))
 
     def test_unit_bars(self):
@@ -55,11 +55,6 @@ class TestRealize:
         mirrored = [Point2(p.x, -p.y) for p in m.vertices]
         for a, b in zip(g.vertices, mirrored):
             assert dist(a, b) < 1e-9
-
-    def test_pose(self):
-        g = realize([180] * 5, "LLLLL", origin=(2, 3), heading=90.0)
-        assert g.vertices[0] == pytest.approx((2.0, 3.0))
-        assert g.vertices[6] == pytest.approx((2.0, 9.0))
 
     @given(st.lists(st.floats(0, 360, allow_nan=False), min_size=5, max_size=5),
            st.lists(st.sampled_from([LEFT, RIGHT]), min_size=5, max_size=5))
@@ -168,7 +163,7 @@ class TestRandomPuzzle:
 
 class TestUniqueness:
     def test_shipped_alphabet(self, shipped):
-        from puzzlefonts.typeset import linkage_font_of
+        from puzzlefonts.fontdata import linkage_font_of
         font = linkage_font_of(shipped["linkage"])
         assert font.uniqueness_failures() == []
 
@@ -188,7 +183,7 @@ class TestUniqueness:
 
 def test_spread_overlapping_bars_offsets_duplicates():
     g = realize([0, 180, 180, 180, 180], "LLLLL")  # bar 2 doubles back over bar 1
-    bars = spread_overlapping_bars(g.vertices, offset=0.06)
+    bars = spread_overlapping_bars(g.vertices)
     assert len(bars) == 6
     # the doubled bar is drawn displaced, the original in place
     d = min(math.hypot(bars[1][0].x - bars[0][0].x, bars[1][0].y - bars[0][0].y),

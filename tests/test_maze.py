@@ -7,11 +7,10 @@ from pathlib import Path
 import pytest
 
 import puzzlefonts
-from puzzlefonts.errors import InterfaceMismatch, Unsupported
+from puzzlefonts.errors import InterfaceMismatch
 from puzzlefonts.maze import (
-    MOUNTAIN, VALLEY, CreasePattern, GridMaze, check_flat_foldability_local,
+    MOUNTAIN, PAPER_SCALE, VALLEY, CreasePattern, GridMaze, check_flat_foldability_local,
     compose, generate_crease_pattern, render_crease_pattern, render_maze_2d,
-    scale_factor,
 )
 
 C = lambda x1, y1, x2, y2, a: (float(x1), float(y1), float(x2), float(y2), a)
@@ -19,19 +18,7 @@ C = lambda x1, y1, x2, y2, a: (float(x1), float(y1), float(x2), float(y2), a)
 
 class TestScaleFactor:
     def test_paper_value(self):
-        assert scale_factor(1) == 3
-
-    def test_h2(self):
-        assert scale_factor(2) == 5
-
-    def test_strictly_increasing(self):
-        assert scale_factor(2) > scale_factor(1)
-
-    def test_rejects_bad_heights(self):
-        with pytest.raises(ValueError):
-            scale_factor(0)
-        with pytest.raises(Unsupported):
-            scale_factor(3)
+        assert PAPER_SCALE == 3
 
 
 def random_maze(rng, w, h):
@@ -47,13 +34,13 @@ def random_maze(rng, w, h):
 
 class TestGenerate:
     def test_empty_maze_no_creases(self):
-        cp = generate_crease_pattern(GridMaze.from_edges(2, 2, []), 1)
+        cp = generate_crease_pattern(GridMaze.from_edges(2, 2, []))
         assert cp.paper_width == 6 and cp.paper_height == 6
         assert len(cp.creases) == 0
 
     def test_single_wall_1x1(self):
         m = GridMaze.from_edges(1, 1, [(0, 0, 0, 1)])
-        cp = generate_crease_pattern(m, 1)
+        cp = generate_crease_pattern(m)
         assert (cp.paper_width, cp.paper_height) == (3.0, 3.0)
         assert len(cp.creases) > 0
         assert check_flat_foldability_local(cp).all_ok
@@ -62,16 +49,13 @@ class TestGenerate:
         rng = random.Random(7)
         for _ in range(20):
             w, h = rng.randint(1, 5), rng.randint(1, 5)
-            m = random_maze(rng, w, h)
-            for eh in (1, 2):
-                s = scale_factor(eh)
-                cp = generate_crease_pattern(m, eh)
-                assert (cp.paper_width, cp.paper_height) == (s * w, s * h)
+            cp = generate_crease_pattern(random_maze(rng, w, h))
+            assert (cp.paper_width, cp.paper_height) == (3 * w, 3 * h)
 
     def test_deterministic(self):
         rng = random.Random(3)
         m = random_maze(rng, 3, 3)
-        assert generate_crease_pattern(m, 1) == generate_crease_pattern(m, 1)
+        assert generate_crease_pattern(m) == generate_crease_pattern(m)
 
     def test_monotone_in_walls(self):
         rng = random.Random(11)
@@ -81,21 +65,19 @@ class TestGenerate:
             counts = []
             for k in range(len(all_edges) + 1):
                 sub = GridMaze(3, 3, frozenset(all_edges[:k]))
-                counts.append(len(generate_crease_pattern(sub, 1).creases))
+                counts.append(len(generate_crease_pattern(sub).creases))
             assert counts == sorted(counts)
 
     def test_local_checks_pass_for_random_mazes(self):
         rng = random.Random(23)
         for _ in range(10):
-            m = random_maze(rng, 4, 3)
-            for eh in (1, 2):
-                cp = generate_crease_pattern(m, eh)
-                assert check_flat_foldability_local(cp).all_ok
+            cp = generate_crease_pattern(random_maze(rng, 4, 3))
+            assert check_flat_foldability_local(cp).all_ok
 
     def test_side_edges_stay_clean(self):
         rng = random.Random(5)
         m = random_maze(rng, 3, 4)
-        cp = generate_crease_pattern(m, 1)
+        cp = generate_crease_pattern(m)
         for (x1, y1, x2, y2, _a) in cp.creases:
             for x in (x1, x2):
                 assert 0.0 < x < cp.paper_width
@@ -211,16 +193,16 @@ class TestChecker:
 
 class TestCompose:
     def make(self, letter, shipped):
-        return generate_crease_pattern(shipped["maze"].glyphs[letter], 1)
+        return generate_crease_pattern(shipped["maze"].glyphs[letter])
 
     def test_compose_with_empty(self, shipped):
         x = self.make("F", shipped)
-        empty = generate_crease_pattern(GridMaze.from_edges(2, 4, []), 1)
-        out = compose(x, empty, "right")
+        empty = generate_crease_pattern(GridMaze.from_edges(2, 4, []))
+        out = compose(x, empty)
         assert out.paper_width == x.paper_width + empty.paper_width
         assert len(out.creases) == len(x.creases)
         assert check_flat_foldability_local(out).all_ok
-        out2 = compose(empty, x, "right")
+        out2 = compose(empty, x)
         assert len(out2.creases) == len(x.creases)
 
     def test_all_ordered_pairs_compose(self, shipped):
@@ -228,48 +210,30 @@ class TestCompose:
         pats = {ch: self.make(ch, shipped) for ch in letters}
         for a in letters:
             for b in letters:
-                out = compose(pats[a], pats[b], "right")
+                out = compose(pats[a], pats[b])
                 assert check_flat_foldability_local(out).all_ok
 
     def test_three_way_chain(self, shipped):
-        out = compose(compose(self.make("F", shipped), self.make("U", shipped), "right"),
-                      self.make("N", shipped), "right")
+        out = compose(compose(self.make("F", shipped), self.make("U", shipped)),
+                      self.make("N", shipped))
         assert out.paper_width == sum(self.make(c, shipped).paper_width for c in "FUN")
         assert check_flat_foldability_local(out).all_ok
 
     def test_height_mismatch(self, shipped):
-        taller = generate_crease_pattern(GridMaze.from_edges(2, 5, [(0, 0, 0, 1)]), 1)
+        taller = generate_crease_pattern(GridMaze.from_edges(2, 5, [(0, 0, 0, 1)]))
         with pytest.raises(InterfaceMismatch):
-            compose(self.make("F", shipped), taller, "right")
-
-    def test_below_composition(self):
-        a = generate_crease_pattern(GridMaze.from_edges(2, 2, []), 1)
-        b = generate_crease_pattern(GridMaze.from_edges(2, 3, []), 1)
-        out = compose(a, b, "below")
-        assert out.paper_height == a.paper_height + b.paper_height
-
-    def test_below_interface_mismatch(self):
-        a = generate_crease_pattern(GridMaze.from_edges(2, 2, [(1, 0, 1, 1)]), 1)
-        b = generate_crease_pattern(GridMaze.from_edges(2, 2, [(1, 1, 2, 1)]), 1)
-        with pytest.raises(InterfaceMismatch):
-            compose(a, b, "below")
+            compose(self.make("F", shipped), taller)
 
     def test_right_seam_interface_mismatch(self):
         a = CreasePattern(2.0, 2.0, frozenset({(0.0, 1.0, 2.0, 1.0, MOUNTAIN)}))
         b = CreasePattern(2.0, 2.0, frozenset())
         with pytest.raises(InterfaceMismatch, match=r"seam interfaces disagree near \(1000000, 'M'\)"):
-            compose(a, b, "right")
-
-    def test_below_width_mismatch(self):
-        a = generate_crease_pattern(GridMaze.from_edges(2, 2, []), 1)
-        b = generate_crease_pattern(GridMaze.from_edges(3, 2, []), 1)
-        with pytest.raises(InterfaceMismatch, match="paper widths differ: 6.0 vs 9.0"):
-            compose(a, b, "below")
+            compose(a, b)
 
 
 def test_edge_interface_rejects_unknown_edge():
     from puzzlefonts.maze import edge_interface
-    cp = generate_crease_pattern(GridMaze.from_edges(2, 2, [(1, 0, 1, 1)]), 1)
+    cp = generate_crease_pattern(GridMaze.from_edges(2, 2, [(1, 0, 1, 1)]))
     with pytest.raises(ValueError, match="'middle'"):
         edge_interface(cp, "middle")
 
@@ -277,10 +241,10 @@ def test_edge_interface_rejects_unknown_edge():
 def test_edge_interface_reports_boundary_endpoints():
     from puzzlefonts.maze import edge_interface
     m = GridMaze.from_edges(2, 2, [(1, 0, 1, 1)])
-    cp = generate_crease_pattern(m, 1)
-    top = edge_interface(cp, "top")
-    bottom = edge_interface(cp, "bottom")
-    assert len(top) == len(bottom) == 2  # the column pleat's two creases
+    cp = generate_crease_pattern(m)
+    # the column pleat's two creases run the full height, between the side edges
+    assert sorted((y1, y2, a) for (_x1, y1, _x2, y2, a) in cp.creases) == \
+        [(0.0, cp.paper_height, MOUNTAIN), (0.0, cp.paper_height, VALLEY)]
     assert edge_interface(cp, "left") == ()
     assert edge_interface(cp, "right") == ()
 
@@ -291,7 +255,7 @@ class TestRendering:
         assert "wall" in scene.style_classes()
 
     def test_crease_view_classes(self, shipped):
-        cp = generate_crease_pattern(shipped["maze"].glyphs["F"], 1)
+        cp = generate_crease_pattern(shipped["maze"].glyphs["F"])
         classes = render_crease_pattern(cp).style_classes()
         has_m = any(a == MOUNTAIN for *_xy, a in cp.creases)
         has_v = any(a == VALLEY for *_xy, a in cp.creases)
